@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .annulus import UnionFind
 from .words import Presentation, concat, conjugate, free_reduce, \
     inverse_word, parse_word, substitute, word_to_str, words_shortlex
 
@@ -601,16 +602,15 @@ def mirrors_splitting(p, peripherals, backend, budget=3, delta=0):
         return SearchOutcome("found", {"kind": "trivial",
                                        "reason": "no order-2 generators"})
     # cluster mirror generators linked through a common relator
-    clusters = {i: {i} for i in mirror_gens}
+    uf = UnionFind(mirror_gens)
     for rel in p.relators:
-        touched = {abs(x) - 1 for x in rel} & set(mirror_gens)
-        touched = sorted(touched)
+        touched = sorted({abs(x) - 1 for x in rel} & set(mirror_gens))
         for i in touched[1:]:
-            a, b = clusters[touched[0]], clusters[i]
-            merged = a | b
-            for j in merged:
-                clusters[j] = merged
-    leaves = sorted({frozenset(c) for c in clusters.values()}, key=sorted)
+            uf.union(touched[0], i)
+    clusters = {}
+    for i in mirror_gens:
+        clusters.setdefault(uf.find(i), set()).add(i)
+    leaves = sorted((frozenset(c) for c in clusters.values()), key=sorted)
     center_gens = [i for i in range(len(p.generators))
                    if i not in set(mirror_gens)]
     if not center_gens and len(leaves) <= 1:

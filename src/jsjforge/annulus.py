@@ -198,36 +198,3 @@ def _up_ray(space, vid):
         ray.append(space.horo_id(hv.peripheral, hv.coset, hv.offset, k))
     return ray
 
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def annulus_csv(space, dec):
-    lines = ["vertex,dist_to_gamma,component"]
-    for v in sorted(dec.N):
-        root = dec.component_of(v)
-        lines.append("%d,%d,%s" % (v, dec.dist_to_gamma[v], root))
-    return "\n".join(lines) + "\n"
-
-
-def annulus_dot(space, dec):
-    from .geometry import vertex_label
-    palette = ["red", "blue", "green", "orange", "purple", "brown", "cyan"]
-    color = {}
-    for i, root in enumerate(sorted(dec.components)):
-        color[root] = palette[i % len(palette)]
-    lines = ["graph annulus {"]
-    shown = dec.N | set(dec.gamma)
-    for v in sorted(shown):
-        root = dec.component_of(v)
-        c = color.get(root, "black") if v in dec.N else "gray"
-        shape = "box" if v in dec.gamma else "ellipse"
-        lines.append('  n%d [label="%s" color="%s" shape="%s"];'
-                     % (v, vertex_label(space, v), c, shape))
-    for v in sorted(shown):
-        for u in space.neighbors(v):
-            if u in shown and u > v:
-                lines.append("  n%d -- n%d;" % (v, u))
-    lines.append("}")
-    return "\n".join(lines) + "\n"

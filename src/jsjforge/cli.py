@@ -76,8 +76,8 @@ def _common(sub):
     sub.add_argument("--window", metavar="R,h",
                      help="cusped-space window: ball radius, horoball height")
     sub.add_argument("--const", metavar="FILE",
-                     help="JSON constant inputs (delta, delta_per, n, B, V, "
-                          "overrides)")
+                     help="constant inputs, one `name = value` per line "
+                          "(delta, delta_per, n, B, V, overrides)")
     sub.add_argument("--seed-markings", metavar="FILE",
                      help="JSON seed file; every entry is re-verified and "
                           "labelled in the trace")

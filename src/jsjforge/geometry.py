@@ -39,8 +39,9 @@ class CayleyBall:
 
     Vertices are integers; vertex 0 is the identity.  words[v] is the
     shortlex-least geodesic word found for v.  For canonical backends the
-    adjacency is recomputed on demand to keep big windows lean; for
-    non-canonical backends it is stored at construction time.
+    ball stores no edges: neighbors() derives them from the word problem
+    (CuspedSpace.adjacency() asks once per vertex).  For non-canonical
+    backends they are stored at construction time.
     """
 
     def __init__(self, presentation, backend, radius, vertex_cap=2_000_000):
@@ -130,10 +131,6 @@ class CayleyBall:
         return sizes
 
 
-def build_ball(presentation, backend, radius, vertex_cap=2_000_000):
-    return CayleyBall(presentation, backend, radius, vertex_cap)
-
-
 # ---------------------------------------------------------------------------
 # peripheral subgroups
 
@@ -217,6 +214,10 @@ class PeripheralGraph:
     def member_id(self, word):
         return self._lookup(word)
 
+    def adjacency(self):
+        """Neighbour list of every element, in discovery order."""
+        return self.adj
+
     def h_dist(self, i, j, cutoff):
         """Intrinsic distance between elements i and j, or None if > cutoff."""
         if i == j:
@@ -290,8 +291,7 @@ class CuspedSpace:
                         nid += 1
         self.n = nid
         self._base_dist = None
-        # shared {vertex: neighbor tuple} memo for repeated BFS passes
-        self.adjacency_cache = {}
+        self._adjacency = None
 
     def _assign_cosets(self, pi):
         pg = self.pgraphs[pi]
@@ -323,14 +323,8 @@ class CuspedSpace:
             return 0
         return self.id2horo[vid - self.ball.n].height
 
-    def thick_vertices(self):
-        return range(self.ball.n)
-
     def vertices(self):
         return range(self.n)
-
-    def thick_id(self, word):
-        return self.ball.vertex_id(word)
 
     def horo_id(self, pi, ci, oi, k):
         if k == 0:
@@ -353,9 +347,21 @@ class CuspedSpace:
                 return ray
         raise ValueError("vertex %d not in a coset of peripheral %d" % (thick_vid, pi))
 
+    def adjacency(self):
+        """The sorted neighbour list of every vertex, indexed by vertex id.
+        Built on the first call (the first query walks the whole window
+        anyway) and shared afterwards: callers must not mutate it."""
+        if self._adjacency is None:
+            self._adjacency = [self._neighbors(v) for v in range(self.n)]
+        return self._adjacency
+
     def neighbors(self, vid):
-        """Sorted neighbor ids.  Thick: Cayley edges plus vertical edges
-        into each horoball; horoball: vertical plus 2**k-horizontal."""
+        """Sorted neighbor ids, a list shared with adjacency(): do not
+        mutate it.  Thick: Cayley edges plus vertical edges into each
+        horoball; horoball: vertical plus 2**k-horizontal."""
+        return self.adjacency()[vid]
+
+    def _neighbors(self, vid):
         out = []
         if vid < self.ball.n:
             out.extend(u for _, u in self.ball.neighbors(vid))
@@ -386,8 +392,7 @@ class CuspedSpace:
     def base_dist(self, vid):
         """Window-graph distance from the identity (cached BFS)."""
         if self._base_dist is None:
-            self._base_dist = bfs_distances(self, [0],
-                                            adj=self.adjacency_cache)
+            self._base_dist = bfs_distances(self, [0])
         return self._base_dist.get(vid)
 
     def group_word(self, vid):
@@ -428,18 +433,8 @@ class CuspedSpace:
         included = {hid for hid, _ in offsets}
         hi = offsets[hv.offset][0]
         reach = 2 ** hv.height
-        near = bfs_distances(_PGraphView(pg), [hi], cutoff=reach)
+        near = bfs_distances(pg, [hi], cutoff=reach)
         return any(h not in included for h in near)
-
-
-class _PGraphView:
-    """Adapter presenting a PeripheralGraph through the neighbors() API."""
-
-    def __init__(self, pg):
-        self._pg = pg
-
-    def neighbors(self, v):
-        return sorted(self._pg.adj[v])
 
 
 def build_cusped_space(presentation, backend, R_max, h_max,
@@ -452,10 +447,11 @@ def build_cusped_space(presentation, backend, R_max, h_max,
 # BFS queries
 
 
-def bfs_distances(space, sources, cutoff=None, forbidden=None, adj=None):
-    """Distance map from a set of sources; forbidden vertices are removed
-    from the graph entirely (not usable even as endpoints).  adj, if
-    given, is a reusable {vertex: neighbors} cache."""
+def bfs_distances(space, sources, cutoff=None, forbidden=None):
+    """Distance map from a set of sources over space.adjacency();
+    forbidden vertices are removed from the graph entirely (not usable
+    even as endpoints)."""
+    adj = space.adjacency()
     dist = {}
     q = deque()
     for s in sources:
@@ -469,13 +465,7 @@ def bfs_distances(space, sources, cutoff=None, forbidden=None, adj=None):
         d = dist[v]
         if cutoff is not None and d >= cutoff:
             continue
-        if adj is None:
-            nbrs = space.neighbors(v)
-        else:
-            nbrs = adj.get(v)
-            if nbrs is None:
-                nbrs = adj[v] = tuple(space.neighbors(v))
-        for u in nbrs:
+        for u in adj[v]:
             if u in dist:
                 continue
             if forbidden is not None and u in forbidden:
@@ -492,6 +482,7 @@ def shortest_path(space, x, y, cutoff=None, forbidden=None):
         return None
     if x == y:
         return [x]
+    adj = space.adjacency()
     parent = {x: None}
     q = deque([x])
     depth = {x: 0}
@@ -499,7 +490,7 @@ def shortest_path(space, x, y, cutoff=None, forbidden=None):
         v = q.popleft()
         if cutoff is not None and depth[v] >= cutoff:
             continue
-        for u in space.neighbors(v):
+        for u in adj[v]:
             if u in parent:
                 continue
             if forbidden is not None and u in forbidden:
@@ -628,10 +619,3 @@ def to_dot(space, highlight=()):
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def adjacency_csv(space):
-    lines = ["vertex,height,neighbors"]
-    for v in space.vertices():
-        ns = " ".join(str(u) for u in space.neighbors(v))
-        lines.append("%d,%d,%s" % (v, space.height(v), ns))
-    return "\n".join(lines) + "\n"

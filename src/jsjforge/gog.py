@@ -19,6 +19,7 @@ from .words import BackendError, Presentation, concat, conjugate, \
     substitute, words_shortlex
 from .algebra import BudgetError, cyclic_subgroup_contains, order_of, \
     subgroup_ball, vc_analyze
+from .annulus import UnionFind
 
 MARKINGS = ("vc", "hangingFuchsian", "rigid", "unknown")
 
@@ -40,10 +41,6 @@ def to_names(p, w):
 def from_names(p, nw):
     idx = {g: i + 1 for i, g in enumerate(p.generators)}
     return tuple(sign * idx[name] for sign, name in nw)
-
-
-def _name_word_str(nw):
-    return " ".join(("%s" if s > 0 else "%s^-1") % n for s, n in nw) or "1"
 
 
 # ---------------------------------------------------------------------------
@@ -282,24 +279,6 @@ def gog_equal(g1, g2):
 # collapse
 
 
-class _UF:
-    def __init__(self, items):
-        self.p = {i: i for i in items}
-
-    def find(self, x):
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.p[rb] = ra
-
-
 def collapse_edges(g, edge_ids):
     """Quotient graph of groups: contracted non-loop edges merge their
     endpoints into an amalgam presentation; contracted loops become HNN
@@ -307,9 +286,15 @@ def collapse_edges(g, edge_ids):
     so the merged generator list is an ordered union (parts sorted by
     vertex id) and the composition law holds exactly."""
     edge_ids = set(edge_ids)
-    uf = _UF(list(g.vertices))
+    # a contracted edge is a loop (an HNN stable letter) when the edges
+    # before it in id order already joined its ends: each class keeps a
+    # spanning tree of plain merges
+    uf = UnionFind(g.vertices)
+    loops = set()
     for eid in sorted(edge_ids):
         e = g.edges[eid]
+        if uf.find(e.source) == uf.find(e.target):
+            loops.add(eid)
         uf.union(e.source, e.target)
     classes = {}
     for vid in sorted(g.vertices):
@@ -339,7 +324,7 @@ def collapse_edges(g, edge_ids):
             e = g.edges[eid]
             if uf.find(e.source) != root:
                 continue
-            if _loop_after(g, uf, e, eid, edge_ids):
+            if eid in loops:
                 # HNN: fresh stable letter named by the original edge id
                 t_name = "e%d.t" % eid
                 gens.append(t_name)
@@ -378,19 +363,6 @@ def collapse_edges(g, edge_ids):
     return out
 
 
-def _loop_after(g, uf, e, eid, edge_ids):
-    """Is this contracted edge a loop once the edges *before* it (in id
-    order) are contracted?  Each contracted class keeps a spanning tree
-    of plain merges; the remaining contracted edges add stable letters."""
-    uf2 = _UF(list(g.vertices))
-    for other in sorted(edge_ids):
-        if other >= eid:
-            break
-        oe = g.edges[other]
-        uf2.union(oe.source, oe.target)
-    return uf2.find(e.source) == uf2.find(e.target)
-
-
 # ---------------------------------------------------------------------------
 # tree of cylinders
 
@@ -424,7 +396,7 @@ def tree_of_cylinders(g, budget=3, delta=0):
             raise BudgetError("edge %d: non-cyclic edge group" % eid)
         cores[eid] = (e.source, backends[e.source].normalize(
             tuple(e.inj_source[0])))
-    uf = _UF(sorted(cores))
+    uf = UnionFind(cores)
     eids = sorted(cores)
     for a, b in itertools.combinations(eids, 2):
         va, ua = cores[a]

@@ -399,15 +399,13 @@ def parse_const_file(text):
 
 
 def star_pairs_iter(space, v, eps, M, radius=None, height_bound=None,
-                    dist_v=None, elig=None, adj=None):
+                    dist_v=None, elig=None):
     """Pairs (x, y, m) with |d(v,x)-d(v,y)| <= eps and d(x,y) <= M,
     m = min of the two radii.  Ordered by (radius of x, x, y).  Includes
     (x, x).  radius/height_bound restrict which vertices are eligible.
     elig may carry a precomputed sorted (distance, vertex) list."""
-    if adj is None:
-        adj = getattr(space, "adjacency_cache", None)
     if dist_v is None:
-        dist_v = bfs_distances(space, [v], adj=adj)
+        dist_v = bfs_distances(space, [v])
     if elig is None:
         elig = []
         for u, d in dist_v.items():
@@ -419,7 +417,7 @@ def star_pairs_iter(space, v, eps, M, radius=None, height_bound=None,
         elig.sort()
     eligible = {u for _, u in elig}
     for d, x in elig:
-        near = bfs_distances(space, [x], cutoff=M, adj=adj)
+        near = bfs_distances(space, [x], cutoff=M)
         for y in sorted(near):
             if y < x or y not in eligible:
                 continue
@@ -439,7 +437,7 @@ class DdagAnswer:
     caveat: bool
 
 
-def check_ddag(space, v, eps, n, pair, table, dist_v=None, adj=None):
+def check_ddag(space, v, eps, n, pair, table, dist_v=None):
     """Is there a path of length <= n from x to y whose vertices (other
     than x and y themselves) stay outside the closed ball of radius
     m - C - 45*delta + 3*eps around v, m = min(d(v,x), d(v,y))?"""
@@ -457,11 +455,8 @@ def check_ddag(space, v, eps, n, pair, table, dist_v=None, adj=None):
     else:
         radius = Fraction(radius)
         cutoff = radius.numerator // radius.denominator
-    if adj is None:
-        adj = getattr(space, "adjacency_cache", None)
-        if adj is None:
-            adj = {}
 
+    adj = space.adjacency()
     seen = {x: 0}
     parent = {x: None}
     q = deque([x])
@@ -472,10 +467,7 @@ def check_ddag(space, v, eps, n, pair, table, dist_v=None, adj=None):
         du_steps = seen[u]
         if du_steps >= n:
             continue
-        nbrs = adj.get(u)
-        if nbrs is None:
-            nbrs = adj[u] = tuple(space.neighbors(u))
-        for w in nbrs:
+        for w in adj[u]:
             if w in seen:
                 continue
             dw = dget(w)
@@ -510,7 +502,7 @@ class DdagReport:
     pairs_checked: int = 0
 
 
-def ddag_search(space, v, table, n_cap, eps=None, max_failures=3, adj=None,
+def ddag_search(space, v, table, n_cap, eps=None, max_failures=3,
                 dist_v=None):
     """The proof-driven search loop: for each n from Kd to n_cap check the
     double-dagger condition at eps = 10*delta over all star pairs in the
@@ -524,12 +516,8 @@ def ddag_search(space, v, table, n_cap, eps=None, max_failures=3, adj=None,
     """
     if eps is None:
         eps = 10 * table["delta"]
-    if adj is None:
-        adj = getattr(space, "adjacency_cache", None)
-        if adj is None:
-            adj = {}
     if dist_v is None:
-        dist_v = bfs_distances(space, [v], adj=adj)
+        dist_v = bfs_distances(space, [v])
     elig_cache = {}
     avail = space.R_max - (space.base_dist(v) or 0)
     report = DdagReport(v=v, eps=eps, status="exhausted")
@@ -550,8 +538,7 @@ def ddag_search(space, v, table, n_cap, eps=None, max_failures=3, adj=None,
                                        elig=elig_cache[(radius,
                                                         height_bound)]):
             report.pairs_checked += 1
-            ans = check_ddag(space, v, eps, n, (x, y), table, dist_v=dist_v,
-                             adj=adj)
+            ans = check_ddag(space, v, eps, n, (x, y), table, dist_v=dist_v)
             if not ans.ok:
                 all_ok = False
                 first_fail = (n, (x, y), m)

@@ -185,9 +185,6 @@ class Presentation:
     def n_gens(self):
         return len(self.generators)
 
-    def gen_index(self, name):
-        return self.generators.index(name) + 1
-
     def word(self, text):
         """Parse a word written over this presentation's generators."""
         return parse_word(text, self.generators)
@@ -342,7 +339,6 @@ def symmetrized_relators(relators):
         r = cyclic_reduce(r)
         if not r:
             continue
-        seen_here = []
         for base in (r, inverse_word(r)):
             for rot in rotations(base):
                 out.append((i, rot))

@@ -109,7 +109,7 @@ def test_criterion_03_ddag_negative_control():
         rep = ddag_search(space, 0, tab, n_cap=20)
         assert rep.status == "exhausted"
         assert rep.failures
-        dist0 = bfs_distances(space, [0], adj=space.adjacency_cache)
+        dist0 = bfs_distances(space, [0])
         checked = 0
         for x, y, m in star_pairs_iter(space, 0, 0, int(tab["M"]),
                                        radius=12, height_bound=0,

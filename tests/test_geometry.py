@@ -1,3 +1,5 @@
+import hashlib
+
 import networkx as nx
 import pytest
 
@@ -70,6 +72,32 @@ def test_neighbors_sorted_and_symmetric(line_space):
         assert ns == sorted(ns)
         for u in ns:
             assert v in space.neighbors(u)
+
+
+# sha256 over "v:n1 n2 ...\n" for every vertex in id order
+ADJACENCY_GOLDEN = [
+    ("gen a\nper P = a\n", 16, 6, 231,
+     "fc2d9ddc99dbfe2cf05dbb7f17009c80a67d9152f73be633d1aa5d7445590ce5"),
+    ("gen a b\n", 6, 0, 1457,
+     "6e074c9f586aab4162baec07c389359909135cf7dd71194df7cfb05584101659"),
+    ("gen a b\nper A = a\n", 4, 3, 644,
+     "82f54ad16afac26cd6c1faefb147c9c130db15cea8a50d70b3cd6d6db2bc4aba"),
+    ("gen a b c d\nrel abABcdCD\n", 3, 1, 457,
+     "f061ef1a60ab9b1b206027e5986876898a8f4abc9591070543629e19a039e1fb"),
+]
+
+
+@pytest.mark.parametrize("text,R,h,n,digest", ADJACENCY_GOLDEN)
+def test_window_adjacency_golden(text, R, h, n, digest):
+    p = parse_presentation(text)
+    space = build_cusped_space(p, default_backend(p), R_max=R, h_max=h)
+    assert space.n == n
+    hsh = hashlib.sha256()
+    for v in space.vertices():
+        assert space.neighbors(v) is space.adjacency()[v]
+        hsh.update(("%d:%s\n" % (v, " ".join(map(str, space.neighbors(v)))))
+                   .encode())
+    assert hsh.hexdigest() == digest
 
 
 def test_vertical_ray_and_heights(line_space):
