@@ -82,10 +82,6 @@ def cyclic_subgroup_contains(backend, u, x, slack=8):
     return not nfx
 
 
-def subgroup_ball(backend, gens, max_syllables):
-    return set(subgroup_elements(backend, gens, max_syllables))
-
-
 # ---------------------------------------------------------------------------
 # finite normal subgroups
 
@@ -237,8 +233,7 @@ def vc_analyze(p, backend, delta, S, budget=6, max_ball=200_000):
             cosets = _coset_system(backend, u, S, cap=16 * budget)
             if cosets is None:
                 continue
-            vc_type = "Dinf" if rep == "flip" or _has_flip(backend, u, S) \
-                else "Z"
+            vc_type = "Dinf" if rep == "flip" else "Z"
             E = _finite_normal_in(backend, S, candidates, order_bound)
             over = _max_overgroup(p, backend, u, S, E, order_bound, budget)
             qc = max((len(c) for c in cosets), default=0)
@@ -262,11 +257,6 @@ def _core_normalizes(backend, u, S):
             continue
         return None
     return "flip" if flip else "straight"
-
-
-def _has_flip(backend, u, S):
-    uinv = backend.normalize(inverse_word(u))
-    return any(backend.normalize(conjugate(s, u)) == uinv for s in S)
 
 
 def _coset_system(backend, u, S, cap):
@@ -467,10 +457,6 @@ def _is_hom(backend, relators, images):
                for r in relators)
 
 
-def _subgroup_set(backend, gens, length):
-    return subgroup_ball(backend, [tuple(g) for g in gens], length)
-
-
 def _peripherals_match(backend, model_per_images, target_pers, budget):
     """Find a bijection and bounded conjugators identifying the image
     peripheral subgroups with the target ones."""
@@ -485,14 +471,14 @@ def _peripherals_match(backend, model_per_images, target_pers, budget):
         for i, j in enumerate(pairing):
             imgs = model_per_images[i]
             tgt = [tuple(w) for _, ws in [target_pers[j]] for w in ws]
+            sub_t = set(subgroup_elements(backend, tgt, budget + 2))
+            tgt_nf = [backend.normalize(w) for w in tgt]
             got = None
             for c in conj_words:
                 moved = [backend.normalize(conjugate(c, w)) for w in imgs]
-                sub_t = _subgroup_set(backend, tgt, budget + 2)
-                sub_m = _subgroup_set(backend, moved, budget + 2)
+                sub_m = set(subgroup_elements(backend, moved, budget + 2))
                 if all(m in sub_t for m in moved) and \
-                        all(t in sub_m for t in (backend.normalize(tuple(w))
-                                                 for w in tgt)):
+                        all(t in sub_m for t in tgt_nf):
                     got = c
                     break
             if got is None:

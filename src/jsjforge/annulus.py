@@ -192,9 +192,7 @@ def horseshoe_decompose(space, gamma, r, K, R, min_depth=None):
 
 def _up_ray(space, vid):
     """Vertical ray from a horoball vertex up to the window top."""
-    hv = space.id2horo[vid - space.ball.n]
-    ray = []
-    for k in range(hv.height, space.h_max + 1):
-        ray.append(space.horo_id(hv.peripheral, hv.coset, hv.offset, k))
-    return ray
+    _, hv = space.describe(vid)
+    return [space.horo_id(hv.peripheral, hv.coset, hv.offset, k)
+            for k in range(hv.height, space.h_max + 1)]
 

@@ -41,7 +41,9 @@ class CayleyBall:
     shortlex-least geodesic word found for v.  For canonical backends the
     ball stores no edges: neighbors() derives them from the word problem
     (CuspedSpace.adjacency() asks once per vertex).  For non-canonical
-    backends they are stored at construction time.
+    backends they are stored at construction time, which never multiplies
+    out of the outer sphere: an edge joining two outer-sphere vertices,
+    possible only when some relator has odd length, is missing.
     """
 
     def __init__(self, presentation, backend, radius, vertex_cap=2_000_000):
@@ -71,13 +73,17 @@ class CayleyBall:
                 wv = self.words[v]
                 for s in letters:
                     w = concat(wv, (s,))
-                    u = self._identify(w, d)
+                    if canonical:
+                        key = backend.normalize(w)
+                        u = self._ids.get(key)
+                    else:
+                        u = self._identify(w, d)
                     if u is None:
                         u = len(self.words)
                         self.words.append(w)
                         self.dist.append(d)
                         if canonical:
-                            self._ids[backend.normalize(w)] = u
+                            self._ids[key] = u
                         else:
                             self._adj.append([])
                         if u >= vertex_cap:
@@ -148,7 +154,6 @@ class PeripheralGraph:
         self._keys = {self._key(()): 0}
         self.adj = [[]]
         self._frontier = [0]
-        self._dist_memo = {}
         self.elem_cap = elem_cap
         self._steps = [g for g in self.gens] + [inverse_word(g) for g in self.gens]
 
@@ -218,31 +223,10 @@ class PeripheralGraph:
         """Neighbour list of every element, in discovery order."""
         return self.adj
 
-    def h_dist(self, i, j, cutoff):
-        """Intrinsic distance between elements i and j, or None if > cutoff."""
-        if i == j:
-            return 0
-        memo = self._dist_memo.setdefault(i, {i: 0})
-        if j in memo:
-            d = memo[j]
-            return d if d <= cutoff else None
-        # extend the memoized BFS ball from i as needed
-        seen = memo
-        start = max(memo.values())
-        frontier = [v for v, d in memo.items() if d == start]
-        for d in range(start + 1, cutoff + 1):
-            nxt = []
-            for v in frontier:
-                for u in self.adj[v]:
-                    if u not in seen:
-                        seen[u] = d
-                        nxt.append(u)
-            frontier = nxt
-            if j in seen:
-                return seen[j]
-            if not frontier:
-                break
-        return seen.get(j) if seen.get(j, cutoff + 1) <= cutoff else None
+    def h_dist(self, i, cutoff):
+        """Intrinsic distance from element i to every element at most
+        cutoff away, as a dict."""
+        return bfs_distances(self, [i], cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -272,26 +256,26 @@ class CuspedSpace:
         self.pgraphs = []
         self.cosets = []  # per peripheral: list of dicts
         self._thick_memberships = [[] for _ in range(self.ball.n)]
-        self.horo_ids = {}
-        self.id2horo = []
         for pi, (name, gens) in enumerate(presentation.peripherals):
             pg = PeripheralGraph(name, gens, backend, peripheral_cap)
             pg.grow_until_gamma_length(2 * R_max)
             self.pgraphs.append(pg)
             self.cosets.append([])
             self._assign_cosets(pi)
-        nid = self.ball.n
+        # each (peripheral, coset, offset) owns a column of h_max
+        # consecutive horoball ids, heights 1..h_max
+        self._columns = []
+        self._col0 = []
         for pi, cosets in enumerate(self.cosets):
+            self._col0.append([])
             for ci, coset in enumerate(cosets):
-                for oi in range(len(coset["offsets"])):
-                    for k in range(1, h_max + 1):
-                        hv = HoroVertex(pi, ci, oi, k)
-                        self.horo_ids[(pi, ci, oi, k)] = nid
-                        self.id2horo.append(hv)
-                        nid += 1
-        self.n = nid
+                self._col0[pi].append(len(self._columns))
+                self._columns.extend((pi, ci, oi)
+                                     for oi in range(len(coset["offsets"])))
+        self.n = self.ball.n + len(self._columns) * h_max
         self._base_dist = None
         self._adjacency = None
+        self._boundary_height = None
 
     def _assign_cosets(self, pi):
         pg = self.pgraphs[pi]
@@ -307,21 +291,26 @@ class CuspedSpace:
                     placed = True
                     break
             if not placed:
-                cosets.append({"rep_word": wv, "rep_vid": v, "offsets": [(0, v)]})
+                cosets.append({"rep_word": wv, "offsets": [(0, v)]})
                 ci = len(cosets) - 1
                 self._thick_memberships[v].append((pi, ci, 0))
 
     # -- structure queries ------------------------------------------------
 
+    def _column(self, vid):
+        """(peripheral, coset, offset, height) of a horoball vertex."""
+        col, k = divmod(vid - self.ball.n, self.h_max)
+        return self._columns[col] + (k + 1,)
+
     def describe(self, vid):
         if vid < self.ball.n:
             return ("thick", self.ball.words[vid])
-        return ("horoball", self.id2horo[vid - self.ball.n])
+        return ("horoball", HoroVertex(*self._column(vid)))
 
     def height(self, vid):
         if vid < self.ball.n:
             return 0
-        return self.id2horo[vid - self.ball.n].height
+        return (vid - self.ball.n) % self.h_max + 1
 
     def vertices(self):
         return range(self.n)
@@ -329,7 +318,10 @@ class CuspedSpace:
     def horo_id(self, pi, ci, oi, k):
         if k == 0:
             return self.cosets[pi][ci]["offsets"][oi][1]
-        return self.horo_ids.get((pi, ci, oi, k))
+        if 1 <= k <= self.h_max:
+            return (self.ball.n + (self._col0[pi][ci] + oi) * self.h_max
+                    + k - 1)
+        return None
 
     def vertical_ray(self, thick_vid, pi=0, top=None):
         """Vertex ids of the vertical ray over a thick vertex in the
@@ -352,7 +344,7 @@ class CuspedSpace:
         Built on the first call (the first query walks the whole window
         anyway) and shared afterwards: callers must not mutate it."""
         if self._adjacency is None:
-            self._adjacency = [self._neighbors(v) for v in range(self.n)]
+            self._build_graph()
         return self._adjacency
 
     def neighbors(self, vid):
@@ -361,33 +353,54 @@ class CuspedSpace:
         horoball; horoball: vertical plus 2**k-horizontal."""
         return self.adjacency()[vid]
 
-    def _neighbors(self, vid):
-        out = []
-        if vid < self.ball.n:
-            out.extend(u for _, u in self.ball.neighbors(vid))
-            for pi, ci, oi in self._thick_memberships[vid]:
-                hid = self.horo_id(pi, ci, oi, 1)
-                if hid is not None:
-                    out.append(hid)
-        else:
-            hv = self.id2horo[vid - self.ball.n]
-            pi, ci, oi, k = hv.peripheral, hv.coset, hv.offset, hv.height
-            below = self.horo_id(pi, ci, oi, k - 1)
-            if below is not None:
-                out.append(below)
-            if k + 1 <= self.h_max:
-                out.append(self.horo_id(pi, ci, oi, k + 1))
+    def _build_graph(self):
+        """Every vertex's sorted neighbour list and every column's lowest
+        boundary height, from one peripheral BFS of radius 2**h_max per
+        offset.  An offset at intrinsic distance d > 0 is a horizontal
+        neighbour at every height k with 2**k >= d."""
+        ball, h = self.ball, self.h_max
+        # horoball ids recur in many lists: share one int object per id
+        ids = list(range(self.n)) if self.n > ball.n else None
+        adj = []
+        for v in range(ball.n):
+            out = [u for _, u in ball.neighbors(v)]
+            if ids:
+                out.extend(ids[self.horo_id(pi, ci, oi, 1)]
+                           for pi, ci, oi in self._thick_memberships[v])
+            adj.append(sorted(out))
+        self._adjacency = adj
+        self._boundary_height = boundary_height = []
+        if ids is None:
+            return
+        for pi, cosets in enumerate(self.cosets):
             pg = self.pgraphs[pi]
-            offsets = self.cosets[pi][ci]["offsets"]
-            hi = offsets[oi][0]
-            reach = 2 ** k
-            for oj, (hj, _) in enumerate(offsets):
-                if oj == oi:
-                    continue
-                d = pg.h_dist(hi, hj, reach)
-                if d is not None and d > 0:
-                    out.append(self.horo_id(pi, ci, oj, k))
-        return sorted(out)
+            for ci, coset in enumerate(cosets):
+                offsets = coset["offsets"]
+                index = {hj: oj for oj, (hj, _) in enumerate(offsets)}
+                first = self.horo_id(pi, ci, 0, 1)
+                for oi, (hi, v) in enumerate(offsets):
+                    # columns joined first at height k, and the distance
+                    # to the nearest element outside the offsets held
+                    joined = [[] for _ in range(h + 1)]
+                    outside = 2 ** h + 1
+                    for hj, d in pg.h_dist(hi, 2 ** h).items():
+                        oj = index.get(hj)
+                        if oj is None:
+                            outside = min(outside, d)
+                        elif d > 0:
+                            joined[max(1, (d - 1).bit_length())].append(
+                                first + oj * h)
+                    boundary_height.append(
+                        min(h, max(1, (outside - 1).bit_length())))
+                    col = first + oi * h
+                    level = []
+                    for k in range(1, h + 1):
+                        level.extend(joined[k])
+                        out = [ids[c + k - 1] for c in level]
+                        out.append(v if k == 1 else ids[col + k - 2])
+                        if k < h:
+                            out.append(ids[col + k])
+                        adj.append(sorted(out))
 
     def base_dist(self, vid):
         """Window-graph distance from the identity (cached BFS)."""
@@ -400,9 +413,8 @@ class CuspedSpace:
         thick vertices, the height-0 point below for horoball vertices."""
         if vid < self.ball.n:
             return self.ball.words[vid]
-        hv = self.id2horo[vid - self.ball.n]
-        return self.ball.words[self.cosets[hv.peripheral][hv.coset]
-                               ["offsets"][hv.offset][1]]
+        pi, ci, oi, _ = self._column(vid)
+        return self.ball.words[self.cosets[pi][ci]["offsets"][oi][1]]
 
     def translate(self, g, vid):
         """Left-translate a vertex by the group element word g; None when
@@ -412,10 +424,10 @@ class CuspedSpace:
             return None
         if vid < self.ball.n:
             return base
-        hv = self.id2horo[vid - self.ball.n]
+        peripheral, _, _, k = self._column(vid)
         for pi, ci, oi in self._thick_memberships[base]:
-            if pi == hv.peripheral:
-                return self.horo_id(pi, ci, oi, hv.height)
+            if pi == peripheral:
+                return self.horo_id(pi, ci, oi, k)
         return None
 
     def boundary_vertex(self, vid):
@@ -425,16 +437,9 @@ class CuspedSpace:
         past the offsets the window holds."""
         if vid < self.ball.n:
             return self.ball.dist[vid] >= self.R_max
-        hv = self.id2horo[vid - self.ball.n]
-        if hv.height >= self.h_max:
-            return True
-        pg = self.pgraphs[hv.peripheral]
-        offsets = self.cosets[hv.peripheral][hv.coset]["offsets"]
-        included = {hid for hid, _ in offsets}
-        hi = offsets[hv.offset][0]
-        reach = 2 ** hv.height
-        near = bfs_distances(pg, [hi], cutoff=reach)
-        return any(h not in included for h in near)
+        self.adjacency()
+        col, k = divmod(vid - self.ball.n, self.h_max)
+        return k + 1 >= self._boundary_height[col]
 
 
 def build_cusped_space(presentation, backend, R_max, h_max,

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from .words import BackendError, Presentation, concat, conjugate, \
     default_backend, enumerate_tietze, free_reduce, inverse_word, \
     substitute, words_shortlex
-from .algebra import BudgetError, cyclic_subgroup_contains, order_of, \
-    subgroup_ball, vc_analyze
+from .algebra import BudgetError, order_of, vc_analyze
 from .annulus import UnionFind
 
 MARKINGS = ("vc", "hangingFuchsian", "rigid", "unknown")

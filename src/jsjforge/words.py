@@ -459,13 +459,10 @@ class RewritingBackend(WordProblemBackend):
     def __init__(self, presentation, rules):
         super().__init__(presentation)
         self.rules = [(tuple(l), tuple(r)) for l, r in rules]
-
-    def _all_rules(self):
-        cancel = []
-        for i in range(1, self.presentation.n_gens + 1):
-            cancel.append(((i, -i), ()))
-            cancel.append(((-i, i), ()))
-        return self.rules + cancel
+        # the given rules, then free cancellation
+        self._rewrite_rules = self.rules + [
+            (pair, ()) for i in range(1, presentation.n_gens + 1)
+            for pair in ((i, -i), (-i, i))]
 
     def validate(self, overlap_bound=64):
         for l, r in self.rules:
@@ -475,7 +472,7 @@ class RewritingBackend(WordProblemBackend):
                 raise BackendError(
                     "rule %r -> %r is not shortlex-reducing" % (l, r)
                 )
-        rules = self._all_rules()
+        rules = self._rewrite_rules
         checked = 0
         for (l1, r1), (l2, r2) in itertools.product(rules, repeat=2):
             # proper overlaps: a suffix of l1 equals a prefix of l2
@@ -518,7 +515,7 @@ class RewritingBackend(WordProblemBackend):
         return self.certificate
 
     def _rewrite(self, word, cap=None):
-        rules = self._all_rules()
+        rules = self._rewrite_rules
         w = tuple(word)
         steps = 0
         while True:

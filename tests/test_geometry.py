@@ -3,8 +3,8 @@ import hashlib
 import networkx as nx
 import pytest
 
-from jsjforge.geometry import (bfs_distances, build_cusped_space, distance,
-                               gromov_product, is_local_geodesic,
+from jsjforge.geometry import (HoroVertex, bfs_distances, build_cusped_space,
+                               distance, gromov_product, is_local_geodesic,
                                valence_stats, vertex_label)
 from jsjforge.words import parse_presentation, default_backend
 
@@ -98,6 +98,70 @@ def test_window_adjacency_golden(text, R, h, n, digest):
         hsh.update(("%d:%s\n" % (v, " ".join(map(str, space.neighbors(v)))))
                    .encode())
     assert hsh.hexdigest() == digest
+
+
+def _peripheral_nx(pg):
+    g = nx.Graph()
+    g.add_nodes_from(range(len(pg.elems)))
+    g.add_edges_from((i, j) for i, ns in enumerate(pg.adj) for j in ns)
+    return g
+
+
+@pytest.mark.parametrize("text,R,h", [
+    ("gen a\nper P = a\n", 16, 6),
+    ("gen a b\nper A = a\n", 4, 3),
+    ("gen a b\nper A = a\nper B = b\n", 3, 3),
+])
+def test_horoball_edges_and_boundary_match_oracle(text, R, h):
+    """Edges and boundary flags against networkx BFS over each peripheral
+    graph: offsets at intrinsic distance d > 0 are joined at height k iff
+    d <= 2**k, and a horoball vertex is a boundary vertex iff it is at the
+    top or an element outside its coset's offsets lies within 2**k."""
+    p = parse_presentation(text)
+    space = build_cusped_space(p, default_backend(p), R_max=R, h_max=h)
+    want = {v: {u for _, u in space.ball.neighbors(v)}
+            for v in range(space.ball.n)}
+    boundary = {v: space.ball.dist[v] >= R for v in range(space.ball.n)}
+    for pi, pg in enumerate(space.pgraphs):
+        g = _peripheral_nx(pg)
+        for ci, coset in enumerate(space.cosets[pi]):
+            offsets = coset["offsets"]
+            held = {hj for hj, _ in offsets}
+            for oi, (hi, _) in enumerate(offsets):
+                near = nx.single_source_shortest_path_length(g, hi,
+                                                             cutoff=2 ** h)
+                below = space.horo_id(pi, ci, oi, 0)
+                for k in range(1, h + 1):
+                    v = space.horo_id(pi, ci, oi, k)
+                    assert v not in want
+                    assert space.describe(v) == (
+                        "horoball", HoroVertex(pi, ci, oi, k))
+                    want[v] = {below} | {
+                        space.horo_id(pi, ci, oj, k)
+                        for oj, (hj, _) in enumerate(offsets)
+                        if 0 < near.get(hj, 2 ** k + 1) <= 2 ** k}
+                    want[below].add(v)
+                    boundary[v] = k == h or any(
+                        d <= 2 ** k and x not in held
+                        for x, d in near.items())
+                    below = v
+    assert sorted(want) == list(space.vertices())
+    for v in space.vertices():
+        assert space.neighbors(v) == sorted(want[v]), v
+        assert space.boundary_vertex(v) == boundary[v], v
+
+
+def test_line_boundary_closed_form(line_space):
+    # over x at height k: boundary iff k = h or |x| + 2**k > R
+    space = line_space
+    R, h = space.R_max, space.h_max
+    flags = []
+    for v in space.vertices():
+        x, k = sum(space.group_word(v)), space.height(v)
+        want = abs(x) >= R if k == 0 else k == h or abs(x) + 2 ** k > R
+        assert space.boundary_vertex(v) == want, (x, k)
+        flags.append(want)
+    assert 0 < sum(flags) < len(flags)
 
 
 def test_vertical_ray_and_heights(line_space):
