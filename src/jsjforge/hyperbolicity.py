@@ -15,11 +15,16 @@ avoids a large ball around the base.  The forbidden ball is the closed
 ball of the stated radius, with the two endpoints of the pair exempted
 (a path must stand on its endpoints; only its other vertices avoid the
 ball).
+
+Both check_ddag and ddag_search answer from one avoiding BFS: a BFS from
+x to depth n in which the forbidden ball's vertices are reached but never
+expanded, so a pair (x, y) passes iff the BFS reaches y.  The forbidden
+radius depends on the pair only through m, and |d(v,x) - d(v,y)| <= eps
+leaves at most eps + 1 values of m for one x, so ddag_search builds at
+most eps + 1 maps per x and answers every star pair of x from them.
 """
 
 import itertools
-import sys
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,10 +33,6 @@ import mpmath
 from .geometry import bfs_distances, shortest_path
 
 ROUND_DEN = 2 ** 20
-
-# the exact N bounds routinely have hundreds of thousands of digits
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(4_000_000)
 
 
 class WindowInsufficient(RuntimeError):
@@ -100,7 +101,10 @@ def certify_delta(space, radius, budget=2_000_000, all_geodesics=False):
     for paths in geos.values():
         for p in paths:
             needed.update(p)
-    dmaps = {v: bfs_distances(space, [v], cutoff=4 * radius + 4) for v in needed}
+    # a side [a, b] has length d(a, b) <= 2*radius, so each of its points
+    # lies within 2*radius of a or b, which the other two sides hold: the
+    # clipped maps give the same minima as whole-window ones
+    dmaps = {v: bfs_distances(space, [v], cutoff=2 * radius) for v in needed}
     delta = 0
     worst = ()
     count = 0
@@ -398,31 +402,32 @@ def parse_const_file(text):
 # star pairs and the double-dagger condition
 
 
+def _eligible(space, dist_v, radius, height_bound):
+    """Eligible vertices as a dict vertex -> d(v, vertex), in (distance,
+    vertex) order."""
+    return {u: d for d, u in sorted(
+        (d, u) for u, d in dist_v.items()
+        if (radius is None or d <= radius)
+        and (height_bound is None or space.height(u) <= height_bound))}
+
+
 def star_pairs_iter(space, v, eps, M, radius=None, height_bound=None,
                     dist_v=None, elig=None):
     """Pairs (x, y, m) with |d(v,x)-d(v,y)| <= eps and d(x,y) <= M,
     m = min of the two radii.  Ordered by (radius of x, x, y).  Includes
     (x, x).  radius/height_bound restrict which vertices are eligible.
-    elig may carry a precomputed sorted (distance, vertex) list."""
-    if dist_v is None:
-        dist_v = bfs_distances(space, [v])
+    elig may carry the precomputed eligible dict of _eligible."""
     if elig is None:
-        elig = []
-        for u, d in dist_v.items():
-            if radius is not None and d > radius:
-                continue
-            if height_bound is not None and space.height(u) > height_bound:
-                continue
-            elig.append((d, u))
-        elig.sort()
-    eligible = {u for _, u in elig}
-    for d, x in elig:
+        if dist_v is None:
+            dist_v = bfs_distances(space, [v])
+        elig = _eligible(space, dist_v, radius, height_bound)
+    for x, d in elig.items():
         near = bfs_distances(space, [x], cutoff=M)
         for y in sorted(near):
-            if y < x or y not in eligible:
+            if y < x:
                 continue
-            dy = dist_v[y]
-            if abs(d - dy) <= eps:
+            dy = elig.get(y)
+            if dy is not None and abs(d - dy) <= eps:
                 yield (x, y, min(d, dy))
 
 
@@ -437,6 +442,40 @@ class DdagAnswer:
     caveat: bool
 
 
+def _ball_offset(eps, table):
+    """k with floor(m - C - 45*delta + 3*eps) = m + k for integer m:
+    distances are integers, so the closed forbidden ball of a pair with
+    min radius m is dist_v <= m + k."""
+    k = 3 * eps - table["C"] - 45 * table["delta"]
+    return k if isinstance(k, int) else floor_frac(k)
+
+
+def _avoiding_bfs(adj, x, n, cutoff, dist_v, stop=None):
+    """BFS from x to depth n in which the vertices of the closed ball
+    dist_v <= cutoff, other than x, are reached but never expanded.
+    Returns the parent map of the reached vertices (x maps to None), in
+    the order they were reached; stops as soon as it reaches stop."""
+    parent = {x: None}
+    dget = dist_v.get
+    frontier = [x]
+    depth = 0
+    while frontier and depth < n:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if w in parent:
+                    continue
+                parent[w] = u
+                if w == stop:
+                    return parent
+                dw = dget(w)
+                if dw is None or dw > cutoff:
+                    nxt.append(w)
+        frontier = nxt
+    return parent
+
+
 def check_ddag(space, v, eps, n, pair, table, dist_v=None):
     """Is there a path of length <= n from x to y whose vertices (other
     than x and y themselves) stay outside the closed ball of radius
@@ -446,49 +485,25 @@ def check_ddag(space, v, eps, n, pair, table, dist_v=None):
         return DdagAnswer(True, [x], False)
     if dist_v is None:
         dist_v = bfs_distances(space, [v])
-    m = min(dist_v[x], dist_v[y])
-    radius = m - table["C"] - 45 * table["delta"] + 3 * eps
-    # distances are integers, so the closed-ball test reduces to an
-    # integer cutoff at floor(radius)
-    if isinstance(radius, int):
-        cutoff = radius
-    else:
-        radius = Fraction(radius)
-        cutoff = radius.numerator // radius.denominator
-
-    adj = space.adjacency()
-    seen = {x: 0}
-    parent = {x: None}
-    q = deque([x])
+    cutoff = min(dist_v[x], dist_v[y]) + _ball_offset(eps, table)
+    parent = _avoiding_bfs(space.adjacency(), x, n, cutoff, dist_v, stop=y)
+    if y in parent:
+        path = [y]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return DdagAnswer(True, list(reversed(path)), False)
+    # scan newest-first: window-boundary vertices enter the search last;
+    # forbidden vertices were reached but not searched, so they are skipped
     dget = dist_v.get
-    touched_boundary = False
-    while q:
-        u = q.popleft()
-        du_steps = seen[u]
-        if du_steps >= n:
+    for u in reversed(parent):
+        du = dget(u)
+        if du is not None and du <= cutoff and u != x:
             continue
-        for w in adj[u]:
-            if w in seen:
-                continue
-            dw = dget(w)
-            if dw is not None and dw <= cutoff and w != x and w != y:
-                continue
-            seen[w] = du_steps + 1
-            parent[w] = u
-            if w == y:
-                path = [w]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return DdagAnswer(True, list(reversed(path)), False)
-            q.append(w)
-    # scan newest-first: window-boundary vertices enter the search last
-    for u in reversed(seen):
         bd = space.base_dist(u)
         if (bd is not None and bd >= space.R_max) or \
                 space.height(u) >= space.h_max > 0:
-            touched_boundary = True
-            break
-    return DdagAnswer(False, None, touched_boundary)
+            return DdagAnswer(False, None, True)
+    return DdagAnswer(False, None, False)
 
 
 @dataclass
@@ -508,6 +523,10 @@ def ddag_search(space, v, table, n_cap, eps=None, max_failures=3,
     double-dagger condition at eps = 10*delta over all star pairs in the
     ball of radius Rd(n) around v within the thick part of depth kd.
 
+    Every pair of one x is answered from a shared avoiding-BFS map per
+    forbidden cutoff (at most eps + 1 of them), built on first use and
+    dropped when x changes; the answers are check_ddag's.
+
     Returns the first n at which every in-window pair passes, provided the
     window actually covers radius Rd(n); if all in-window pairs pass but
     the window is smaller than Rd(n), stops with window-insufficient and
@@ -518,6 +537,8 @@ def ddag_search(space, v, table, n_cap, eps=None, max_failures=3,
         eps = 10 * table["delta"]
     if dist_v is None:
         dist_v = bfs_distances(space, [v])
+    adj = space.adjacency()
+    offset = _ball_offset(eps, table)
     elig_cache = {}
     avail = space.R_max - (space.base_dist(v) or 0)
     report = DdagReport(v=v, eps=eps, status="exhausted")
@@ -526,11 +547,11 @@ def ddag_search(space, v, table, n_cap, eps=None, max_failures=3,
         radius = min(Rn, avail)
         height_bound = int(table["kd"])
         if (radius, height_bound) not in elig_cache:
-            elig_cache[(radius, height_bound)] = sorted(
-                (d, u) for u, d in dist_v.items()
-                if d <= radius and space.height(u) <= height_bound)
+            elig_cache[(radius, height_bound)] = _eligible(
+                space, dist_v, radius, height_bound)
         all_ok = True
         first_fail = None
+        map_x, maps = None, {}
         for x, y, m in star_pairs_iter(space, v, eps, int(table["M"]),
                                        radius=radius,
                                        height_bound=height_bound,
@@ -538,8 +559,17 @@ def ddag_search(space, v, table, n_cap, eps=None, max_failures=3,
                                        elig=elig_cache[(radius,
                                                         height_bound)]):
             report.pairs_checked += 1
-            ans = check_ddag(space, v, eps, n, (x, y), table, dist_v=dist_v)
-            if not ans.ok:
+            if x == y:  # passes with no search, as in check_ddag
+                continue
+            if x != map_x:
+                map_x, maps = x, {}
+            # every negative cutoff forbids nothing, so they share a map
+            cutoff = max(m + offset, -1)
+            reached = maps.get(cutoff)
+            if reached is None:
+                reached = maps[cutoff] = _avoiding_bfs(adj, x, n, cutoff,
+                                                       dist_v)
+            if y not in reached:
                 all_ok = False
                 first_fail = (n, (x, y), m)
                 break

@@ -1,14 +1,17 @@
+import itertools
 import math
-import sys
+import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
+from jsjforge.geometry import build_cusped_space, shortest_path
 from jsjforge.hyperbolicity import (ceil_frac, certify_delta, check_ddag,
                                     ddag_search, derive_constants, floor_frac,
-                                    parse_const_file, star_pairs)
-
-sys.set_int_max_str_digits(400000)
+                                    parse_const_file, star_pairs,
+                                    star_pairs_iter)
+from jsjforge.words import default_backend, parse_presentation
 
 
 @pytest.mark.parametrize("x", [Fraction(7, 2), Fraction(-7, 2), Fraction(4),
@@ -110,3 +113,232 @@ def test_ddag_search_window_insufficient_at_full_constants(line_space):
     rep = ddag_search(line_space, 0, t, n_cap=int(t["Kd"]))
     assert rep.status == "window-insufficient"
     assert rep.required_radius > line_space.R_max
+
+
+# ---------------------------------------------------------------------------
+# networkx oracles for the double-dagger search and delta certification
+
+G2 = "gen a b c d\nrel abABcdCD\n"
+LINE = "gen a\nper P = a\n"
+
+
+def _window(text, R, h):
+    p = parse_presentation(text)
+    return build_cusped_space(p, default_backend(p), R_max=R, h_max=h)
+
+
+def _nx_window(space):
+    g = nx.Graph()
+    g.add_nodes_from(space.vertices())
+    for v in space.vertices():
+        g.add_edges_from((v, u) for u in space.adjacency()[v])
+    return g
+
+
+def _avoiding_length(g, dv, cutoff, x, y):
+    """Shortest x-y path length in the window minus the closed ball
+    dv <= cutoff, x and y exempt; None when there is none."""
+    keep = [u for u in g if dv[u] > cutoff or u == x or u == y]
+    try:
+        return nx.shortest_path_length(g.subgraph(keep), x, y)
+    except nx.NetworkXNoPath:
+        return None
+
+
+def _ddag_reference(space, v, table, n_cap, eps, shift=0):
+    """ddag_search's report rebuilt pair by pair from networkx distances;
+    shift moves every forbidden cutoff (the negative control)."""
+    g = _nx_window(space)
+    dist = dict(nx.all_pairs_shortest_path_length(g))
+    dv = dist[v]
+    avail = space.R_max - dist[0][v]
+    M, kd = int(table["M"]), int(table["kd"])
+    failures, checked = [], 0
+    for n in range(int(table["Kd"]), n_cap + 1):
+        Rn = table.Rd(n)
+        elig = sorted((dv[u], u) for u in g
+                      if dv[u] <= min(Rn, avail) and space.height(u) <= kd)
+        eligible = {u for _, u in elig}
+        first_fail = None
+        for dx, x in elig:
+            for y in sorted(dist[x]):
+                if y < x or y not in eligible or dist[x][y] > M \
+                        or abs(dx - dv[y]) > eps:
+                    continue
+                checked += 1
+                m = min(dx, dv[y])
+                cutoff = math.floor(m - table["C"] - 45 * table["delta"]
+                                    + 3 * eps) + shift
+                length = _avoiding_length(g, dv, cutoff, x, y)
+                if length is None or length > n:
+                    first_fail = (n, (x, y), m)
+                    break
+            if first_fail:
+                break
+        if first_fail is None:
+            if Rn > avail:
+                return ("window-insufficient", n, Rn, failures, checked)
+            return ("found", n, None, failures, checked)
+        if len(failures) < 3:
+            failures.append(first_fail)
+    return ("exhausted", None, None, failures, checked)
+
+
+# (window, v, delta, eps, overrides, n_cap); C = 3*eps - k puts the
+# forbidden cutoff at m + k
+DDAG_CASES = [
+    (("gen a b\n", 4, 0), 0, 0, 0, {"kd": 0, "Kd": 1}, 4),
+    (("gen a b\n", 4, 0), 2, 0, 2, {"kd": 0, "Kd": 1, "M": 2, "C": 5}, 3),
+    ((LINE, 24, 5), 0, 0, 0, {"kd": 0, "Kd": 1, "M": 2, "C": 1}, 4),
+    ((LINE, 24, 5), 1, 0, 1, {"kd": 0, "Kd": 2, "M": 2, "C": 5}, 4),
+    ((LINE, 24, 5), 1, 0, 1, {"kd": 1, "Kd": 1, "M": 2, "C": 2}, 4),
+    ((LINE, 24, 5), 2, 0, 2, {"kd": 0, "Kd": 1, "M": 3, "C": 8}, 3),
+    ((LINE, 32, 5), 2, 0, 2, {"kd": 0, "Kd": 1, "M": 3, "C": 7}, 5),
+    (("gen a b\nper A = a\n", 3, 2), 0, 0, 1,
+     {"kd": 1, "Kd": 1, "M": 2, "C": 3}, 3),
+    (("gen a b\nrel aaa\nrel bbbb\n", 4, 0), 0, 0, 5,
+     {"kd": 0, "Kd": 1, "M": 2, "C": 14}, 3),
+    (("gen a b\nrel aaa\nrel bbbb\n", 4, 0), 3, 0, 18,
+     {"kd": 0, "Kd": 1, "M": 2, "C": 55}, 3),
+    ((G2, 2, 0), 0, 1, 10, {}, None),
+    ((G2, 2, 0), 0, 0, 0, {"kd": 0, "Kd": 1, "M": 2}, 3),
+]
+
+
+def _ddag_case(case):
+    window, v, delta, eps, overrides, n_cap = case
+    space = _window(*window)
+    table = derive_constants(delta, 0, n=4, B=3, V=4, overrides=overrides)
+    if n_cap is None:
+        n_cap = int(table["Kd"])
+    return space, v, table, n_cap, eps
+
+
+@pytest.mark.parametrize("case", DDAG_CASES)
+def test_ddag_search_matches_networkx_reference(case):
+    space, v, table, n_cap, eps = _ddag_case(case)
+    rep = ddag_search(space, v, table, n_cap, eps=eps)
+    assert (rep.status, rep.n, rep.required_radius, rep.failures,
+            rep.pairs_checked) == _ddag_reference(space, v, table, n_cap, eps)
+
+
+def test_ddag_reference_cases_cover_every_status():
+    statuses = set()
+    for case in DDAG_CASES:
+        space, v, table, n_cap, eps = _ddag_case(case)
+        rep = ddag_search(space, v, table, n_cap, eps=eps)
+        statuses.add((rep.status, bool(rep.failures)))
+    assert statuses == {("exhausted", True), ("found", True),
+                        ("found", False), ("window-insufficient", True),
+                        ("window-insufficient", False)}
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_ddag_reference_negative_control(shift):
+    # an off-by-one forbidden cutoff must change some report, or the
+    # reference above could not tell a wrong cutoff from a right one
+    changed = 0
+    for case in DDAG_CASES:
+        space, v, table, n_cap, eps = _ddag_case(case)
+        rep = ddag_search(space, v, table, n_cap, eps=eps)
+        got = (rep.status, rep.n, rep.required_radius, rep.failures,
+               rep.pairs_checked)
+        changed += got != _ddag_reference(space, v, table, n_cap, eps,
+                                          shift=shift)
+    assert changed > 0
+
+
+def _check_ddag_against_networkx(space, v, eps, n, pairs, table):
+    g = _nx_window(space)
+    dv = nx.single_source_shortest_path_length(g, v)
+    d0 = nx.single_source_shortest_path_length(g, 0)
+    oks = 0
+    for x, y in pairs:
+        ans = check_ddag(space, v, eps, n, (x, y), table)
+        cutoff = math.floor(min(dv[x], dv[y]) - table["C"]
+                            - 45 * table["delta"] + 3 * eps)
+        keep = [u for u in g if dv[u] > cutoff or u == x or u == y]
+        reach = nx.single_source_shortest_path_length(g.subgraph(keep), x,
+                                                      cutoff=n)
+        assert ans.ok == (y in reach), (x, y)
+        if ans.ok:
+            oks += 1
+            path = ans.path
+            assert path[0] == x and path[-1] == y
+            assert len(path) - 1 == reach[y]
+            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+            assert all(dv[u] > cutoff for u in path[1:-1])
+            assert not ans.caveat
+        else:
+            assert ans.path is None
+            assert ans.caveat == any(
+                d0[u] >= space.R_max or space.height(u) >= space.h_max > 0
+                for u in reach), (x, y)
+    return oks
+
+
+def test_check_ddag_matches_networkx_on_free_group_pairs():
+    # criterion 3's pairs on a smaller window: every pair with m >= 2 is
+    # refuted, and the search runs into the window's edge
+    space = _window("gen a b\n", 6, 0)
+    tab = derive_constants(0, 0, n=4, B=3, V=4, overrides={"kd": 0, "Kd": 1})
+    pairs = [(x, y) for x, y, m in star_pairs_iter(
+        space, 0, 0, int(tab["M"]), radius=6, height_bound=0)
+        if m >= 2 and x != y]
+    pairs = random.Random(3).sample(pairs, 200)
+    assert _check_ddag_against_networkx(space, 0, 0, 20, pairs, tab) == 0
+    assert all(check_ddag(space, 0, 0, 20, pair, tab).caveat
+               for pair in pairs)
+
+
+@pytest.mark.parametrize("v,eps,k,n", [(0, 0, 0, 40), (0, 1, 1, 4),
+                                       (2, 2, -1, 3), (3, 0, 2, 6)])
+def test_check_ddag_matches_networkx_on_line_pairs(line_space, v, eps, k, n):
+    tab = derive_constants(0, 0, n=4, B=3, V=4, overrides={"C": 3 * eps - k})
+    rng = random.Random(v * 100 + n)
+    pairs = [(x, y) for x, y, _ in star_pairs(line_space, v, eps, 4)]
+    pairs = rng.sample(pairs, min(150, len(pairs)))
+    verts = list(line_space.vertices())
+    pairs += [(rng.choice(verts), rng.choice(verts)) for _ in range(50)]
+    oks = _check_ddag_against_networkx(line_space, v, eps, n, pairs, tab)
+    assert 0 < oks < len(pairs)
+
+
+@pytest.mark.parametrize("window,radius", [
+    (("gen a b\n", 5, 0), 2),
+    ((LINE, 6, 2), 3),
+    (("gen a b\nper A = a\n", 3, 2), 2),
+    (("gen a b\nrel aaa\nrel bbbb\n", 4, 0), 2),
+    ((G2, 2, 0), 1),
+])
+@pytest.mark.parametrize("all_geodesics", [False, True])
+def test_certify_delta_matches_unclipped_distances(window, radius,
+                                                   all_geodesics):
+    """The certificate against whole-window networkx distances, with the
+    program's geodesics (or networkx's full geodesic sets)."""
+    space = _window(*window)
+    g = _nx_window(space)
+    dist = dict(nx.all_pairs_shortest_path_length(g))
+    verts = sorted(u for u in g if dist[0][u] <= radius)
+
+    def sides(a, b):
+        if all_geodesics:
+            return list(nx.all_shortest_paths(g, a, b))
+        return [shortest_path(space, a, b)]
+
+    delta, worst, count = 0, (), 0
+    for tri in itertools.combinations(verts, 3):
+        count += 1
+        x, y, z = tri
+        for s1, s2, s3 in itertools.product(sides(x, y), sides(x, z),
+                                            sides(y, z)):
+            for side, o1, o2 in ((s1, s2, s3), (s2, s1, s3), (s3, s1, s2)):
+                others = set(o1) | set(o2)
+                for p in side:
+                    if p in others:
+                        continue
+                    d = min(dist[p][q] for q in others)
+                    if d > delta:
+                        delta, worst = d, tri
+    cert = certify_delta(space, radius, all_geodesics=all_geodesics)
+    assert (cert.delta, cert.triangles, cert.worst) == (delta, count, worst)
