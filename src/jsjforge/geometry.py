@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .words import (
-    BackendError,
+    ElementIndex,
+    abelian_key,
     concat,
     free_reduce,
     inverse_word,
@@ -38,97 +39,85 @@ class CayleyBall:
     """Ball of given radius in the Cayley graph of a presentation.
 
     Vertices are integers; vertex 0 is the identity.  words[v] is the
-    shortlex-least geodesic word found for v.  For canonical backends the
-    ball stores no edges: neighbors() derives them from the word problem
-    (CuspedSpace.adjacency() asks once per vertex).  For non-canonical
-    backends they are stored at construction time, which never multiplies
-    out of the outer sphere: an edge joining two outer-sphere vertices,
-    possible only when some relator has odd length, is missing.
+    shortlex-least geodesic word found for v.  Words are identified
+    through an ElementIndex: by normal form on a canonical backend, by
+    Dehn's algorithm within an abelian-key bucket otherwise.  Each edge
+    is stored when its product is identified, as a slot per (vertex,
+    letter) holding the neighbor id or -1.  The spheres' outward products
+    give every edge except those joining two outer-sphere vertices; when
+    some relator has odd length such edges can exist, and a last
+    identify-only pass over the outer sphere records them.
     """
 
     def __init__(self, presentation, backend, radius, vertex_cap=2_000_000):
         backend._require_valid()
         self.presentation = presentation
-        self.backend = backend
         self.radius = radius
+        # sorted so that letters[i ^ 1] is the inverse of letters[i]
         letters = sorted(
             [i for i in range(1, presentation.n_gens + 1)]
             + [-i for i in range(1, presentation.n_gens + 1)],
             key=letter_key,
         )
         self.letters = letters
-        self.words = [()]
-        self.dist = [0]
-        canonical = backend.canonical
-        if canonical:
-            self._ids = {backend.normalize(()): 0}
-            self._adj = None
-        else:
-            self._ids = None
-            self._adj = [[] for _ in range(1)]
+        k = len(letters)
+        self.words = words = [()]
+        self.dist = dist = [0]
+        self._index = index = ElementIndex(backend)
+        index.setdefault((), 0)
+        # a list, not an array: its entries are the index's own int
+        # objects, which the window's adjacency lists then share
+        blank = [-1] * k
+        self._edges = edges = list(blank)
         level = [0]
         for d in range(1, radius + 1):
+            # a product out of sphere d-1 lies in sphere d-2, d-1 or d
+            near = lambda u, lo=d - 2: dist[u] >= lo
             nxt = []
             for v in level:
-                wv = self.words[v]
-                for s in letters:
+                wv = words[v]
+                for i, s in enumerate(letters):
                     w = concat(wv, (s,))
-                    if canonical:
-                        key = backend.normalize(w)
-                        u = self._ids.get(key)
-                    else:
-                        u = self._identify(w, d)
-                    if u is None:
-                        u = len(self.words)
-                        self.words.append(w)
-                        self.dist.append(d)
-                        if canonical:
-                            self._ids[key] = u
-                        else:
-                            self._adj.append([])
+                    n = len(words)
+                    u = index.setdefault(w, n, near)
+                    if u == n:
                         if u >= vertex_cap:
                             raise WindowError(
                                 "vertex cap %d exceeded at radius %d"
                                 % (vertex_cap, d)
                             )
+                        words.append(w)
+                        dist.append(d)
+                        edges.extend(blank)
                         nxt.append(u)
-                    if not canonical:
-                        if (s, u) not in self._adj[v]:
-                            self._adj[v].append((s, u))
-                        if (-s, v) not in self._adj[u]:
-                            self._adj[u].append((-s, v))
+                    edges[v * k + i] = u
+                    edges[u * k + (i ^ 1)] = v
             level = nxt
-
-    def _identify(self, word, d=None):
-        """Vertex id equal to word in the group, or None if not in the ball."""
-        if self.backend.canonical:
-            return self._ids.get(self.backend.normalize(word))
-        lo = 0 if d is None else max(0, d - 2)
-        for u in range(len(self.words)):
-            if d is not None and not (lo <= self.dist[u] <= d):
-                continue
-            if self.backend.equal(self.words[u], word):
-                return u
-        return None
+        # length parity survives free reduction: with every relator even
+        # the graph is bipartite and no edge joins two vertices of a sphere
+        if any(len(r) % 2 for r in presentation.relators):
+            outer = lambda u: dist[u] == radius
+            for v in level:
+                for i, s in enumerate(letters):
+                    if edges[v * k + i] < 0:
+                        u = index.find(concat(words[v], (s,)), outer)
+                        if u is not None:
+                            edges[v * k + i] = u
+                            edges[u * k + (i ^ 1)] = v
 
     def vertex_id(self, word):
-        return self._identify(word)
+        """Vertex id equal to word in the group, or None if not in the ball."""
+        return self._index.find(word)
 
     @property
     def n(self):
         return len(self.words)
 
     def neighbors(self, v):
-        """List of (letter, neighbor id) pairs, deterministic order."""
-        if self._adj is not None:
-            return sorted(self._adj[v], key=lambda e: letter_key(e[0]))
-        out = []
-        wv = self.words[v]
-        for s in self.letters:
-            u = self._ids.get(self.backend.normalize(concat(wv, (s,))))
-            if u is not None:
-                out.append((s, u))
-        return out
+        """List of (letter, neighbor id) pairs, in letter order."""
+        k = len(self.letters)
+        slots = self._edges[v * k:v * k + k]
+        return [(s, u) for s, u in zip(self.letters, slots) if u >= 0]
 
     def sphere_sizes(self):
         sizes = [0] * (self.radius + 1)
@@ -144,31 +133,20 @@ class CayleyBall:
 class PeripheralGraph:
     """Finite chunk of the Cayley graph of a peripheral subgroup H with
     respect to its given generating words.  Elements are group elements of
-    the ambient group; distances here are the intrinsic H word metric."""
+    the ambient group, identified through an ElementIndex (bucketed by
+    abelian key on a Dehn backend); distances here are the intrinsic H
+    word metric."""
 
     def __init__(self, name, gens, backend, elem_cap=200_000):
         self.name = name
         self.gens = [free_reduce(g) for g in gens]
-        self.backend = backend
         self.elems = [()]
-        self._keys = {self._key(()): 0}
+        self._index = ElementIndex(backend)
+        self._index.setdefault((), 0)
         self.adj = [[]]
         self._frontier = [0]
         self.elem_cap = elem_cap
         self._steps = [g for g in self.gens] + [inverse_word(g) for g in self.gens]
-
-    def _key(self, word):
-        if self.backend.canonical:
-            return self.backend.normalize(word)
-        return None
-
-    def _lookup(self, word):
-        if self.backend.canonical:
-            return self._keys.get(self.backend.normalize(word))
-        for i, e in enumerate(self.elems):
-            if self.backend.equal(e, word):
-                return i
-        return None
 
     def grow(self, spheres):
         """Expand the subgroup BFS by the given number of spheres."""
@@ -179,9 +157,8 @@ class PeripheralGraph:
             for v in self._frontier:
                 for step in self._steps:
                     w = concat(self.elems[v], step)
-                    u = self._lookup(w)
-                    if u is None:
-                        u = len(self.elems)
+                    u = self._index.setdefault(w, len(self.elems))
+                    if u == len(self.elems):
                         if u >= self.elem_cap:
                             raise WindowError(
                                 "peripheral %s exceeded element cap %d"
@@ -189,8 +166,6 @@ class PeripheralGraph:
                             )
                         self.elems.append(w)
                         self.adj.append([])
-                        if self.backend.canonical:
-                            self._keys[self.backend.normalize(w)] = u
                         nxt.append(u)
                     if u != v:
                         if u not in self.adj[v]:
@@ -217,7 +192,7 @@ class PeripheralGraph:
         )
 
     def member_id(self, word):
-        return self._lookup(word)
+        return self._index.find(word)
 
     def adjacency(self):
         """Neighbour list of every element, in discovery order."""
@@ -278,22 +253,30 @@ class CuspedSpace:
         self._boundary_height = None
 
     def _assign_cosets(self, pi):
+        """Put each ball vertex in the coset of the first representative
+        r with r^-1 v in the peripheral graph, or make it a new coset's
+        representative.  Only cosets whose representative shares v's
+        abelian key modulo the relators and H's generators can hold v."""
         pg = self.pgraphs[pi]
         cosets = self.cosets[pi]
+        key = abelian_key(self.presentation.n_gens,
+                          self.presentation.relators + tuple(pg.gens))
+        buckets = {}
         for v in range(self.ball.n):
             wv = self.ball.words[v]
-            placed = False
-            for ci, coset in enumerate(cosets):
+            bucket = buckets.setdefault(key(wv), [])
+            for ci in bucket:
+                coset = cosets[ci]
                 u = pg.member_id(concat(inverse_word(coset["rep_word"]), wv))
                 if u is not None:
                     coset["offsets"].append((u, v))
-                    self._thick_memberships[v].append((pi, ci, len(coset["offsets"]) - 1))
-                    placed = True
+                    self._thick_memberships[v].append(
+                        (pi, ci, len(coset["offsets"]) - 1))
                     break
-            if not placed:
+            else:
+                bucket.append(len(cosets))
+                self._thick_memberships[v].append((pi, len(cosets), 0))
                 cosets.append({"rep_word": wv, "offsets": [(0, v)]})
-                ci = len(cosets) - 1
-                self._thick_memberships[v].append((pi, ci, 0))
 
     # -- structure queries ------------------------------------------------
 

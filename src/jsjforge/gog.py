@@ -11,12 +11,11 @@ use and labelled in the decision trace.
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 
-from .words import BackendError, Presentation, concat, conjugate, \
-    default_backend, enumerate_tietze, free_reduce, inverse_word, \
-    substitute, words_shortlex
+from .words import BackendError, Presentation, _exponent_vector, \
+    _smith_diagonal, concat, conjugate, default_backend, enumerate_tietze, \
+    free_reduce, inverse_word, substitute, words_shortlex
 from .algebra import BudgetError, order_of, vc_analyze
 from .annulus import UnionFind
 
@@ -606,65 +605,6 @@ def internal_surface_edges(g, budget=3, delta=0):
 
 # ---------------------------------------------------------------------------
 # integer linear algebra (Smith normal form, small matrices)
-
-
-def _smith_diagonal(rows, n_cols):
-    """Diagonal of the Smith normal form of the integer matrix."""
-    m = [list(r) for r in rows]
-    diag = []
-    r0 = c0 = 0
-    while r0 < len(m) and c0 < n_cols:
-        pivot = None
-        best = None
-        for i in range(r0, len(m)):
-            for j in range(c0, n_cols):
-                if m[i][j] and (best is None or abs(m[i][j]) < best):
-                    best = abs(m[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        m[r0], m[i] = m[i], m[r0]
-        for row in m:
-            row[c0], row[j] = row[j], row[c0]
-        while True:
-            done = True
-            for i in range(r0 + 1, len(m)):
-                if m[i][c0]:
-                    q = m[i][c0] // m[r0][c0]
-                    for j in range(c0, n_cols):
-                        m[i][j] -= q * m[r0][j]
-                    if m[i][c0]:
-                        m[r0], m[i] = m[i], m[r0]
-                        done = False
-            for j in range(c0 + 1, n_cols):
-                if m[r0][j]:
-                    q = m[r0][j] // m[r0][c0]
-                    for row in m:
-                        row[j] -= q * row[c0]
-                    if m[r0][j]:
-                        for row in m:
-                            row[c0], row[j] = row[j], row[c0]
-                        done = False
-            if done:
-                break
-        diag.append(abs(m[r0][c0]))
-        r0 += 1
-        c0 += 1
-    # enforce the divisibility chain d1 | d2 | ... on the diagonal
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g_ = math.gcd(diag[i], diag[j])
-            if g_ != diag[i]:
-                diag[i], diag[j] = g_, diag[i] * diag[j] // g_
-    return diag
-
-
-def _exponent_vector(w, n_gens):
-    v = [0] * n_gens
-    for x in w:
-        v[abs(x) - 1] += 1 if x > 0 else -1
-    return v
 
 
 def abelianization_rank(p):

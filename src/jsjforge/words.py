@@ -15,6 +15,7 @@ shortlex-reducing rule set has confluent critical pairs.
 from dataclasses import dataclass, field
 from fractions import Fraction
 import itertools
+import math
 
 Word = tuple  # tuple of nonzero ints
 
@@ -383,9 +384,12 @@ class DehnBackend(WordProblemBackend):
 
     def __init__(self, presentation):
         super().__init__(presentation)
-        self._sym = [w for _, w in symmetrized_relators(presentation.relators)]
-        # distinct words only, longest first so reductions are maximal
-        self._sym = sorted(set(self._sym), key=lambda w: (-len(w), shortlex_key(w)))
+        sym = {w for _, w in symmetrized_relators(presentation.relators)}
+        # distinct words only, longest first so reductions are maximal,
+        # filed by first letter: a match at position i starts with w[i]
+        self._sym_from = {}
+        for rw in sorted(sym, key=lambda w: (-len(w), shortlex_key(w))):
+            self._sym_from.setdefault(rw[0], []).append(rw)
 
     def validate(self, overlap_bound=64):
         rels = self.presentation.relators
@@ -431,8 +435,7 @@ class DehnBackend(WordProblemBackend):
             changed = False
             for i in range(len(w)):
                 best = None
-                for rw in self._sym:
-                    half = len(rw) // 2
+                for rw in self._sym_from.get(w[i], ()):
                     n = 0
                     while i + n < len(w) and n < len(rw) and w[i + n] == rw[n]:
                         n += 1
@@ -610,6 +613,166 @@ def default_backend(presentation, overlap_bound=64):
         "no backend validates for this presentation; tried %s"
         % "; ".join("%(kind)s (%(reason)s)" % a for a in attempts)
     )
+
+
+# ---------------------------------------------------------------------------
+# integer linear algebra and the element index
+
+
+def _exponent_vector(w, n_gens):
+    v = [0] * n_gens
+    for x in w:
+        v[abs(x) - 1] += 1 if x > 0 else -1
+    return v
+
+
+def _smith_diagonal(rows, n_cols):
+    """Diagonal of the Smith normal form of the integer matrix."""
+    m = [list(r) for r in rows]
+    diag = []
+    r0 = c0 = 0
+    while r0 < len(m) and c0 < n_cols:
+        pivot = None
+        best = None
+        for i in range(r0, len(m)):
+            for j in range(c0, n_cols):
+                if m[i][j] and (best is None or abs(m[i][j]) < best):
+                    best = abs(m[i][j])
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        i, j = pivot
+        m[r0], m[i] = m[i], m[r0]
+        for row in m:
+            row[c0], row[j] = row[j], row[c0]
+        while True:
+            done = True
+            for i in range(r0 + 1, len(m)):
+                if m[i][c0]:
+                    q = m[i][c0] // m[r0][c0]
+                    for j in range(c0, n_cols):
+                        m[i][j] -= q * m[r0][j]
+                    if m[i][c0]:
+                        m[r0], m[i] = m[i], m[r0]
+                        done = False
+            for j in range(c0 + 1, n_cols):
+                if m[r0][j]:
+                    q = m[r0][j] // m[r0][c0]
+                    for row in m:
+                        row[j] -= q * row[c0]
+                    if m[r0][j]:
+                        for row in m:
+                            row[c0], row[j] = row[j], row[c0]
+                        done = False
+            if done:
+                break
+        diag.append(abs(m[r0][c0]))
+        r0 += 1
+        c0 += 1
+    # enforce the divisibility chain d1 | d2 | ... on the diagonal
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g_ = math.gcd(diag[i], diag[j])
+            if g_ != diag[i]:
+                diag[i], diag[j] = g_, diag[i] * diag[j] // g_
+    return diag
+
+
+def hermite_normal_form(rows, n_cols):
+    """Row Hermite normal form of the lattice the integer rows span: its
+    nonzero rows in echelon order, each pivot positive and every entry
+    above a pivot reduced into [0, pivot)."""
+    m = [list(r) for r in rows]
+    r0 = 0
+    for c in range(n_cols):
+        # Euclid down column c until, of rows r0 on, only r0 is nonzero
+        while True:
+            live = [i for i in range(r0, len(m)) if m[i][c]]
+            if not live:
+                break
+            p = min(live, key=lambda i: abs(m[i][c]))
+            m[r0], m[p] = m[p], m[r0]
+            if len(live) == 1:
+                break
+            for i in range(r0 + 1, len(m)):
+                q = m[i][c] // m[r0][c]
+                if q:
+                    m[i] = [a - q * b for a, b in zip(m[i], m[r0])]
+        if not live:
+            continue
+        if m[r0][c] < 0:
+            m[r0] = [-a for a in m[r0]]
+        for i in range(r0):
+            q = m[i][c] // m[r0][c]
+            if q:
+                m[i] = [a - q * b for a, b in zip(m[i], m[r0])]
+        r0 += 1
+    return [tuple(r) for r in m[:r0]]
+
+
+def abelian_key(n_gens, lattice_words):
+    """A map from words to the canonical representative of their exponent
+    vectors modulo the lattice that the exponent vectors of lattice_words
+    span.  Two words equal modulo the normal closure of lattice_words get
+    the same key (the converse fails): with the relators as lattice_words,
+    equal group elements share a key, and with the relators plus the
+    generators of a subgroup H, so do u and v whenever u^-1 v is in H."""
+    basis = []
+    for row in hermite_normal_form(
+            [_exponent_vector(w, n_gens) for w in lattice_words], n_gens):
+        c = next(j for j, a in enumerate(row) if a)
+        basis.append((c, row))
+
+    def key(word):
+        v = _exponent_vector(word, n_gens)
+        for c, row in basis:
+            q = v[c] // row[c]
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
+        return tuple(v)
+    return key
+
+
+class ElementIndex:
+    """Words stored under integer ids, looked up up to equality in the
+    group.  A canonical backend keys each word by its normal form.  Any
+    other backend buckets it by its abelian key modulo the relators, so a
+    lookup confirms a match with backend.equal against the few stored
+    words that share the key, not against all of them."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        p = backend.presentation
+        self._key = (backend.normalize if backend.canonical
+                     else abelian_key(p.n_gens, p.relators))
+        self._table = {}
+
+    def find(self, word, accept=None):
+        """Id of the stored word equal to word, or None.  On a bucketed
+        lookup accept(id) may prune candidates; it must admit the match."""
+        found = self._table.get(self._key(word))
+        if found is None or self.backend.canonical:
+            return found
+        return self._scan(found, word, accept)
+
+    def setdefault(self, word, new_id, accept=None):
+        """find(word, accept), storing word under new_id when it finds
+        nothing; returns the id found or new_id."""
+        key = self._key(word)
+        if self.backend.canonical:
+            return self._table.setdefault(key, new_id)
+        bucket = self._table.setdefault(key, [])
+        u = self._scan(bucket, word, accept)
+        if u is None:
+            bucket.append((new_id, word))
+            u = new_id
+        return u
+
+    def _scan(self, bucket, word, accept):
+        for u, w in bucket:
+            if (accept is None or accept(u)) and self.backend.equal(w, word):
+                return u
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@ import hashlib
 import networkx as nx
 import pytest
 
-from jsjforge.geometry import (HoroVertex, bfs_distances, build_cusped_space,
-                               distance, gromov_product, is_local_geodesic,
-                               valence_stats, vertex_label)
+from jsjforge.geometry import (CayleyBall, HoroVertex, bfs_distances,
+                               build_cusped_space, distance, gromov_product,
+                               is_local_geodesic, valence_stats, vertex_label)
 from jsjforge.words import parse_presentation, default_backend
 
 
@@ -21,6 +21,40 @@ def test_cayley_ball_identifies_group_elements(free2_space):
     assert ball.vertex_id((1, -1)) == 0
     v = ball.vertex_id((1, 2))
     assert v is not None and ball.dist[v] == 2
+
+
+def test_genus2_ball_growth_series():
+    # Floyd-Plotnick (1987): the genus-2 surface group's growth series
+    p = parse_presentation("gen a b c d\nrel abABcdCD\n")
+    ball = CayleyBall(p, default_backend(p), 4)
+    assert ball.sphere_sizes() == [1, 8, 56, 392, 2736]
+
+
+def test_odd_relator_ball_vertex_count():
+    # a key on raw exponent vectors would split elements equal through
+    # the relator, whose vector (1, -1, -1) is not zero: 937 vertices
+    p = parse_presentation("gen a b c\nrel aBCCbcB\n")
+    ball = CayleyBall(p, default_backend(p), 4)
+    assert ball.n == 923
+    assert ball.sphere_sizes() == [1, 6, 30, 150, 736]
+
+
+def test_odd_relator_outer_sphere_edges_brute_force():
+    """The ball's edges between outer vertices are exactly the (vertex,
+    letter, vertex) triples that a brute-force equal check finds: an odd
+    relator joins vertices within a sphere."""
+    p = parse_presentation("gen a b c\nrel aBCCbcB\n")
+    be = default_backend(p)
+    ball = CayleyBall(p, be, 3)
+    outer = [v for v in range(ball.n) if ball.dist[v] == 3]
+    want, have = set(), set()
+    for v in outer:
+        have.update((v, s, u) for s, u in ball.neighbors(v) if u in outer)
+        for s in ball.letters:
+            w = ball.words[v] + (s,)
+            want.update((v, s, u) for u in outer
+                        if be.equal(ball.words[u], w))
+    assert want and have == want
 
 
 def _line_oracle(R, h):
@@ -84,6 +118,8 @@ ADJACENCY_GOLDEN = [
      "82f54ad16afac26cd6c1faefb147c9c130db15cea8a50d70b3cd6d6db2bc4aba"),
     ("gen a b c d\nrel abABcdCD\n", 3, 1, 457,
      "f061ef1a60ab9b1b206027e5986876898a8f4abc9591070543629e19a039e1fb"),
+    ("gen a b c d\nrel abABcdCD\nper P = a\n", 2, 2, 195,
+     "48dbfce70afad68f56319cea2ad9713d8f4490a58aaf5c19f95ebfc2dd5c9122"),
 ]
 
 

@@ -2,12 +2,15 @@ import itertools
 
 import pytest
 
-from jsjforge.words import (BackendError, DehnBackend, FreeBackend,
-                            ParseError, Presentation, RewritingBackend,
-                            concat, conjugate, cyclic_reduce, default_backend,
-                            enumerate_tietze, free_reduce, inverse_word,
+from jsjforge.words import (BackendError, DehnBackend, ElementIndex,
+                            FreeBackend, ParseError, Presentation,
+                            RewritingBackend, _exponent_vector,
+                            _smith_diagonal, abelian_key, concat, conjugate,
+                            cyclic_reduce, default_backend, enumerate_tietze,
+                            free_reduce, hermite_normal_form, inverse_word,
                             parse_presentation, parse_word, substitute,
-                            word_to_str, words_shortlex)
+                            symmetrized_relators, word_to_str,
+                            words_shortlex)
 
 
 def test_free_reduce_basics():
@@ -117,6 +120,72 @@ def test_rewriting_backend_z2_x_z():
     assert be.equal((2, 1), (1, 2))
     assert be.normalize((1, 2, 1, 2)) == be.normalize((2, 2))
     assert not be.is_identity((1,))
+
+
+# the genus-2 surface group, and a Dehn presentation with an odd relator
+# whose exponent vector (1, -1, -1) is not zero
+DEHN_TEXTS = ("gen a b c d\nrel abABcdCD\n", "gen a b c\nrel aBCCbcB\n")
+
+
+@pytest.mark.parametrize("rows,n_cols,expected", [
+    ([[1, -1, -1]], 3, [(1, -1, -1)]),
+    ([[2, 4], [3, 5]], 2, [(1, 1), (0, 2)]),
+    ([[0, 0], [6, 4], [4, 6]], 2, [(2, 8), (0, 10)]),
+    ([[0, 3, 1], [0, -6, -2]], 3, [(0, 3, 1)]),
+    ([], 2, []),
+])
+def test_hermite_normal_form(rows, n_cols, expected):
+    hnf = hermite_normal_form(rows, n_cols)
+    assert hnf == expected
+    # the same lattice: equal Smith invariants
+    assert _smith_diagonal(hnf, n_cols) == _smith_diagonal(rows, n_cols)
+
+
+@pytest.mark.parametrize("text", DEHN_TEXTS)
+def test_abelian_key_kills_relators(text):
+    p = parse_presentation(text)
+    key = abelian_key(p.n_gens, p.relators)
+    identity = key(())
+    shorts = list(words_shortlex(p.n_gens, 2))
+    for _, r in symmetrized_relators(p.relators):
+        for g in shorts:
+            assert key(conjugate(g, r)) == identity, (g, r)
+
+
+def test_abelian_key_agrees_on_equal_words():
+    """Brute force over every pair of a 4-letter and a 3-letter word on
+    the odd presentation: equal pairs exist only from |u| + |v| = 7, the
+    relator length, on.  On genus 2 the relator lattice is zero, so the
+    key is the raw exponent vector, and the first equal pairs (4 + 4
+    letters) are too many to pair up; its ball oracle covers it."""
+    p = parse_presentation(DEHN_TEXTS[1])
+    # the lattice reduction matters here: raw vectors would split pairs
+    assert _exponent_vector(p.relators[0], p.n_gens) == [1, -1, -1]
+    be = default_backend(p)
+    key = abelian_key(p.n_gens, p.relators)
+    words = list(words_shortlex(p.n_gens, 4))
+    pairs = 0
+    for u in (w for w in words if len(w) == 4):
+        for v in (w for w in words if len(w) == 3):
+            if be.equal(u, v):
+                pairs += 1
+                assert key(u) == key(v), (u, v)
+    assert pairs == 14
+
+
+def test_element_index_buckets_and_finds():
+    p = parse_presentation(DEHN_TEXTS[1])
+    index = ElementIndex(default_backend(p))
+    rel = p.relators[0]
+    assert index.setdefault((1,), 0) == 0
+    assert index.setdefault((2,), 1) == 1
+    # a word equal to a: found, not stored again
+    assert index.setdefault(concat((1,), rel), 2) == 0
+    # c rel b C = cbC shares b's key but is not b
+    assert index.find(conjugate((3,), concat(rel, (2,)))) is None
+    assert index.find(concat((2,), (3, -3))) == 1
+    assert index.find((2,), accept=lambda u: u != 1) is None
+    assert index.find((-1,)) is None
 
 
 def test_substitute_is_homomorphism():
