@@ -502,6 +502,14 @@ def verify_hom_pair(model, model_backend, p, backend, phi, psi,
         return None
     if not _is_hom(model_backend, p.relators, psi):
         return None
+    return _inverse_pair(model, model_backend, p, backend, phi, psi,
+                         target_pers, budget)
+
+
+def _inverse_pair(model, model_backend, p, backend, phi, psi, target_pers,
+                  budget):
+    """The checks of verify_hom_pair after the homomorphism conditions:
+    two-sided composition identity and peripheral alignment."""
     for i in range(len(model.presentation.generators)):
         back = model_backend.normalize(substitute(phi[i], psi))
         if back != model_backend.normalize((i + 1,)):
@@ -559,9 +567,13 @@ def _match_model(model, mbe, p, backend, pers, L, stats):
     for phi in phis:
         for psi in psis:
             stats["maps_checked"] += 1
-            w = verify_hom_pair(model, mbe, p, backend, phi, psi, pers,
-                                budget=min(L, 2))
-            if w is not None:
+            # phis and psis already pass _is_hom; a winner is replayed
+            # through the full verifier before it is returned
+            w = _inverse_pair(model, mbe, p, backend, phi, psi, pers,
+                              min(L, 2))
+            if w is not None and verify_hom_pair(
+                    model, mbe, p, backend, phi, psi, pers,
+                    budget=min(L, 2)) is not None:
                 return w
     return None
 

@@ -69,12 +69,6 @@ class AnnulusDecomposition:
             out |= self.components[root]
         return out
 
-    def component_of(self, v):
-        for root, comp in self.components.items():
-            if v in comp:
-                return root
-        return None
-
 
 def annulus_decompose(space, gamma, r, K, R, T=None, markers=None):
     """Decompose the annulus around gamma (a vertex id path) within the

@@ -6,18 +6,20 @@ detected through two kinds of finite features: periodic ones (a short
 translation-periodic geodesic segment at shallow depth whose annulus
 splits into two translation-compatible sides) and horseshoe ones (a
 segment dipping through a horoball whose primed annulus is disconnected
-or connected, respectively).  Every search returns an honest verdict:
-found (with a feature that passes the verifier), none-in-budget,
-none-at-full-bound, or window-insufficient.
+or connected, respectively).  Each search feeds its candidates to one
+loop that spends the budget, replays every built feature through its
+verifier and returns the first one accepted as found, or else names why
+it stopped: none-in-budget, window-insufficient or none-at-full-bound.
 """
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
 
 from .annulus import UnionFind, _components, annulus_decompose, \
     horseshoe_decompose
-from .geometry import bfs_distances, distance, is_local_geodesic
+from .geometry import bfs_distances, distance
 from .hyperbolicity import ceil_frac, floor_frac
 from .words import concat, inverse_word
 
@@ -127,7 +129,7 @@ def verify_cut_pair_feature(space, f, table):
     ok_c = all(space.translate(f.g, f.path[a + t]) == f.path[b + t]
                for t in range(-f.eta, f.eta + 1))
     report.append(("c", ok_c, "g-overlap of the eta-margins"))
-    X, dist_g, CK = _cutpair_ground_set(space, f.path, a, b, r, K, R)
+    X, CK = _cutpair_ground_set(space, f.path, a, b, r, K, R)
     ok_d, detail_d = _check_partition(space, f, table, X, CK)
     report.append(("d", ok_d, detail_d))
     ok_e, detail_e = _check_translate_compat(space, f, table, X)
@@ -145,7 +147,7 @@ def _cutpair_ground_set(space, path, a, b, r, K, R):
          if Fraction(r) <= d <= Fraction(R)
          and Fraction(dist_mid.get(v, cutoff + 1)) <= Fraction(R)}
     CK = {v for v, d in dist_g.items() if d == Fraction(K)}
-    return X, dist_g, CK
+    return X, CK
 
 
 def _check_partition(space, f, table, X, CK):
@@ -246,56 +248,30 @@ def build_periodic_path(space, f, m_range):
 
 
 # ---------------------------------------------------------------------------
-# cut pair search
+# candidate streams and the shared search loop
 
 
-def search_cut_pair(space, table, budget=2000, base=0):
-    """Enumerate candidate periodic features (geodesic segments from the
-    base, by length then discovery order) and horseshoe features; verify
-    each; return the first verified one."""
-    r, K, R = _params(table)
-    eta = ceil_frac(table["eta"])
-    n_lo = ceil_frac(table["N_min"])
-    n_hi_full = floor_frac(table["N_max"])
-    stats = {"periodic_candidates": 0, "horseshoe_candidates": 0}
-    need = n_lo + 2 * eta
-    if need > space.R_max:
-        return SearchOutcome("window-insufficient", stats={
-            "required_radius": need, "window": space.R_max})
-    depth_bound = ceil_frac(Fraction(table["k"]) + Fraction(R))
-    budget_left = [budget]
-    exhausted_fully = [True]
-
-    for total in range(n_lo + 2 * eta, n_hi_full + 2 * eta + 1):
-        if total > space.R_max:
-            exhausted_fully[0] = False
-            break
-        for path in _geodesic_paths(space, base, total, depth_bound,
-                                    budget_left, exhausted_fully):
-            stats["periodic_candidates"] += 1
-            f = _periodic_candidate(space, path, eta, table, r, K, R)
-            if f is not None:
-                ok, report = verify_cut_pair_feature(space, f, table)
-                if ok:
-                    stats["verified"] = True
-                    return SearchOutcome("found", f, stats)
-        if budget_left[0] <= 0:
-            break
-
-    hs = _horseshoe_scan(space, table, r, K, R, budget_left,
-                         exhausted_fully, want_disconnected=True)
-    stats["horseshoe_candidates"] = hs[1]
-    if hs[0] is not None:
-        return SearchOutcome("found", hs[0], stats)
-    if budget_left[0] <= 0 or not exhausted_fully[0]:
-        verdict = "none-in-budget" if budget_left[0] <= 0 \
-            else "window-insufficient"
-        return SearchOutcome(verdict, stats=stats)
+def _first_verified(space, table, verify, candidates, budget, window_cut,
+                    stats):
+    """Spend the budget on a stream of (stats key, feature or None)
+    pairs, one candidate each.  Every built feature is replayed through
+    verify and the first one it accepts is returned.  Otherwise the stop
+    reason: the budget once it is spent (even if the stream also ended),
+    the window when it cut the stream short, or else the full bound."""
+    spent = 0
+    for key, f in islice(candidates, max(budget, 0)):
+        spent += 1
+        stats[key] += 1
+        if f is not None and verify(space, f, table)[0]:
+            return SearchOutcome("found", f, stats)
+    if spent >= budget:
+        return SearchOutcome("none-in-budget", stats=stats)
+    if window_cut:
+        return SearchOutcome("window-insufficient", stats=stats)
     return SearchOutcome("none-at-full-bound", stats=stats)
 
 
-def _geodesic_paths(space, base, length, depth_bound, budget_left,
-                    exhausted_fully):
+def _geodesic_paths(space, base, length, depth_bound):
     """All geodesic paths from the base of the exact length inside the
     depth-bounded part, in deterministic order (extensions by sorted
     neighbor id, which follows the shortlex vertex layout)."""
@@ -303,11 +279,7 @@ def _geodesic_paths(space, base, length, depth_bound, budget_left,
     stack = [(base,)]
     while stack:
         path = stack.pop()
-        if budget_left[0] <= 0:
-            exhausted_fully[0] = False
-            return
         if len(path) == length + 1:
-            budget_left[0] -= 1
             yield path
             continue
         for u in sorted(space.neighbors(path[-1]), reverse=True):
@@ -318,6 +290,65 @@ def _geodesic_paths(space, base, length, depth_bound, budget_left,
             stack.append(path + (u,))
 
 
+def _horseshoe_paths(space, starts, length_bound):
+    """Horseshoe segments from each start in turn: down into the horoball
+    at once, never above the start's height, and back up to it, at most
+    length_bound edges long."""
+    for v in starts:
+        h = space.height(v)
+        stack = [(v,)]
+        while stack:
+            path = stack.pop()
+            last = path[-1]
+            if (len(path) >= 3 and space.height(last) == h
+                    and space.height(path[-2]) == h - 1):
+                yield path
+            if len(path) - 1 >= length_bound:
+                continue
+            for u in sorted(space.neighbors(last), reverse=True):
+                if u in path or space.height(u) > h:
+                    continue
+                if len(path) == 1 and space.height(u) != h - 1:
+                    continue  # must descend at a
+                stack.append(path + (u,))
+
+
+# ---------------------------------------------------------------------------
+# cut pair search
+
+
+def search_cut_pair(space, table, budget=2000, base=0):
+    """Enumerate candidate periodic features (geodesic segments from the
+    base, by length then discovery order), then horseshoe segments whose
+    endpoints sit at height >= max(1, k); return the first candidate the
+    verifier accepts."""
+    r, K, R = _params(table)
+    eta = ceil_frac(table["eta"])
+    need = ceil_frac(table["N_min"]) + 2 * eta
+    n_hi = floor_frac(table["N_max"]) + 2 * eta
+    if need > space.R_max:
+        return SearchOutcome("window-insufficient", stats={
+            "required_radius": need, "window": space.R_max})
+    k = ceil_frac(table["k"])
+    depth_bound = ceil_frac(Fraction(table["k"]) + Fraction(R))
+    periodic = (("periodic_candidates",
+                 _periodic_candidate(space, path, eta, table, r, K, R))
+                for total in range(need, min(n_hi, space.R_max) + 1)
+                for path in _geodesic_paths(space, base, total, depth_bound))
+    starts = (v for v in space.vertices() if space.height(v) >= max(1, k))
+    length_bound = floor_frac(Fraction(table["N_max"]) - 2 * Fraction(R)
+                              + 2 * Fraction(table["eta"]))
+    horseshoes = (("horseshoe_candidates", CutPairFeature("horseshoe", path))
+                  for path in _horseshoe_paths(space, starts, length_bound))
+    out = _first_verified(
+        space, table, verify_cut_pair_feature, chain(periodic, horseshoes),
+        budget, n_hi > space.R_max or k > space.h_max,
+        {"periodic_candidates": 0, "horseshoe_candidates": 0})
+    if out.feature is not None and out.feature.kind == "periodic":
+        out.stats["verified"] = True  # the stats of a periodic find say so
+    return out
+
+
 def _periodic_candidate(space, path, eta, table, r, K, R):
     """Assemble a candidate feature on a segment: heights must agree at a
     and b, the translation g is read off the endpoints, the margins must
@@ -326,15 +357,10 @@ def _periodic_candidate(space, path, eta, table, r, K, R):
     a = eta
     b = len(path) - 1 - eta
     va, vb = path[a], path[b]
-    if space.height(va) != space.height(vb):
+    g = _segment_translation(space, path, eta)
+    if g is None:
         return None
-    g = concat(space.group_word(vb), inverse_word(space.group_word(va)))
-    if space.translate(g, va) != vb:
-        return None
-    for t in range(-eta, eta + 1):
-        if space.translate(g, path[a + t]) != path[b + t]:
-            return None
-    X, dist_g, CK = _cutpair_ground_set(space, path, a, b, r, K, R)
+    X, CK = _cutpair_ground_set(space, path, a, b, r, K, R)
     if not X:
         return None
     comps = _components(space, X)
@@ -373,56 +399,6 @@ def _periodic_candidate(space, path, eta, table, r, K, R):
         p1 = frozenset(X - p2)
         return CutPairFeature("periodic", tuple(path), eta, g, (p1, p2), c)
     return None
-
-
-def _horseshoe_scan(space, table, r, K, R, budget_left, exhausted_fully,
-                    want_disconnected, length_bound=None):
-    """Enumerate horseshoe segments (down through a horoball and back up
-    to the same height) and return the first with disconnected (cut pair)
-    or connected (non-cut pair) primed annulus."""
-    k = ceil_frac(table["k"])
-    if length_bound is None:
-        length_bound = floor_frac(Fraction(table["N_max"]) - 2 * Fraction(R)
-                                  + 2 * Fraction(table["eta"]))
-    count = 0
-    if k > space.h_max:
-        exhausted_fully[0] = False
-        return None, count
-    starts = sorted(v for v in space.vertices()
-                    if space.height(v) >= max(1, k))
-    for v in starts:
-        stack = [(v,)]
-        while stack:
-            path = stack.pop()
-            if budget_left[0] <= 0:
-                exhausted_fully[0] = False
-                return None, count
-            last = path[-1]
-            if (len(path) >= 3 and space.height(last) == space.height(v)
-                    and space.height(path[-2]) == space.height(last) - 1):
-                count += 1
-                budget_left[0] -= 1
-                try:
-                    dec = horseshoe_decompose(space, path, r, K, R)
-                except ValueError:
-                    dec = None
-                if dec is not None and not dec.empty and \
-                        dec.connected != want_disconnected:
-                    f = CutPairFeature("horseshoe", tuple(path)) \
-                        if want_disconnected else \
-                        NonCutFeature("horseshoe", path=tuple(path))
-                    return f, count
-            if len(path) - 1 >= length_bound:
-                continue
-            for u in sorted(space.neighbors(last), reverse=True):
-                if u in path:
-                    continue
-                if space.height(u) > space.height(v):
-                    continue
-                if len(path) == 1 and space.height(u) != space.height(v) - 1:
-                    continue  # must descend at a
-                stack.append(path + (u,))
-    return None, count
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +457,7 @@ def _noncut_condition_f(space, f, table, r, K, R):
     a2, b2 = e2, len(s2) - 1 - e2
     if f.c_index is None or space.height(s2[f.c_index]) != 0:
         return False, "thick parameter missing or not at height 0"
-    X, dist_g, CK = _cutpair_ground_set(space, s2, a2, b2, r, K, R)
+    X, CK = _cutpair_ground_set(space, s2, a2, b2, r, K, R)
     hot = CK & set(bfs_distances(space, [s2[f.c_index]],
                                  cutoff=int(Fraction(table["T"]))))
     if not hot:
@@ -521,68 +497,43 @@ def _verify_noncut_horseshoe(space, f, table):
 
 def search_noncut_pair(space, table, budget=2000, base=0):
     """Mirror of search_cut_pair: triples of overlapping periodic
-    segments (type 1) and connected-A' horseshoes (type 2)."""
-    r, K, R = _params(table)
+    segments (type 1), then horseshoe segments with endpoints at height
+    exactly k (type 2), the only ones its verifier can accept."""
+    _params(table)
     eta = ceil_frac(table["eta"])
-    stats = {"triple_candidates": 0, "horseshoe_candidates": 0}
-    budget_left = [budget]
-    exhausted_fully = [True]
     n1 = min(floor_frac(table["N1"]), space.R_max)
     n2 = min(floor_frac(table["N2"]), space.R_max)
-    if floor_frac(table["N1"]) + floor_frac(table["N2"]) + 2 * eta \
-            > space.R_max:
-        exhausted_fully[0] = False
-    depth_bound = ceil_frac(Fraction(table["k"]))
-    for l1 in range(1, n1 + 1):
-        for l2 in range(1, n2 + 1):
-            for l3 in range(1, n1 + 1):
-                total = l1 + l2 + l3 + 2 * eta
-                if total > space.R_max:
-                    exhausted_fully[0] = False
-                    continue
-                for path in _geodesic_paths(space, base, total, depth_bound,
-                                            budget_left, exhausted_fully):
-                    stats["triple_candidates"] += 1
-                    f = _triple_candidate(space, path, (l1, l2, l3), eta,
-                                          table)
-                    if f is not None:
-                        ok, report = verify_noncut_feature(space, f, table)
-                        if ok:
-                            return SearchOutcome("found", f, stats)
-                if budget_left[0] <= 0:
-                    break
-            if budget_left[0] <= 0:
-                break
-        if budget_left[0] <= 0:
-            break
-    hs = _horseshoe_scan(space, table, r, K, R, budget_left,
-                         exhausted_fully, want_disconnected=False,
-                         length_bound=min(floor_frac(table["N3"]),
-                                          4 * space.R_max))
-    stats["horseshoe_candidates"] = hs[1]
-    if hs[0] is not None:
-        ok, _ = verify_noncut_feature(space, hs[0], table)
-        if ok:
-            return SearchOutcome("found", hs[0], stats)
-    if budget_left[0] <= 0:
-        return SearchOutcome("none-in-budget", stats=stats)
-    if not exhausted_fully[0]:
-        return SearchOutcome("window-insufficient", stats=stats)
-    return SearchOutcome("none-at-full-bound", stats=stats)
+    k = ceil_frac(table["k"])  # also the depth bound of the triples
+    totals = [((l1, l2, l3), l1 + l2 + l3 + 2 * eta)
+              for l1 in range(1, n1 + 1) for l2 in range(1, n2 + 1)
+              for l3 in range(1, n1 + 1)]
+    window_cut = (floor_frac(table["N1"]) + floor_frac(table["N2"]) + 2 * eta
+                  > space.R_max or k > space.h_max
+                  or any(total > space.R_max for _, total in totals))
+    triples = (("triple_candidates",
+                _triple_candidate(space, path, lengths, eta))
+               for lengths, total in totals if total <= space.R_max
+               for path in _geodesic_paths(space, base, total, k))
+    starts = (v for v in space.vertices() if space.height(v) == k > 0)
+    length_bound = min(floor_frac(table["N3"]), 4 * space.R_max)
+    horseshoes = (("horseshoe_candidates", NonCutFeature("horseshoe",
+                                                         path=path))
+                  for path in _horseshoe_paths(space, starts, length_bound))
+    return _first_verified(
+        space, table, verify_noncut_feature, chain(triples, horseshoes),
+        budget, window_cut, {"triple_candidates": 0,
+                             "horseshoe_candidates": 0})
 
 
-def _triple_candidate(space, path, lengths, eta, table):
-    """Slice an enumerated path into three overlapping segments."""
-    l1, l2, l3 = lengths
-    a1 = eta
-    b1 = a1 + l1
+def _triple_candidate(space, path, lengths, eta):
+    """Slice an enumerated path (spans l1 + l2 + l3 plus an eta margin at
+    each end) into three segments overlapping by 2 eta."""
+    l1, l2, _ = lengths
+    b1 = eta + l1
     b2 = b1 + l2
-    b3 = b2 + l3
-    if b3 + eta != len(path) - 1:
-        return None
-    segs = (tuple(path[a1 - eta:b1 + eta + 1]),
+    segs = (tuple(path[:b1 + eta + 1]),
             tuple(path[b1 - eta:b2 + eta + 1]),
-            tuple(path[b2 - eta:b3 + eta + 1]))
+            tuple(path[b2 - eta:]))
     g1 = _segment_translation(space, segs[0], eta)
     g3 = _segment_translation(space, segs[2], eta)
     if g1 is None or g3 is None:

@@ -13,9 +13,9 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .words import BackendError, Presentation, _exponent_vector, \
-    _smith_diagonal, concat, conjugate, default_backend, enumerate_tietze, \
-    free_reduce, inverse_word, substitute, words_shortlex
+from .words import BackendError, Presentation, abelianization_rank, \
+    concat, conjugate, default_backend, enumerate_tietze, free_reduce, \
+    images_generate_abelianization, inverse_word, substitute, words_shortlex
 from .algebra import BudgetError, order_of, vc_analyze
 from .annulus import UnionFind
 
@@ -604,29 +604,6 @@ def internal_surface_edges(g, budget=3, delta=0):
 
 
 # ---------------------------------------------------------------------------
-# integer linear algebra (Smith normal form, small matrices)
-
-
-def abelianization_rank(p):
-    """Free rank of the abelianized group."""
-    n = len(p.generators)
-    rows = [_exponent_vector(r, n) for r in p.relators]
-    diag = _smith_diagonal(rows, n)
-    return n - sum(1 for d in diag if d != 0)
-
-
-def _images_generate_abelianization(vertex_p, images):
-    """True iff the image vectors, together with the vertex relators,
-    span all of Z^n with trivial cokernel (a necessary condition for the
-    subgroup to be the whole group; False certifies non-surjectivity)."""
-    n = len(vertex_p.generators)
-    rows = [_exponent_vector(r, n) for r in vertex_p.relators]
-    rows += [_exponent_vector(w, n) for w in images]
-    diag = _smith_diagonal(rows, n)
-    return len(diag) == n and all(d == 1 for d in diag)
-
-
-# ---------------------------------------------------------------------------
 # split witnesses
 
 
@@ -745,7 +722,7 @@ def verify_split_witness(p, backend, w, peripherals=(), budget=4, delta=0):
         add("2-injective", okv,
             "side %d edge images have infinite order" % (idx + 1))
         if w.kind == "amalgam":
-            ok3 = not _images_generate_abelianization(pv, imgs)
+            ok3 = not images_generate_abelianization(pv, imgs)
             add("3-nonsurjective", ok3,
                 "side %d image misses the abelianization" % (idx + 1))
     for i, (side, qwords, c) in enumerate(w.per_sides):

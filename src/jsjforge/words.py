@@ -678,6 +678,25 @@ def _smith_diagonal(rows, n_cols):
     return diag
 
 
+def abelianization_rank(p):
+    """Free rank of the abelianized group."""
+    n = len(p.generators)
+    rows = [_exponent_vector(r, n) for r in p.relators]
+    diag = _smith_diagonal(rows, n)
+    return n - sum(1 for d in diag if d != 0)
+
+
+def images_generate_abelianization(vertex_p, images):
+    """True iff the image vectors, together with the vertex relators,
+    span all of Z^n with trivial cokernel (a necessary condition for the
+    subgroup to be the whole group; False certifies non-surjectivity)."""
+    n = len(vertex_p.generators)
+    rows = [_exponent_vector(r, n) for r in vertex_p.relators]
+    rows += [_exponent_vector(w, n) for w in images]
+    diag = _smith_diagonal(rows, n)
+    return len(diag) == n and all(d == 1 for d in diag)
+
+
 def hermite_normal_form(rows, n_cols):
     """Row Hermite normal form of the lattice the integer rows span: its
     nonzero rows in echelon order, each pivot positive and every entry

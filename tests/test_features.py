@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from jsjforge import features as F
@@ -12,6 +14,12 @@ F2_OV = dict(r=1, K=1, R=2, T=2, k=0, rho=1, eta=1,
              N_min=2, N_max=4, N1=2, N2=2, N3=2)
 LINE_OV = dict(r=2, K=2, R=3, T=2, k=2, rho=1, eta=1,
                N_min=2, N_max=6, N1=2, N2=2, N3=6)
+HS_OV = dict(r=1, K=1, R=2, T=2, k=2, rho=1, eta=1,
+             N_min=2, N_max=6, N1=0, N2=0, N3=8)
+CUT_HS_OV = dict(r=1, K=1, R=2, T=2, k=1, rho=1, eta=1, N_min=2, N_max=8)
+NONCUT_GUARD_OV = dict(F2_OV, N1=20, N2=20)
+CUT_GUARD_OV = dict(r=1, K=1, R=2, T=2, k=1, rho=1, eta=1,
+                    N_min=40, N_max=41)
 
 
 def test_degenerate_parameters_rejected(free2_space):
@@ -79,8 +87,7 @@ def test_cut_pair_corruption_rejected(free2_space):
 
 
 def test_noncut_horseshoe_found_on_line(line_space):
-    tab = _table(r=1, K=1, R=2, T=2, k=2, rho=1, eta=1,
-                 N_min=2, N_max=6, N1=0, N2=0, N3=8)
+    tab = _table(**HS_OV)
     out = F.search_noncut_pair(line_space, tab, budget=500000)
     assert out.verdict == "found"
     assert out.feature.kind == "horseshoe"
@@ -90,8 +97,7 @@ def test_noncut_horseshoe_found_on_line(line_space):
 
 def test_noncut_search_window_guard(free2_space):
     # bounds exceed the window and no feature exists inside it
-    tab = _table(r=1, K=1, R=2, T=2, k=0, rho=1, eta=1,
-                 N_min=2, N_max=4, N1=20, N2=20, N3=2)
+    tab = _table(**NONCUT_GUARD_OV)
     out = F.search_noncut_pair(free2_space, tab, budget=10**7)
     assert out.verdict == "window-insufficient"
 
@@ -103,8 +109,7 @@ def test_noncut_none_at_full_bound_in_tree(free2_space):
 
 
 def test_cut_pair_window_guard(line_space):
-    tab = _table(r=1, K=1, R=2, T=2, k=1, rho=1, eta=1,
-                 N_min=40, N_max=41)
+    tab = _table(**CUT_GUARD_OV)
     out = F.search_cut_pair(line_space, tab, budget=100)
     assert out.verdict == "window-insufficient"
 
@@ -114,3 +119,88 @@ def test_decide_circle_tree_says_no(free2_space):
     verdict = F.decide_circle(free2_space, tab, budget=200, n_cap=6)
     assert verdict.answer in ("no", "exhausted")
     assert verdict.trace
+
+
+TABLES = {"F2": F2_OV, "LINE": LINE_OV, "HS": HS_OV, "CUT_HS": CUT_HS_OV,
+          "NONCUT_GUARD": NONCUT_GUARD_OV, "CUT_GUARD": CUT_GUARD_OV}
+
+# (window, search, table, budget, verdict, stats, sha256 prefix of the
+# serialized feature).  The F2 non-cut search sees 20,736 candidates in
+# full, so budgets 0, 1, 20735, 20736 and 20737 pin every stop reason;
+# the line cut-pair search sees 908, and with table CUT_HS it finds a
+# horseshoe as candidate 751 after 750 periodic ones.  A spent budget
+# outranks a window cut (NONCUT_GUARD at budget 1000).
+OUTCOME_GOLDEN = [
+    ("f2", "cut", "F2", 5000, "found",
+     {"periodic_candidates": 1, "horseshoe_candidates": 0, "verified": True},
+     "dd5247a9302226a0"),
+    ("f2", "cut", "F2", 0, "none-in-budget",
+     {"periodic_candidates": 0, "horseshoe_candidates": 0}, None),
+    ("f2", "noncut", "F2", 500000, "none-at-full-bound",
+     {"triple_candidates": 20736, "horseshoe_candidates": 0}, None),
+    ("f2", "noncut", "F2", 0, "none-in-budget",
+     {"triple_candidates": 0, "horseshoe_candidates": 0}, None),
+    ("f2", "noncut", "F2", 1, "none-in-budget",
+     {"triple_candidates": 1, "horseshoe_candidates": 0}, None),
+    ("f2", "noncut", "F2", 20735, "none-in-budget",
+     {"triple_candidates": 20735, "horseshoe_candidates": 0}, None),
+    ("f2", "noncut", "F2", 20736, "none-in-budget",
+     {"triple_candidates": 20736, "horseshoe_candidates": 0}, None),
+    ("f2", "noncut", "F2", 20737, "none-at-full-bound",
+     {"triple_candidates": 20736, "horseshoe_candidates": 0}, None),
+    ("line", "cut", "LINE", 5000, "none-at-full-bound",
+     {"periodic_candidates": 908, "horseshoe_candidates": 0}, None),
+    ("line", "cut", "LINE", 907, "none-in-budget",
+     {"periodic_candidates": 907, "horseshoe_candidates": 0}, None),
+    ("line", "cut", "LINE", 908, "none-in-budget",
+     {"periodic_candidates": 908, "horseshoe_candidates": 0}, None),
+    ("line", "cut", "LINE", 909, "none-at-full-bound",
+     {"periodic_candidates": 908, "horseshoe_candidates": 0}, None),
+    ("line", "noncut", "LINE", 500000, "found",
+     {"triple_candidates": 1, "horseshoe_candidates": 0}, "887fb7d11d4429f2"),
+    ("line", "noncut", "HS", 500000, "found",
+     {"triple_candidates": 0, "horseshoe_candidates": 1}, "b26640cfaea52c71"),
+    ("line", "noncut", "HS", 0, "none-in-budget",
+     {"triple_candidates": 0, "horseshoe_candidates": 0}, None),
+    ("line", "cut", "CUT_HS", 5000, "found",
+     {"periodic_candidates": 750, "horseshoe_candidates": 1},
+     "0c72b6ef9c311df6"),
+    ("line", "cut", "CUT_HS", 750, "none-in-budget",
+     {"periodic_candidates": 750, "horseshoe_candidates": 0}, None),
+    ("line", "cut", "CUT_HS", 751, "found",
+     {"periodic_candidates": 750, "horseshoe_candidates": 1},
+     "0c72b6ef9c311df6"),
+    ("f2", "noncut", "NONCUT_GUARD", 10**7, "window-insufficient",
+     {"triple_candidates": 108216, "horseshoe_candidates": 0}, None),
+    ("f2", "noncut", "NONCUT_GUARD", 1000, "none-in-budget",
+     {"triple_candidates": 1000, "horseshoe_candidates": 0}, None),
+    ("line", "cut", "CUT_GUARD", 100, "window-insufficient",
+     {"required_radius": 42, "window": 16}, None),
+]
+
+
+@pytest.mark.parametrize(
+    "window,search,table,budget,verdict,stats,digest", OUTCOME_GOLDEN,
+    ids=["-".join(map(str, case[:4])) for case in OUTCOME_GOLDEN])
+def test_search_outcome_golden(request, window, search, table, budget,
+                               verdict, stats, digest):
+    space = request.getfixturevalue({"f2": "free2_space",
+                                     "line": "line_space"}[window])
+    run = {"cut": F.search_cut_pair, "noncut": F.search_noncut_pair}[search]
+    out = run(space, _table(**TABLES[table]), budget=budget)
+    got = hashlib.sha256(F.serialize_feature(out.feature).encode()) \
+        .hexdigest()[:16] if out.feature is not None else None
+    assert (out.verdict, out.stats, got) == (verdict, stats, digest)
+
+
+@pytest.mark.parametrize("n3", [4, 6])
+def test_noncut_horseshoe_rejected_find_does_not_end_search(line_space, n3):
+    # the first connected horseshoe from heights >= k starts at height 2,
+    # which the verifier rejects; a height-1 one (the 111th shape at
+    # N3=4) is accepted, so the boundary is not reported a circle
+    tab = _table(r=1, K=1, R=2, T=2, k=1, rho=1, eta=1,
+                 N_min=2, N_max=6, N1=0, N2=0, N3=n3)
+    out = F.search_noncut_pair(line_space, tab, budget=500000)
+    assert out.verdict == "found"
+    assert F.verify_noncut_feature(line_space, out.feature, tab)[0]
+    assert all(line_space.height(v) <= 1 for v in out.feature.path)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from jsjforge import gog as G
+from jsjforge import words
 from jsjforge.words import Presentation, default_backend, parse_presentation
 
 Z = Presentation(("x",), (), ())
@@ -187,8 +188,8 @@ def test_tree_of_cylinders_bipartite():
     ([[1, 0], [0, 0]], [1]),
 ])
 def test_smith_diagonal(rows, expected):
-    diag = [d for d in G._smith_diagonal([list(r) for r in rows],
-                                         len(rows[0])) if d]
+    diag = [d for d in words._smith_diagonal([list(r) for r in rows],
+                                             len(rows[0])) if d]
     assert diag == expected
 
 
