@@ -5,9 +5,10 @@ splitting question, `maximal` iterates it to a maximal splitting, `jsj`
 adds the flavor-specific reassembly, and `gog` applies single graph
 transformations to a saved graph-of-groups document.
 
-Exit codes: 0 decided, 3 exhausted (budget ran out), 4 window
-insufficient (the truncated geometric window provably cannot certify an
-answer at the requested parameters).
+Exit codes: 0 decided, 2 usage error or malformed input file (one line
+`jsj-forge: error: FILE: message` on standard error), 3 exhausted
+(budget ran out), 4 window insufficient (the truncated geometric window
+provably cannot certify an answer at the requested parameters).
 """
 
 import argparse
@@ -23,8 +24,24 @@ from .gog import (GraphOfGroups, assemble_jsj, collapse_edges,
                   zmax_fold)
 
 EXIT_DECIDED = 0
+EXIT_USAGE = 2  # argparse's code for usage errors
 EXIT_EXHAUSTED = 3
 EXIT_WINDOW = 4
+
+
+def _read(load, path):
+    """load(path), or exit with a one-line diagnostic when the file cannot
+    be read or is malformed."""
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError, ZeroDivisionError) as exc:
+        # ValueError covers ParseError and JSONDecodeError; the other two
+        # print only the key or the fraction, so they are named
+        what = {KeyError: "missing entry: ",
+                ZeroDivisionError: "division by zero: "}.get(type(exc), "")
+        print("jsj-forge: error: %s: %s%s" % (path, what, exc),
+              file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _load_presentation(path):
@@ -59,7 +76,7 @@ def _geometry(args, presentation):
     if args.const is None:
         raise SystemExit("--window requires --const")
     r_max, h_max = (int(x) for x in args.window.split(","))
-    table = _load_table(args.const)
+    table = _read(_load_table, args.const)
     backend = default_backend(presentation)
     space = CuspedSpace(presentation, backend, r_max, h_max)
     return space, table, args.n_cap
@@ -112,9 +129,9 @@ def main(argv=None):
 
 
 def _run_pipeline(args):
-    p = _load_presentation(args.input)
+    p = _read(_load_presentation, args.input)
     peripherals = tuple(p.peripherals)
-    seeds = _load_seeds(args.seed_markings)
+    seeds = _read(_load_seeds, args.seed_markings)
     geometry = _geometry(args, p)
 
     if args.command == "split":
@@ -157,7 +174,7 @@ def _run_pipeline(args):
 
 
 def _run_gog(args):
-    g = _load_gog(args.input)
+    g = _read(_load_gog, args.input)
     warnings = []
     if args.action == "trace":
         diagnostics = validate_gog(g)

@@ -9,7 +9,11 @@ joined when their intrinsic peripheral word-metric distance is positive
 and at most 2**k.  Only the 1-skeleton is built.
 
 All queries are BFS-based and deterministic; distance answers carry a
-caveat flag when the window cannot certify them.
+caveat flag when the window cannot certify them.  The window answers
+d(v, .) itself: CuspedSpace.distances(v) is one whole-window BFS per
+source, built on first use and kept.  One parent-map BFS, bfs_parents,
+serves every path query: shortest paths and the avoiding searches of the
+double-dagger check.
 """
 
 from collections import deque
@@ -248,7 +252,10 @@ class CuspedSpace:
                 self._columns.extend((pi, ci, oi)
                                      for oi in range(len(coset["offsets"])))
         self.n = self.ball.n + len(self._columns) * h_max
-        self._base_dist = None
+        # height of every vertex: 0 on the ball, 1..h_max up each column
+        self.heights = (bytes(self.ball.n)
+                        + bytes(range(1, h_max + 1)) * len(self._columns))
+        self._distances = {}
         self._adjacency = None
         self._boundary_height = None
 
@@ -291,9 +298,7 @@ class CuspedSpace:
         return ("horoball", HoroVertex(*self._column(vid)))
 
     def height(self, vid):
-        if vid < self.ball.n:
-            return 0
-        return (vid - self.ball.n) % self.h_max + 1
+        return self.heights[vid]
 
     def vertices(self):
         return range(self.n)
@@ -385,11 +390,21 @@ class CuspedSpace:
                             out.append(ids[col + k])
                         adj.append(sorted(out))
 
-    def base_dist(self, vid):
-        """Window-graph distance from the identity (cached BFS)."""
-        if self._base_dist is None:
-            self._base_dist = bfs_distances(self, [0])
-        return self._base_dist.get(vid)
+    def distances(self, v):
+        """Window distance from v to every vertex it reaches, as a dict in
+        (distance, id) order.  Built on first use and kept for the
+        window's life: callers must not mutate it."""
+        dist = self._distances.get(v)
+        if dist is None:
+            adj = self.adjacency()
+            dist = self._distances[v] = {v: 0}
+            level, d = [v], 0
+            while level:
+                d += 1
+                level = sorted({w for u in level for w in adj[u]
+                                if w not in dist})
+                dist.update(dict.fromkeys(level, d))
+        return dist
 
     def group_word(self, vid):
         """A group element word marking the vertex: the vertex itself for
@@ -435,16 +450,14 @@ def build_cusped_space(presentation, backend, R_max, h_max,
 # BFS queries
 
 
-def bfs_distances(space, sources, cutoff=None, forbidden=None):
-    """Distance map from a set of sources over space.adjacency();
-    forbidden vertices are removed from the graph entirely (not usable
-    even as endpoints)."""
+def bfs_distances(space, sources, cutoff=None):
+    """Distance map from a set of sources over space.adjacency(), to
+    depth cutoff (whole window when None), in the order vertices are
+    reached."""
     adj = space.adjacency()
     dist = {}
     q = deque()
     for s in sources:
-        if forbidden is not None and s in forbidden:
-            continue
         if s not in dist:
             dist[s] = 0
             q.append(s)
@@ -456,42 +469,56 @@ def bfs_distances(space, sources, cutoff=None, forbidden=None):
         for u in adj[v]:
             if u in dist:
                 continue
-            if forbidden is not None and u in forbidden:
-                continue
             dist[u] = d + 1
             q.append(u)
     return dist
 
 
-def shortest_path(space, x, y, cutoff=None, forbidden=None):
-    """Deterministic BFS geodesic from x to y, or None.  Parent choices
-    take the smallest vertex id, so the path is reproducible."""
-    if forbidden is not None and (x in forbidden or y in forbidden):
-        return None
+def bfs_parents(adj, x, depth, dist=None, cutoff=-1, stop=None):
+    """Parent map of a BFS from x to the given depth over the neighbour
+    lists adj, in the order vertices are reached (x maps to None).  Each
+    vertex's parent is the first vertex to reach it.  A vertex u other
+    than x with dist[u] <= cutoff is reached but never expanded; the BFS
+    returns as soon as it reaches stop."""
+    parent = {x: None}
+    dget = {}.get if dist is None else dist.get
+    frontier = [x]
+    level = 0
+    while frontier and level < depth:
+        level += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if w in parent:
+                    continue
+                parent[w] = u
+                if w == stop:
+                    return parent
+                dw = dget(w)
+                if dw is None or dw > cutoff:
+                    nxt.append(w)
+        frontier = nxt
+    return parent
+
+
+def path_to(parent, y):
+    """The path from the root of a bfs_parents map to y."""
+    path = [y]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def shortest_path(space, x, y, cutoff=None):
+    """BFS geodesic from x to y of length at most cutoff, or None.  Each
+    vertex's parent is the first vertex to reach it in a FIFO BFS from x
+    over the sorted neighbour lists, so the path is reproducible."""
     if x == y:
         return [x]
-    adj = space.adjacency()
-    parent = {x: None}
-    q = deque([x])
-    depth = {x: 0}
-    while q:
-        v = q.popleft()
-        if cutoff is not None and depth[v] >= cutoff:
-            continue
-        for u in adj[v]:
-            if u in parent:
-                continue
-            if forbidden is not None and u in forbidden:
-                continue
-            parent[u] = v
-            depth[u] = depth[v] + 1
-            if u == y:
-                path = [u]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return list(reversed(path))
-            q.append(u)
-    return None
+    parent = bfs_parents(space.adjacency(), x,
+                         space.n if cutoff is None else cutoff, stop=y)
+    return path_to(parent, y) if y in parent else None
 
 
 @dataclass(frozen=True)
@@ -501,7 +528,7 @@ class DistanceAnswer:
     caveat: bool
 
 
-def distance(space, x, y, cutoff=None):
+def distance(space, x, y):
     """Window distance with a witness path and a conservative caveat flag.
 
     The caveat is set when the reported distance is large enough that a
@@ -509,7 +536,7 @@ def distance(space, x, y, cutoff=None):
     of either endpoint (its distance to the window boundary in radius or
     in horoball height).
     """
-    path = shortest_path(space, x, y, cutoff=cutoff)
+    path = shortest_path(space, x, y)
     if path is None:
         return DistanceAnswer(None, None, True)
     d = len(path) - 1
@@ -518,7 +545,7 @@ def distance(space, x, y, cutoff=None):
 
 
 def _slack(space, vid):
-    bd = space.base_dist(vid)
+    bd = space.distances(0).get(vid)
     if bd is None:
         return 0
     radial = space.R_max - min(bd, space.R_max)

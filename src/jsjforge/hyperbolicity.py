@@ -11,17 +11,19 @@ derived constants still satisfy their defining inequalities.
 The star/double-dagger machinery: star-pairs are window vertex pairs
 nearly equidistant from a base vertex and uniformly close to each other;
 the double-dagger check asks for a bounded-length path between them that
-avoids a large ball around the base.  The forbidden ball is the closed
+avoids a large ball around the base.  The avoided ball is the closed
 ball of the stated radius, with the two endpoints of the pair exempted
 (a path must stand on its endpoints; only its other vertices avoid the
 ball).
 
-Both check_ddag and ddag_search answer from one avoiding BFS: a BFS from
-x to depth n in which the forbidden ball's vertices are reached but never
-expanded, so a pair (x, y) passes iff the BFS reaches y.  The forbidden
-radius depends on the pair only through m, and |d(v,x) - d(v,y)| <= eps
-leaves at most eps + 1 values of m for one x, so ddag_search builds at
-most eps + 1 maps per x and answers every star pair of x from them.
+Distances from the base come from the window (space.distances(v)), so
+no caller computes or passes them.  Both check_ddag and ddag_search
+answer from one avoiding BFS, geometry.bfs_parents: a BFS from x to depth
+n in which the avoided ball's vertices are reached but never expanded,
+so a pair (x, y) passes iff the BFS reaches y.  The avoided radius
+depends on the pair only through m, and |d(v,x) - d(v,y)| <= eps leaves
+at most eps + 1 values of m for one x, so ddag_search builds at most
+eps + 1 maps per x and answers every star pair of x from them.
 """
 
 import itertools
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .geometry import bfs_distances, shortest_path
+from .geometry import bfs_distances, bfs_parents, path_to, shortest_path
 
 ROUND_DEN = 2 ** 20
 
@@ -83,8 +85,7 @@ def certify_delta(space, radius, budget=2_000_000, all_geodesics=False):
     the delta-neighbourhood of the union of the other two sides (checked
     at vertices).  One geodesic per pair (deterministic BFS) unless
     all_geodesics is set."""
-    verts = sorted(v for v in space.vertices()
-                   if (space.base_dist(v) or 0) <= radius and space.base_dist(v) is not None)
+    verts = sorted(u for u, d in space.distances(0).items() if d <= radius)
     m = len(verts)
     n_triples = m * (m - 1) * (m - 2) // 6
     if n_triples > budget:
@@ -402,37 +403,31 @@ def parse_const_file(text):
 # star pairs and the double-dagger condition
 
 
-def _eligible(space, dist_v, radius, height_bound):
-    """Eligible vertices as a dict vertex -> d(v, vertex), in (distance,
-    vertex) order."""
-    return {u: d for d, u in sorted(
-        (d, u) for u, d in dist_v.items()
-        if (radius is None or d <= radius)
-        and (height_bound is None or space.height(u) <= height_bound))}
-
-
-def star_pairs_iter(space, v, eps, M, radius=None, height_bound=None,
-                    dist_v=None, elig=None):
+def star_pairs_iter(space, v, eps, M, radius=None, height_bound=None):
     """Pairs (x, y, m) with |d(v,x)-d(v,y)| <= eps and d(x,y) <= M,
     m = min of the two radii.  Ordered by (radius of x, x, y).  Includes
-    (x, x).  radius/height_bound restrict which vertices are eligible.
-    elig may carry the precomputed eligible dict of _eligible."""
-    if elig is None:
-        if dist_v is None:
-            dist_v = bfs_distances(space, [v])
-        elig = _eligible(space, dist_v, radius, height_bound)
-    for x, d in elig.items():
+    (x, x).  A vertex is eligible when d(v, .) <= radius and its height
+    is at most height_bound (None: no bound)."""
+    dist_v = space.distances(v)
+    heights = space.heights
+    if radius is None:
+        radius = space.n
+    if height_bound is None:
+        height_bound = space.h_max
+    # distances(v) comes in (distance, id) order
+    for x, d in dist_v.items():
+        if d > radius:
+            break
+        if heights[x] > height_bound:
+            continue
         near = bfs_distances(space, [x], cutoff=M)
         for y in sorted(near):
             if y < x:
                 continue
-            dy = elig.get(y)
-            if dy is not None and abs(d - dy) <= eps:
+            dy = dist_v.get(y)
+            if dy is not None and dy <= radius \
+                    and heights[y] <= height_bound and abs(d - dy) <= eps:
                 yield (x, y, min(d, dy))
-
-
-def star_pairs(space, v, eps, M, radius=None, height_bound=None):
-    return list(star_pairs_iter(space, v, eps, M, radius, height_bound))
 
 
 @dataclass(frozen=True)
@@ -444,64 +439,36 @@ class DdagAnswer:
 
 def _ball_offset(eps, table):
     """k with floor(m - C - 45*delta + 3*eps) = m + k for integer m:
-    distances are integers, so the closed forbidden ball of a pair with
+    distances are integers, so the closed avoided ball of a pair with
     min radius m is dist_v <= m + k."""
     k = 3 * eps - table["C"] - 45 * table["delta"]
     return k if isinstance(k, int) else floor_frac(k)
 
 
-def _avoiding_bfs(adj, x, n, cutoff, dist_v, stop=None):
-    """BFS from x to depth n in which the vertices of the closed ball
-    dist_v <= cutoff, other than x, are reached but never expanded.
-    Returns the parent map of the reached vertices (x maps to None), in
-    the order they were reached; stops as soon as it reaches stop."""
-    parent = {x: None}
-    dget = dist_v.get
-    frontier = [x]
-    depth = 0
-    while frontier and depth < n:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w in parent:
-                    continue
-                parent[w] = u
-                if w == stop:
-                    return parent
-                dw = dget(w)
-                if dw is None or dw > cutoff:
-                    nxt.append(w)
-        frontier = nxt
-    return parent
-
-
-def check_ddag(space, v, eps, n, pair, table, dist_v=None):
+def check_ddag(space, v, eps, n, pair, table):
     """Is there a path of length <= n from x to y whose vertices (other
     than x and y themselves) stay outside the closed ball of radius
     m - C - 45*delta + 3*eps around v, m = min(d(v,x), d(v,y))?"""
     x, y = pair
     if x == y:
         return DdagAnswer(True, [x], False)
-    if dist_v is None:
-        dist_v = bfs_distances(space, [v])
+    dist_v = space.distances(v)
     cutoff = min(dist_v[x], dist_v[y]) + _ball_offset(eps, table)
-    parent = _avoiding_bfs(space.adjacency(), x, n, cutoff, dist_v, stop=y)
+    parent = bfs_parents(space.adjacency(), x, n, dist_v, cutoff, stop=y)
     if y in parent:
-        path = [y]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        return DdagAnswer(True, list(reversed(path)), False)
+        return DdagAnswer(True, path_to(parent, y), False)
     # scan newest-first: window-boundary vertices enter the search last;
-    # forbidden vertices were reached but not searched, so they are skipped
+    # the avoided ball's vertices were reached but not searched, so they
+    # are skipped
     dget = dist_v.get
+    base = space.distances(0).get
     for u in reversed(parent):
         du = dget(u)
         if du is not None and du <= cutoff and u != x:
             continue
-        bd = space.base_dist(u)
+        bd = base(u)
         if (bd is not None and bd >= space.R_max) or \
-                space.height(u) >= space.h_max > 0:
+                space.heights[u] >= space.h_max > 0:
             return DdagAnswer(False, None, True)
     return DdagAnswer(False, None, False)
 
@@ -517,14 +484,13 @@ class DdagReport:
     pairs_checked: int = 0
 
 
-def ddag_search(space, v, table, n_cap, eps=None, max_failures=3,
-                dist_v=None):
+def ddag_search(space, v, table, n_cap, eps=None, max_failures=3):
     """The proof-driven search loop: for each n from Kd to n_cap check the
     double-dagger condition at eps = 10*delta over all star pairs in the
     ball of radius Rd(n) around v within the thick part of depth kd.
 
     Every pair of one x is answered from a shared avoiding-BFS map per
-    forbidden cutoff (at most eps + 1 of them), built on first use and
+    avoided-ball cutoff (at most eps + 1 of them), built on first use and
     dropped when x changes; the answers are check_ddag's.
 
     Returns the first n at which every in-window pair passes, provided the
@@ -535,53 +501,37 @@ def ddag_search(space, v, table, n_cap, eps=None, max_failures=3,
     """
     if eps is None:
         eps = 10 * table["delta"]
-    if dist_v is None:
-        dist_v = bfs_distances(space, [v])
+    dist_v = space.distances(v)
     adj = space.adjacency()
     offset = _ball_offset(eps, table)
-    elig_cache = {}
-    avail = space.R_max - (space.base_dist(v) or 0)
+    avail = space.R_max - (space.distances(0).get(v) or 0)
     report = DdagReport(v=v, eps=eps, status="exhausted")
     for n in range(int(table["Kd"]), int(n_cap) + 1):
         Rn = table.Rd(n)
-        radius = min(Rn, avail)
-        height_bound = int(table["kd"])
-        if (radius, height_bound) not in elig_cache:
-            elig_cache[(radius, height_bound)] = _eligible(
-                space, dist_v, radius, height_bound)
-        all_ok = True
-        first_fail = None
         map_x, maps = None, {}
         for x, y, m in star_pairs_iter(space, v, eps, int(table["M"]),
-                                       radius=radius,
-                                       height_bound=height_bound,
-                                       dist_v=dist_v,
-                                       elig=elig_cache[(radius,
-                                                        height_bound)]):
+                                       min(Rn, avail), int(table["kd"])):
             report.pairs_checked += 1
             if x == y:  # passes with no search, as in check_ddag
                 continue
             if x != map_x:
                 map_x, maps = x, {}
-            # every negative cutoff forbids nothing, so they share a map
+            # every negative cutoff avoids nothing, so they share a map
             cutoff = max(m + offset, -1)
             reached = maps.get(cutoff)
             if reached is None:
-                reached = maps[cutoff] = _avoiding_bfs(adj, x, n, cutoff,
-                                                       dist_v)
+                reached = maps[cutoff] = bfs_parents(adj, x, n, dist_v,
+                                                     cutoff)
             if y not in reached:
-                all_ok = False
-                first_fail = (n, (x, y), m)
+                if len(report.failures) < max_failures:
+                    report.failures.append((n, (x, y), m))
                 break
-        if all_ok:
+        else:
+            report.n = n
             if Rn > avail:
                 report.status = "window-insufficient"
                 report.required_radius = Rn
-                report.n = n
-                return report
-            report.status = "found"
-            report.n = n
+            else:
+                report.status = "found"
             return report
-        if len(report.failures) < max_failures:
-            report.failures.append(first_fail)
     return report

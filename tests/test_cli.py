@@ -158,3 +158,27 @@ def test_console_script_entry_point(tmp_path, source_cli):
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "no-splits" in proc.stdout
+
+
+@pytest.mark.parametrize("name,text,argv", [
+    ("zero.const", "delta = 1/0\n", ["split", "{grp}", "--window", "2,0",
+                                     "--const", "{bad}"]),
+    ("nodelta.const", "B = 3\n", ["split", "{grp}", "--window", "2,0",
+                                  "--const", "{bad}"]),
+    ("letter.grp", "gen a\nrel ax\n", ["split", "{bad}"]),
+    ("text.gog", "not json\n", ["gog", "trace", "{bad}"]),
+])
+def test_malformed_input_one_line_diagnostic(tmp_path, source_cli, name,
+                                             text, argv):
+    grp = tmp_path / "ok.grp"
+    grp.write_text("gen a b\n")
+    bad = tmp_path / name
+    bad.write_text(text)
+    prefix, env = source_cli
+    args = [a.format(grp=grp, bad=bad) for a in argv]
+    proc = subprocess.run(prefix + args, capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert lines[0].startswith("jsj-forge: error: %s: " % bad)

@@ -1,11 +1,14 @@
 import hashlib
+import random
+from collections import deque
 
 import networkx as nx
 import pytest
 
 from jsjforge.geometry import (CayleyBall, HoroVertex, bfs_distances,
                                build_cusped_space, distance, gromov_product,
-                               is_local_geodesic, valence_stats, vertex_label)
+                               is_local_geodesic, shortest_path,
+                               valence_stats, vertex_label)
 from jsjforge.words import parse_presentation, default_backend
 
 
@@ -220,6 +223,81 @@ def test_bfs_distances_agree_with_distance(line_space):
     dist0 = bfs_distances(space, [0])
     for v in list(space.vertices())[:80]:
         assert dist0.get(v) == distance(space, 0, v).dist
+
+
+LINE = "gen a\nper P = a\n"
+GENUS2 = "gen a b c d\nrel abABcdCD\n"
+F2 = "gen a b\n"
+F2_CUSPED = "gen a b\nper A = a\n"
+
+
+def _window(text, R, h):
+    p = parse_presentation(text)
+    return build_cusped_space(p, default_backend(p), R, h)
+
+
+def _nx_window(space):
+    g = nx.Graph()
+    g.add_nodes_from(space.vertices())
+    g.add_edges_from((v, u) for v in space.vertices()
+                     for u in space.neighbors(v))
+    return g
+
+
+@pytest.mark.parametrize("text,R,h", [(LINE, 16, 6), (GENUS2, 3, 0),
+                                      (F2, 5, 0)])
+def test_window_distances_match_networkx(text, R, h):
+    space = _window(text, R, h)
+    g = _nx_window(space)
+    for v in sorted({0, 1, space.ball.n - 1, space.n // 2, space.n - 1}):
+        dist = space.distances(v)
+        assert dist == nx.single_source_shortest_path_length(g, v)
+        assert list(dist) == sorted(dist, key=lambda u: (dist[u], u))
+        assert space.distances(v) is dist
+    assert list(space.heights) == [
+        0 if v < space.ball.n else (v - space.ball.n) % space.h_max + 1
+        for v in space.vertices()]
+
+
+def _reference_path(space, x, y, min_id=False):
+    """An x-to-y geodesic from a plain FIFO BFS over the sorted neighbour
+    lists: each vertex's parent is the first vertex to reach it, or with
+    min_id its smallest-id neighbour one step closer to x."""
+    parent, dist = {x: None}, {x: 0}
+    queue = deque([x])
+    while queue:
+        v = queue.popleft()
+        for u in sorted(space.neighbors(v)):
+            if u not in dist:
+                parent[u], dist[u] = v, dist[v] + 1
+                queue.append(u)
+    if y not in dist:
+        return None
+    path = [y]
+    while path[-1] != x:
+        v = path[-1]
+        path.append(min(u for u in space.neighbors(v)
+                        if dist.get(u) == dist[v] - 1)
+                    if min_id else parent[v])
+    return path[::-1]
+
+
+@pytest.mark.parametrize("text,R,h", [(LINE, 16, 6), (GENUS2, 3, 0),
+                                      (F2, 5, 0), (F2_CUSPED, 4, 2)])
+def test_shortest_path_parent_is_first_to_reach(text, R, h):
+    space = _window(text, R, h)
+    rng = random.Random(R * 10 + h)
+    for _ in range(150):
+        x, y = rng.randrange(space.n), rng.randrange(space.n)
+        assert shortest_path(space, x, y) == _reference_path(space, x, y)
+
+
+def test_shortest_path_parent_is_not_min_id():
+    # negative control: 340 and 341 are both one step closer to 480 than
+    # 342 is, and 341 reaches 342 first
+    space = _window(F2_CUSPED, 4, 2)
+    assert shortest_path(space, 480, 342)[-2:] == [341, 342]
+    assert _reference_path(space, 480, 342, min_id=True)[-2:] == [340, 342]
 
 
 def test_gromov_product_tree(free2_space):

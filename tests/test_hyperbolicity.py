@@ -9,8 +9,7 @@ import pytest
 from jsjforge.geometry import build_cusped_space, shortest_path
 from jsjforge.hyperbolicity import (ceil_frac, certify_delta, check_ddag,
                                     ddag_search, derive_constants, floor_frac,
-                                    parse_const_file, star_pairs,
-                                    star_pairs_iter)
+                                    parse_const_file, star_pairs_iter)
 from jsjforge.words import default_backend, parse_presentation
 
 
@@ -80,7 +79,8 @@ def test_as_text_handles_huge_values_quickly():
 
 def test_star_pairs_symmetric_distance_window(line_space):
     t = derive_constants(0, 0, n=4, B=3, V=4)
-    pairs = star_pairs(line_space, 0, eps=0, M=1, radius=6, height_bound=0)
+    pairs = list(star_pairs_iter(line_space, 0, eps=0, M=1, radius=6,
+                                 height_bound=0))
     from jsjforge.geometry import bfs_distances
     dist0 = bfs_distances(line_space, [0])
     for x, y, m in pairs:
@@ -296,7 +296,7 @@ def test_check_ddag_matches_networkx_on_free_group_pairs():
 def test_check_ddag_matches_networkx_on_line_pairs(line_space, v, eps, k, n):
     tab = derive_constants(0, 0, n=4, B=3, V=4, overrides={"C": 3 * eps - k})
     rng = random.Random(v * 100 + n)
-    pairs = [(x, y) for x, y, _ in star_pairs(line_space, v, eps, 4)]
+    pairs = [(x, y) for x, y, _ in star_pairs_iter(line_space, v, eps, 4)]
     pairs = rng.sample(pairs, min(150, len(pairs)))
     verts = list(line_space.vertices())
     pairs += [(rng.choice(verts), rng.choice(verts)) for _ in range(50)]
