@@ -532,49 +532,102 @@ def small_orbifold_match(p, peripherals, backend, budget=3, strict=True,
     """Interleaved enumeration of catalogue models and generator-image
     maps in both directions; the first verified inverse pair wins.  The
     underlying procedure is a semi-decision, so exhaustion is reported
-    as none-in-budget."""
+    as none-in-budget.
+
+    Round L tries every catalogue model with parameters up to 2L+1
+    against the maps whose images are words of length at most L (see
+    `_match_model`).  Each model's backend is built once per search and
+    each word pool once per (L, generator count)."""
     from .features import SearchOutcome
     from .words import default_backend
     p_eff, pers_eff = effective_kernel_quotient(p, peripherals, backend,
                                                 delta)
     stats = {"maps_checked": 0}
+    backends = {}
     for L in range(1, budget + 1):
+        pools = {}
         # catalogue parameters grow faster than map lengths: torsion
         # parameters are cheap to enumerate, long images are not
         for model in catalogue_models(2 * L + 1, strict):
             if len(model.presentation.peripherals) != len(pers_eff):
                 continue
-            try:
-                mbe = default_backend(model.presentation)
-            except Exception:
+            key = (model.item, model.params)
+            if key not in backends:
+                try:
+                    backends[key] = default_backend(model.presentation)
+                except Exception:
+                    backends[key] = None
+            if backends[key] is None:
                 continue
-            witness = _match_model(model, mbe, p_eff, backend, pers_eff,
-                                   L, stats)
+            for n in (len(model.presentation.generators),
+                      len(p_eff.generators)):
+                if n not in pools:
+                    pools[n] = list(words_shortlex(n, L, include_empty=True))
+            witness = _match_model(model, backends[key], p_eff, backend,
+                                   pers_eff, pools, L, stats)
             if witness is not None:
                 return SearchOutcome("found", witness, stats)
     return SearchOutcome("none-in-budget", stats=stats)
 
 
-def _match_model(model, mbe, p, backend, pers, L, stats):
+def _hom_images(backend, relators, pool, n):
+    """The n-tuples over pool that send every relator to the identity,
+    in itertools.product order.  The tuples grow one generator image at
+    a time, and each relator is checked once, as soon as the image of
+    its highest-numbered generator is chosen."""
+    due = [[] for _ in range(n)]
+    for r in relators:
+        if r:
+            due[max(abs(x) for x in r) - 1].append(r)
+    maps = [()]
+    for rels in due:
+        grown = []
+        for prefix in maps:
+            for w in pool:
+                images = prefix + (w,)
+                if not rels or _is_hom(backend, rels, images):
+                    grown.append(images)
+        maps = grown
+    return maps
+
+
+def _match_model(model, mbe, p, backend, pers, pools, L, stats):
+    """First verified inverse pair (phi, psi) between the model and
+    Gamma with images from pools[generator count], in the order of
+    the nested loop over the homomorphisms phi, then psi.
+
+    For each phi one pass over the model pool finds, per Gamma generator
+    i, the words v with phi(v) = i in Gamma: the preimage table.  A psi
+    passes the second composition check of `_inverse_pair` exactly when
+    each psi[i] lies in its table entry, so only those psis are judged;
+    an empty entry rules out every psi.  stats["maps_checked"] counts
+    the (phi, psi) pairs decided, up to and including the winner."""
     n_m = len(model.presentation.generators)
     n_g = len(p.generators)
-    pool_g = [w for w in words_shortlex(n_g, L, include_empty=True)]
-    pool_m = [w for w in words_shortlex(n_m, L, include_empty=True)]
-    phis = [phi for phi in itertools.product(pool_g, repeat=n_m)
-            if _is_hom(backend, model.presentation.relators, phi)]
-    psis = [psi for psi in itertools.product(pool_m, repeat=n_g)
-            if _is_hom(mbe, p.relators, psi)]
+    pool_m = pools[n_m]
+    phis = _hom_images(backend, model.presentation.relators, pools[n_g], n_m)
+    psis = _hom_images(mbe, p.relators, pool_m, n_g)
+    targets = {}
+    for i in range(n_g):
+        targets.setdefault(backend.normalize((i + 1,)), []).append(i)
     for phi in phis:
-        for psi in psis:
-            stats["maps_checked"] += 1
-            # phis and psis already pass _is_hom; a winner is replayed
-            # through the full verifier before it is returned
-            w = _inverse_pair(model, mbe, p, backend, phi, psi, pers,
-                              min(L, 2))
-            if w is not None and verify_hom_pair(
-                    model, mbe, p, backend, phi, psi, pers,
-                    budget=min(L, 2)) is not None:
-                return w
+        pre = [set() for _ in range(n_g)]
+        for v in pool_m:
+            for i in targets.get(backend.normalize(substitute(v, phi)), ()):
+                pre[i].add(v)
+        if all(pre):
+            for k, psi in enumerate(psis):
+                if not all(psi[i] in pre[i] for i in range(n_g)):
+                    continue
+                # the winner is replayed through the full verifier
+                w = _inverse_pair(model, mbe, p, backend, phi, psi, pers,
+                                  min(L, 2))
+                if w is not None and verify_hom_pair(
+                        model, mbe, p, backend, phi, psi, pers,
+                        budget=min(L, 2)) is not None:
+                    stats["maps_checked"] += k + 1
+                    return w
+        stats["maps_checked"] += len(psis)
     return None
 
 

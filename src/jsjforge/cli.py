@@ -6,7 +6,8 @@ adds the flavor-specific reassembly, and `gog` applies single graph
 transformations to a saved graph-of-groups document.
 
 Exit codes: 0 decided, 2 usage error or malformed input file (one line
-`jsj-forge: error: FILE: message` on standard error), 3 exhausted
+`jsj-forge: error: FILE: message`, or `--window: message` for a bad or
+unpaired `--window`, on standard error), 3 exhausted
 (budget ran out), 4 window insufficient (the truncated geometric window
 provably cannot certify an answer at the requested parameters).
 """
@@ -39,9 +40,13 @@ def _read(load, path):
         # print only the key or the fraction, so they are named
         what = {KeyError: "missing entry: ",
                 ZeroDivisionError: "division by zero: "}.get(type(exc), "")
-        print("jsj-forge: error: %s: %s%s" % (path, what, exc),
-              file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error(path, "%s%s" % (what, exc))
+
+
+def _usage_error(where, message):
+    """Exit 2 with the one-line diagnostic `jsj-forge: error: WHERE: ...`."""
+    print("jsj-forge: error: %s: %s" % (where, message), file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
 
 def _load_presentation(path):
@@ -74,8 +79,12 @@ def _geometry(args, presentation):
     if args.window is None:
         return None
     if args.const is None:
-        raise SystemExit("--window requires --const")
-    r_max, h_max = (int(x) for x in args.window.split(","))
+        _usage_error("--window", "requires --const")
+    window = args.window.split(",")
+    if len(window) != 2 or not all(x.isdecimal() for x in window):
+        _usage_error("--window", "expected R,h (two non-negative integers), "
+                     "got %r" % args.window)
+    r_max, h_max = (int(x) for x in window)
     table = _read(_load_table, args.const)
     backend = default_backend(presentation)
     space = CuspedSpace(presentation, backend, r_max, h_max)

@@ -862,7 +862,7 @@ def _pattern_matches(item, p, backend, peripherals, max_free_assign=6):
         s1 = sorted(set(range(1, n + 1)) - {t})
         if not w1 or not w2:
             continue
-        if {abs(x) for x in w1} | {abs(x) for x in w2} - set(s1):
+        if ({abs(x) for x in w1} | {abs(x) for x in w2}) - set(s1):
             continue
         per_sides = _peripheral_sides(item, p, peripherals, (s1, s1), set())
         if per_sides is None:

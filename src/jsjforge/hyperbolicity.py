@@ -30,8 +30,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 from .geometry import bfs_distances, bfs_parents, path_to, shortest_path
 
 ROUND_DEN = 2 ** 20
@@ -47,11 +45,13 @@ class WindowInsufficient(RuntimeError):
 
 def round_up(x):
     """Smallest Fraction with denominator 2**20 at least x (an mpf)."""
+    import mpmath
     return Fraction(int(mpmath.ceil(mpmath.mpf(x) * ROUND_DEN)), ROUND_DEN)
 
 
 def log2_upper(value):
     """Conservative rational upper bound for log2(value)."""
+    import mpmath
     with mpmath.workdps(60):
         return round_up(mpmath.log(mpmath.mpf(value), 2) + mpmath.mpf(2) ** -40)
 
@@ -91,21 +91,30 @@ def certify_delta(space, radius, budget=2_000_000, all_geodesics=False):
     if n_triples > budget:
         raise WindowInsufficient(
             "budget exceeded: %d triples > %d" % (n_triples, budget))
+    # one distance map per vertex, clipped at 2*radius and dropped at
+    # return.  A side [a, b] has length d(a, b) <= 2*radius, so each of
+    # its points lies within 2*radius of a or b, which the other two
+    # sides hold: the clipped maps give the same minima as whole-window
+    # ones.  A geodesic from x to y never leaves d(x, .) <= d(x, y), so
+    # x's clipped map also holds all of them.
+    dmaps = {}
+
+    def dmap(v):
+        if v not in dmaps:
+            dmaps[v] = bfs_distances(space, [v], cutoff=2 * radius)
+        return dmaps[v]
+
     geos = {}
     for x, y in itertools.combinations(verts, 2):
         if all_geodesics:
-            geos[(x, y)] = _all_geodesics(space, x, y)
+            geos[(x, y)] = _all_geodesics(space, x, y, dmap(x))
         else:
             geos[(x, y)] = [shortest_path(space, x, y)]
     # distance maps from every vertex appearing on some geodesic
-    needed = set()
     for paths in geos.values():
         for p in paths:
-            needed.update(p)
-    # a side [a, b] has length d(a, b) <= 2*radius, so each of its points
-    # lies within 2*radius of a or b, which the other two sides hold: the
-    # clipped maps give the same minima as whole-window ones
-    dmaps = {v: bfs_distances(space, [v], cutoff=2 * radius) for v in needed}
+            for v in p:
+                dmap(v)
     delta = 0
     worst = ()
     count = 0
@@ -143,9 +152,9 @@ def _triangle_thinness(dmaps, sides):
     return worst
 
 
-def _all_geodesics(space, x, y, cap=10_000):
-    """All geodesics from x to y via the BFS predecessor DAG."""
-    dist = bfs_distances(space, [x])
+def _all_geodesics(space, x, y, dist, cap=10_000):
+    """All geodesics from x to y via the BFS predecessor DAG, given a
+    distance map dist from x that reaches at least as far as y."""
     if y not in dist:
         return []
     paths = [[y]]
@@ -286,7 +295,10 @@ def derive_constants(delta, delta_per=0, n=None, B=None, V=None,
     D = put("D", _morse_constant(lam, eps, delta) if morse is None else morse(lam, eps, delta))
 
     # log_a(x) = 4*dv*log2(x); the argument mixes k2/k1 = 1/(3-2*sqrt(2))
-    # = 3+2*sqrt(2) with the lacunarity factor 1/(1-a^-1)
+    # = 3+2*sqrt(2) with the lacunarity factor 1/(1-a^-1).  mpmath is
+    # imported only where the table needs it: the import alone adds about
+    # 4 MB of resident memory, which a run without a table never uses.
+    import mpmath
     with mpmath.workdps(60):
         log2_k2k1 = log2_upper(3 + 2 * mpmath.sqrt(2))
         a_inv = mpmath.mpf(2) ** (-Fraction(1, 4 * dv))

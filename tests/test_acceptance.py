@@ -348,8 +348,10 @@ def test_criterion_10_orchestrator_traces(tmp_path, source_cli):
         assert p.relators == ((1, -2, 3, -4), (5, 1, -5, -2),
                               (6, 3, -6, -4))
 
-        # full-size constants, no seeds: the truncated window must be
-        # reported as insufficient (exit code 4), never a false decision
+        # full-size constants, no seeds and no split-search budget (with
+        # any budget the search finds genus 2's HNN splitting first): the
+        # truncated window must be reported as insufficient (exit code
+        # 4), never a false decision
         grp = tmp_path / "g2.grp"
         grp.write_text("gen a b c d\nrel abABcdCD\n")
         const = tmp_path / "paper.const"
@@ -357,7 +359,7 @@ def test_criterion_10_orchestrator_traces(tmp_path, source_cli):
         argv, env = source_cli
         proc = subprocess.run(
             argv + ["split", str(grp), "--const", str(const),
-                    "--window", "3,1", "--budget", "12"],
+                    "--window", "3,1", "--budget", "0"],
             capture_output=True, text=True, timeout=110, env=env)
         assert proc.returncode == 4, proc.stdout + proc.stderr
         assert "answer: splits" not in proc.stdout

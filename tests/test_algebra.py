@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
 from jsjforge import algebra as A
 from jsjforge.words import (Presentation, RewritingBackend, conjugate,
-                            default_backend, parse_presentation)
+                            default_backend, parse_presentation,
+                            words_shortlex)
 
 
 def _z2xz():
@@ -148,6 +151,80 @@ def test_small_orbifold_match_negative():
     be = default_backend(p)
     out = A.small_orbifold_match(p, list(p.peripherals), be, budget=2)
     assert out.verdict == "none-in-budget"
+
+
+def _pair_loop_match(p, peripherals, backend, budget):
+    """Reference for small_orbifold_match: every homomorphism phi against
+    every homomorphism psi, each pair through _inverse_pair.  Returns
+    (witness, maps_checked, index of the winning phi in its list)."""
+    p_eff, pers = A.effective_kernel_quotient(p, peripherals, backend, 0)
+    checked = 0
+    for L in range(1, budget + 1):
+        for model in A.catalogue_models(2 * L + 1):
+            mp = model.presentation
+            if len(mp.peripherals) != len(pers):
+                continue
+            try:
+                mbe = default_backend(mp)
+            except Exception:
+                continue
+            pool_g = list(words_shortlex(len(p_eff.generators), L))
+            pool_m = list(words_shortlex(len(mp.generators), L))
+            phis = [phi for phi in itertools.product(
+                        pool_g, repeat=len(mp.generators))
+                    if A._is_hom(backend, mp.relators, phi)]
+            psis = [psi for psi in itertools.product(
+                        pool_m, repeat=len(p_eff.generators))
+                    if A._is_hom(mbe, p_eff.relators, psi)]
+            for k, phi in enumerate(phis):
+                for psi in psis:
+                    checked += 1
+                    w = A._inverse_pair(model, mbe, p_eff, backend, phi,
+                                        psi, pers, min(L, 2))
+                    if w is not None and A.verify_hom_pair(
+                            model, mbe, p_eff, backend, phi, psi, pers,
+                            budget=min(L, 2)) is not None:
+                        return w, checked, k
+    return None, checked, None
+
+
+@pytest.mark.parametrize("text,budget,checked", [
+    ("gen a b\nper P = a\nper Q = b\nper R = ab\n", 2, 209),
+    ("gen a b\nrel aaa\nrel bbbbb\nper P = ab\n", 2, 1371),
+    ("gen a b\nrel aa\nrel bbb\nper P = ab\n", 2, 257),
+    ("gen a b\nper P = a\n", 2, 10968),
+    ("gen a b\nper P = a\n", 3, 277823),
+    ("gen a b\nper P = a\nper Q = b\n", 2, 0),
+    # the generators swapped: the winner maps a to b and b to a
+    ("gen a b\nrel aaaaa\nrel bbb\nper P = ab\n", 2, 1371),
+])
+def test_orbifold_match_matches_pair_loop_reference(text, budget, checked):
+    p = parse_presentation(text)
+    be = default_backend(p)
+    out = A.small_orbifold_match(p, list(p.peripherals), be, budget=budget)
+    ref, ref_checked, k = _pair_loop_match(p, list(p.peripherals), be,
+                                           budget)
+    assert out.stats["maps_checked"] == ref_checked == checked
+    if ref is None:
+        assert out.verdict == "none-in-budget" and out.feature is None
+        return
+    assert out.verdict == "found" and k > 0
+    got = out.feature
+    assert (got.model.item, got.model.params, got.phi, got.psi,
+            got.conjugators, got.pairing) == \
+        (ref.model.item, ref.model.params, ref.phi, ref.psi,
+         ref.conjugators, ref.pairing)
+    # negative controls: the replay rejects one changed image either way
+    mbe = default_backend(got.model.presentation)
+    pers = list(p.peripherals)
+    assert A.verify_hom_pair(got.model, mbe, p, be, got.phi, got.psi,
+                             pers) is not None
+    bad_phi = ((),) + got.phi[1:]
+    assert A.verify_hom_pair(got.model, mbe, p, be, bad_phi, got.psi,
+                             pers) is None
+    bad_psi = ((),) + got.psi[1:]
+    assert A.verify_hom_pair(got.model, mbe, p, be, got.phi, bad_psi,
+                             pers) is None
 
 
 def test_mirrors_splitting_hexagon():

@@ -45,7 +45,8 @@ def test_split_cyclic_no_splits(tmp_path, capsys):
 
 
 def test_split_exhausted_exit_code(g2_file, capsys):
-    rc = main(["split", g2_file, "--budget", "3"])
+    # with any budget the split search finds genus 2's HNN splitting
+    rc = main(["split", g2_file, "--budget", "0"])
     out = capsys.readouterr().out
     assert rc == 3
     assert "answer: exhausted" in out
@@ -182,3 +183,23 @@ def test_malformed_input_one_line_diagnostic(tmp_path, source_cli, name,
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "Traceback" not in proc.stderr, proc.stderr
     assert lines[0].startswith("jsj-forge: error: %s: " % bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--window", "3", "--const", "{const}"],
+    ["--window", "3,x", "--const", "{const}"],
+    ["--window", "3,1"],
+])
+def test_malformed_window_one_line_diagnostic(tmp_path, source_cli, argv):
+    grp = tmp_path / "ok.grp"
+    grp.write_text("gen a b\n")
+    const = tmp_path / "ok.const"
+    const.write_text("delta = 0\n")
+    prefix, env = source_cli
+    args = ["split", str(grp)] + [a.format(const=const) for a in argv]
+    proc = subprocess.run(prefix + args, capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert lines[0].startswith("jsj-forge: error: --window: ")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -293,6 +294,22 @@ def test_split_search_planted():
     assert out.verdict == "found"
     ok, _ = G.verify_split_witness(G2, be, out.feature)
     assert ok
+
+
+def test_split_search_finds_genus_two_hnn():
+    # the input relator abABcdCD already has the HNN shape t w1 t^-1 w2^-1
+    be = default_backend(G2)
+    out = G.split_search(G2, (), be, budget=12)
+    assert out.verdict == "found" and out.stats["candidates"] == 1
+    w = out.feature
+    assert w.kind == "hnn"
+    ok, report = G.verify_split_witness(G2, be, w)
+    assert ok, report
+    # negative controls: a trivial edge image, and swapped back-images
+    trivial_edge = dataclasses.replace(w, iota1=((),))
+    assert not G.verify_split_witness(G2, be, trivial_edge)[0]
+    swapped = dataclasses.replace(w, bwd=(w.bwd[1], w.bwd[0]) + w.bwd[2:])
+    assert not G.verify_split_witness(G2, be, swapped)[0]
 
 
 def test_decide_split_relative_vc_shortcut():

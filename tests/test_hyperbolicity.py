@@ -342,3 +342,22 @@ def test_certify_delta_matches_unclipped_distances(window, radius,
                         delta, worst = d, tri
     cert = certify_delta(space, radius, all_geodesics=all_geodesics)
     assert (cert.delta, cert.triangles, cert.worst) == (delta, count, worst)
+
+
+@pytest.mark.parametrize("all_geodesics", [False, True])
+def test_certify_delta_one_bfs_per_vertex(monkeypatch, all_geodesics):
+    """One clipped distance map per vertex of the radius-2 ball (17 on
+    F2), shared by the geodesic enumeration and the thinness check."""
+    import jsjforge.hyperbolicity as H
+    space = _window("gen a b\n", 5, 0)
+    calls = []
+    bfs = H.bfs_distances
+
+    def counted(space, sources, cutoff=None):
+        calls.append(cutoff)
+        return bfs(space, sources, cutoff)
+
+    monkeypatch.setattr(H, "bfs_distances", counted)
+    cert = certify_delta(space, 2, all_geodesics=all_geodesics)
+    assert cert.delta == 0 and cert.triangles == 680
+    assert calls == [4] * 17
