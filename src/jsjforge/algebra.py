@@ -15,8 +15,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .annulus import UnionFind
-from .words import Presentation, concat, conjugate, free_reduce, \
-    inverse_word, parse_word, substitute, word_to_str, words_shortlex
+from .words import BackendError, Presentation, concat, conjugate, \
+    free_reduce, inverse_word, parse_word, substitute, word_to_str, \
+    words_shortlex
+
+# vertex cap of the Cayley balls of radius 4*delta + 2 that bound torsion
+# orders here
+MAX_BALL = 200_000
+# cyclic_subgroup_contains follows powers of u whose normal forms stay
+# within the length of x plus POWER_SLACK
+POWER_SLACK = 8
 
 
 class BudgetError(Exception):
@@ -63,11 +71,11 @@ def subgroup_elements(backend, gens, max_syllables):
     return order
 
 
-def cyclic_subgroup_contains(backend, u, x, slack=8):
+def cyclic_subgroup_contains(backend, u, x):
     """Bounded test for x in <u>: compare normal forms against powers of
-    u whose normal forms stay within the length of x plus slack."""
+    u whose normal forms stay within the length of x plus POWER_SLACK."""
     nfx = backend.normalize(x)
-    limit = len(nfx) + slack
+    limit = len(nfx) + POWER_SLACK
     for sign in (1, -1):
         step = tuple(u) if sign == 1 else inverse_word(u)
         acc = ()
@@ -86,14 +94,14 @@ def cyclic_subgroup_contains(backend, u, x, slack=8):
 # finite normal subgroups
 
 
-def finite_normal_subgroups(p, backend, delta, max_ball=200_000):
+def finite_normal_subgroups(p, backend, delta):
     """All (finite) normal subgroups of the group whose elements lie in
     the ball of radius 4*delta + 2, plus the unique maximal one.
     Returns (subgroups, maximal), each subgroup a sorted list of normal
     forms."""
     from .geometry import CayleyBall
     radius = 4 * delta + 2
-    ball = CayleyBall(p, backend, radius, vertex_cap=max_ball)
+    ball = CayleyBall(p, backend, radius, vertex_cap=MAX_BALL)
     elems = [backend.normalize(w) for w in ball.words]
     elem_set = set(elems)
     order_bound = len(elems)
@@ -163,11 +171,10 @@ def finite_normal_subgroups(p, backend, delta, max_ball=200_000):
     return out, sorted(maximal)
 
 
-def effective_kernel_quotient(p, peripherals, backend, delta,
-                              max_ball=200_000):
+def effective_kernel_quotient(p, peripherals, backend, delta):
     """Quotient by the maximal finite normal subgroup: its elements are
     added as relators; peripheral words carry over verbatim."""
-    _, maximal = finite_normal_subgroups(p, backend, delta, max_ball)
+    _, maximal = finite_normal_subgroups(p, backend, delta)
     extra = tuple(w for w in maximal if w)
     new_rels = p.relators + tuple(w for w in extra if w not in p.relators)
     p2 = Presentation(p.generators, new_rels, tuple(peripherals))
@@ -195,7 +202,7 @@ def _commutator(x, y):
                               concat(inverse_word(x), inverse_word(y))))
 
 
-def vc_analyze(p, backend, delta, S, budget=6, max_ball=200_000):
+def vc_analyze(p, backend, delta, S, budget=6):
     """Is <S> virtually cyclic?  Runs the two legs of the decision in
     interleaved rounds: (i) find an infinite-order u with s u s^-1 in
     {u, u^-1} for all s in S and a closing coset system for <u> in <S>;
@@ -206,7 +213,7 @@ def vc_analyze(p, backend, delta, S, budget=6, max_ball=200_000):
     if not S:
         return VCReport("vc", vc_type="Z", overgroup=[], core=(),
                         budgets={"rounds": 0})
-    ball = CayleyBall(p, backend, 4 * delta + 2, vertex_cap=max_ball)
+    ball = CayleyBall(p, backend, 4 * delta + 2, vertex_cap=MAX_BALL)
     order_bound = ball.n
     elems_cache = {}
 
@@ -337,7 +344,6 @@ class OrbifoldModel:
     item: int
     params: tuple
     presentation: Presentation
-    strict: bool = True       # True = corrected reading of items 1 and 7
 
 
 def _pres(gens, rel_strings, per_lists):
@@ -353,86 +359,81 @@ def _rep(word_str, n):
     return word_str * n
 
 
-def orbifold_model(item, params=(), strict=True):
-    """The ten-item catalogue of small hyperbolic 2-orbifolds.  Items 1
-    and 7 in the source text have suspicious readings; strict=True uses
-    the corrected forms ((ab)^r and negative curvature), strict=False
-    the verbatim ones (ab^r and p+q >= 1)."""
+def orbifold_model(item, params=()):
+    """The ten-item catalogue of small hyperbolic 2-orbifolds, None for
+    parameters that leave the orbifold not hyperbolic.  Items 1 and 7
+    use the corrected readings of the source text: item 1's third
+    relator is (ab)^r, and item 7 requires 1/p + 1/q < 1."""
     if item == 1:
         p, q, r = params
         if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) >= 1:
             return None
-        third = _rep("ab", r) if strict else "a" + _rep("b", r)
-        pres = _pres("ab", ["a" * p, "b" * q, third], [])
-        return OrbifoldModel(1, params, pres, strict)
+        pres = _pres("ab", ["a" * p, "b" * q, _rep("ab", r)], [])
+        return OrbifoldModel(1, params, pres)
     if item == 2:
         p, q, r = params
         if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) >= 1:
             return None
         pres = _pres("abc", ["aa", "bb", "cc", _rep("ab", p),
                              _rep("bc", q), _rep("ca", r)], [])
-        return OrbifoldModel(2, params, pres, strict)
+        return OrbifoldModel(2, params, pres)
     if item == 3:
         p, q = params
         if p <= 1 or q <= 1:
             return None
         pres = _pres("ab", ["a" * p, "b" * q], [["ab"]])
-        return OrbifoldModel(3, params, pres, strict)
+        return OrbifoldModel(3, params, pres)
     if item == 4:
         (p,) = params
         if p <= 1:
             return None
         pres = _pres("ab", [_rep("ab", p)], [["a"], ["b"]])
-        return OrbifoldModel(4, params, pres, strict)
+        return OrbifoldModel(4, params, pres)
     if item == 5:
         # peripheral <c> with c = (ab)^-1, the pair-of-pants convention
         pres = _pres("ab", [], [["a"], ["b"], ["BA"]])
-        return OrbifoldModel(5, (), pres, strict)
+        return OrbifoldModel(5, (), pres)
     if item == 6:
         (p,) = params
         if p <= 1:
             return None
         pres = _pres("at", ["aa", "t" * p], [["a", "taT"]])
-        return OrbifoldModel(6, params, pres, strict)
+        return OrbifoldModel(6, params, pres)
     if item == 7:
         p, q = params
-        if strict:
-            if Fraction(1, p) + Fraction(1, q) >= 1:
-                return None
-        else:
-            if p + q < 1:
-                return None
+        if Fraction(1, p) + Fraction(1, q) >= 1:
+            return None
         pres = _pres("abc", ["aa", "bb", "cc", _rep("ab", p), _rep("bc", q)],
                      [["a", "c"]])
-        return OrbifoldModel(7, params, pres, strict)
+        return OrbifoldModel(7, params, pres)
     if item == 8:
         pres = _pres("at", ["aa"], [["a", "taT"]])
-        return OrbifoldModel(8, (), pres, strict)
+        return OrbifoldModel(8, (), pres)
     if item == 9:
         (p,) = params
         if p <= 1:
             return None
         pres = _pres("abc", ["aa", "bb", "cc", _rep("ab", p)],
                      [["b", "c"], ["c", "a"]])
-        return OrbifoldModel(9, params, pres, strict)
+        return OrbifoldModel(9, params, pres)
     if item == 10:
         pres = _pres("abc", ["aa", "bb", "cc"],
                      [["a", "b"], ["b", "c"], ["c", "a"]])
-        return OrbifoldModel(10, (), pres, strict)
+        return OrbifoldModel(10, (), pres)
     raise ValueError("catalogue items are 1..10")
 
 
 _PARAM_COUNTS = {1: 3, 2: 3, 3: 2, 4: 1, 5: 0, 6: 1, 7: 2, 8: 0, 9: 1, 10: 0}
 
 
-def catalogue_models(max_param, strict=True):
+def catalogue_models(max_param):
     """All models with parameters up to max_param, ordered by (parameter
     total, item, params) so enumeration grows evenly."""
     out = []
     for item, count in _PARAM_COUNTS.items():
         for params in itertools.product(range(2, max_param + 1),
                                         repeat=count):
-            m = orbifold_model(item, params, strict)
+            m = orbifold_model(item, params)
             if m is not None:
                 out.append(m)
     out.sort(key=lambda m: (sum(m.params), m.item, m.params))
@@ -527,8 +528,7 @@ def _inverse_pair(model, model_backend, p, backend, phi, psi, target_pers,
     return HomPairWitness(model, tuple(phi), tuple(psi), conjs, pairing)
 
 
-def small_orbifold_match(p, peripherals, backend, budget=3, strict=True,
-                         delta=0):
+def small_orbifold_match(p, peripherals, backend, budget=3, delta=0):
     """Interleaved enumeration of catalogue models and generator-image
     maps in both directions; the first verified inverse pair wins.  The
     underlying procedure is a semi-decision, so exhaustion is reported
@@ -548,14 +548,14 @@ def small_orbifold_match(p, peripherals, backend, budget=3, strict=True,
         pools = {}
         # catalogue parameters grow faster than map lengths: torsion
         # parameters are cheap to enumerate, long images are not
-        for model in catalogue_models(2 * L + 1, strict):
+        for model in catalogue_models(2 * L + 1):
             if len(model.presentation.peripherals) != len(pers_eff):
                 continue
             key = (model.item, model.params)
             if key not in backends:
                 try:
                     backends[key] = default_backend(model.presentation)
-                except Exception:
+                except BackendError:
                     backends[key] = None
             if backends[key] is None:
                 continue

@@ -70,13 +70,13 @@ class AnnulusDecomposition:
         return out
 
 
-def annulus_decompose(space, gamma, r, K, R, T=None, markers=None):
+def annulus_decompose(space, gamma, r, K, R, T=None):
     """Decompose the annulus around gamma (a vertex id path) within the
     window.  r, K, R may be exact rationals; shell membership compares
     integer BFS distances against them exactly.  When T is given, each
     A-component is tagged with the marker positions t (indices into
-    gamma, thick vertices only unless markers specifies otherwise) whose
-    T-ball around gamma(t) meets the component's C_K vertices."""
+    gamma of its thick vertices) whose T-ball around gamma(t) meets the
+    component's C_K vertices."""
     gamma = tuple(gamma)
     if not gamma:
         raise ValueError("empty path")
@@ -90,10 +90,10 @@ def annulus_decompose(space, gamma, r, K, R, T=None, markers=None):
         root for root, comp in comps.items() if comp & CK))
     marker_hits = {root: () for root in a_roots}
     if T is not None:
-        if markers is None:
-            markers = [t for t, v in enumerate(gamma) if space.height(v) == 0]
-        for t in markers:
-            ball_t = bfs_distances(space, [gamma[t]], cutoff=int(Fraction(T)))
+        for t, v in enumerate(gamma):
+            if space.height(v) != 0:
+                continue
+            ball_t = bfs_distances(space, [v], cutoff=int(Fraction(T)))
             hot = CK & set(ball_t)
             for root in a_roots:
                 if comps[root] & hot:
@@ -150,12 +150,11 @@ class HorseshoeDecomposition:
         return not self.components
 
 
-def horseshoe_decompose(space, gamma, r, K, R, min_depth=None):
+def horseshoe_decompose(space, gamma, r, K, R):
     """The A' decomposition for a horseshoe segment: endpoints at equal
-    horoball height (at least min_depth when given), hatted with vertical
-    rays to the window top; A' removes, from A around the hatted path,
-    the vertices at height >= the endpoint height lying within R of the
-    vertical tails."""
+    horoball height, hatted with vertical rays to the window top; A'
+    removes, from A around the hatted path, the vertices at height >= the
+    endpoint height lying within R of the vertical tails."""
     gamma = tuple(gamma)
     if len(gamma) < 2:
         raise ValueError("degenerate horseshoe segment (a = b)")
@@ -165,9 +164,6 @@ def horseshoe_decompose(space, gamma, r, K, R, min_depth=None):
         raise ValueError("endpoint heights differ: %d vs %d" % (ha, hb))
     if ha == 0:
         raise ValueError("horseshoe endpoints must lie in a horoball")
-    if min_depth is not None and ha < min_depth:
-        raise ValueError(
-            "endpoint height %d below required depth %s" % (ha, min_depth))
     tail_a = _up_ray(space, gamma[0])
     tail_b = _up_ray(space, gamma[-1])
     gamma_hat = tuple(reversed(tail_a)) + gamma[1:-1] + tuple(tail_b)

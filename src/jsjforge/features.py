@@ -271,12 +271,12 @@ def _first_verified(space, table, verify, candidates, budget, window_cut,
     return SearchOutcome("none-at-full-bound", stats=stats)
 
 
-def _geodesic_paths(space, base, length, depth_bound):
-    """All geodesic paths from the base of the exact length inside the
-    depth-bounded part, in deterministic order (extensions by sorted
-    neighbor id, which follows the shortlex vertex layout)."""
-    dist_base = bfs_distances(space, [base], cutoff=length)
-    stack = [(base,)]
+def _geodesic_paths(space, length, depth_bound):
+    """All geodesic paths from the base vertex 0 of the exact length
+    inside the depth-bounded part, in deterministic order (extensions by
+    sorted neighbor id, which follows the shortlex vertex layout)."""
+    dist_base = bfs_distances(space, [0], cutoff=length)
+    stack = [(0,)]
     while stack:
         path = stack.pop()
         if len(path) == length + 1:
@@ -317,7 +317,7 @@ def _horseshoe_paths(space, starts, length_bound):
 # cut pair search
 
 
-def search_cut_pair(space, table, budget=2000, base=0):
+def search_cut_pair(space, table, budget=2000):
     """Enumerate candidate periodic features (geodesic segments from the
     base, by length then discovery order), then horseshoe segments whose
     endpoints sit at height >= max(1, k); return the first candidate the
@@ -334,7 +334,7 @@ def search_cut_pair(space, table, budget=2000, base=0):
     periodic = (("periodic_candidates",
                  _periodic_candidate(space, path, eta, table, r, K, R))
                 for total in range(need, min(n_hi, space.R_max) + 1)
-                for path in _geodesic_paths(space, base, total, depth_bound))
+                for path in _geodesic_paths(space, total, depth_bound))
     starts = (v for v in space.vertices() if space.height(v) >= max(1, k))
     length_bound = floor_frac(Fraction(table["N_max"]) - 2 * Fraction(R)
                               + 2 * Fraction(table["eta"]))
@@ -495,7 +495,7 @@ def _verify_noncut_horseshoe(space, f, table):
     return all(ok for _, ok, _ in report), report
 
 
-def search_noncut_pair(space, table, budget=2000, base=0):
+def search_noncut_pair(space, table, budget=2000):
     """Mirror of search_cut_pair: triples of overlapping periodic
     segments (type 1), then horseshoe segments with endpoints at height
     exactly k (type 2), the only ones its verifier can accept."""
@@ -513,7 +513,7 @@ def search_noncut_pair(space, table, budget=2000, base=0):
     triples = (("triple_candidates",
                 _triple_candidate(space, path, lengths, eta))
                for lengths, total in totals if total <= space.R_max
-               for path in _geodesic_paths(space, base, total, k))
+               for path in _geodesic_paths(space, total, k))
     starts = (v for v in space.vertices() if space.height(v) == k > 0)
     length_bound = min(floor_frac(table["N3"]), 4 * space.R_max)
     horseshoes = (("horseshoe_candidates", NonCutFeature("horseshoe",

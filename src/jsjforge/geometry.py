@@ -134,6 +134,12 @@ class CayleyBall:
 # peripheral subgroups
 
 
+# element cap of a peripheral subgroup's graph, and the most spheres it
+# may grow before the window gives up on it
+PERIPHERAL_CAP = 200_000
+MAX_SPHERES = 4096
+
+
 class PeripheralGraph:
     """Finite chunk of the Cayley graph of a peripheral subgroup H with
     respect to its given generating words.  Elements are group elements of
@@ -141,7 +147,7 @@ class PeripheralGraph:
     abelian key on a Dehn backend); distances here are the intrinsic H
     word metric."""
 
-    def __init__(self, name, gens, backend, elem_cap=200_000):
+    def __init__(self, name, gens, backend):
         self.name = name
         self.gens = [free_reduce(g) for g in gens]
         self.elems = [()]
@@ -149,7 +155,6 @@ class PeripheralGraph:
         self._index.setdefault((), 0)
         self.adj = [[]]
         self._frontier = [0]
-        self.elem_cap = elem_cap
         self._steps = [g for g in self.gens] + [inverse_word(g) for g in self.gens]
 
     def grow(self, spheres):
@@ -163,10 +168,10 @@ class PeripheralGraph:
                     w = concat(self.elems[v], step)
                     u = self._index.setdefault(w, len(self.elems))
                     if u == len(self.elems):
-                        if u >= self.elem_cap:
+                        if u >= PERIPHERAL_CAP:
                             raise WindowError(
                                 "peripheral %s exceeded element cap %d"
-                                % (self.name, self.elem_cap)
+                                % (self.name, PERIPHERAL_CAP)
                             )
                         self.elems.append(w)
                         self.adj.append([])
@@ -178,11 +183,11 @@ class PeripheralGraph:
                             self.adj[u].append(v)
             self._frontier = nxt
 
-    def grow_until_gamma_length(self, needed_len, max_spheres=4096):
+    def grow_until_gamma_length(self, needed_len):
         """Grow until the newest sphere only holds elements longer than
         needed_len in the ambient generators (so every H-element at most
         that long has been seen), or the subgroup is exhausted."""
-        for _ in range(max_spheres):
+        for _ in range(MAX_SPHERES):
             if not self._frontier:
                 return
             if self._frontier and min(
@@ -192,7 +197,7 @@ class PeripheralGraph:
             self.grow(1)
         raise WindowError(
             "peripheral %s did not stabilize within %d spheres"
-            % (self.name, max_spheres)
+            % (self.name, MAX_SPHERES)
         )
 
     def member_id(self, word):
@@ -225,18 +230,17 @@ class CuspedSpace:
     horoballs of height at most h_max.  Thick vertex ids coincide with the
     underlying CayleyBall ids; horoball vertices follow."""
 
-    def __init__(self, presentation, backend, R_max, h_max,
-                 vertex_cap=2_000_000, peripheral_cap=200_000):
+    def __init__(self, presentation, backend, R_max, h_max):
         self.presentation = presentation
         self.backend = backend
         self.R_max = R_max
         self.h_max = h_max
-        self.ball = CayleyBall(presentation, backend, R_max, vertex_cap)
+        self.ball = CayleyBall(presentation, backend, R_max)
         self.pgraphs = []
         self.cosets = []  # per peripheral: list of dicts
         self._thick_memberships = [[] for _ in range(self.ball.n)]
         for pi, (name, gens) in enumerate(presentation.peripherals):
-            pg = PeripheralGraph(name, gens, backend, peripheral_cap)
+            pg = PeripheralGraph(name, gens, backend)
             pg.grow_until_gamma_length(2 * R_max)
             self.pgraphs.append(pg)
             self.cosets.append([])
@@ -438,12 +442,6 @@ class CuspedSpace:
         self.adjacency()
         col, k = divmod(vid - self.ball.n, self.h_max)
         return k + 1 >= self._boundary_height[col]
-
-
-def build_cusped_space(presentation, backend, R_max, h_max,
-                       vertex_cap=2_000_000, peripheral_cap=200_000):
-    return CuspedSpace(presentation, backend, R_max, h_max,
-                       vertex_cap, peripheral_cap)
 
 
 # ---------------------------------------------------------------------------

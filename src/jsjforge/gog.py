@@ -20,6 +20,11 @@ from .algebra import BudgetError, order_of, vc_analyze
 from .annulus import UnionFind
 
 MARKINGS = ("vc", "hangingFuchsian", "rigid", "unknown")
+# an amalgam match tries both sides for at most MAX_FREE_ASSIGN leftover
+# generators; a maximal splitting makes at most MAX_PASSES passes over
+# its vertices
+MAX_FREE_ASSIGN = 6
+MAX_PASSES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -648,16 +653,43 @@ class SplitWitness:
                          for side, ws, c in d["per_sides"]))
 
 
-def _sub_presentation(q, gen_indices, tag):
+def _sub_presentation(q, gen_indices):
     """Presentation on a subset of q's generators with the relators that
-    only involve them."""
+    only involve them, and the translator of q words into its indexing
+    (None for a word with a letter outside the subset)."""
     gen_indices = sorted(gen_indices)
     names = tuple(q.generators[i - 1] for i in gen_indices)
     remap = {g_: i + 1 for i, g_ in enumerate(gen_indices)}
-    rels = tuple(tuple(remap[x] if x > 0 else -remap[-x] for x in r)
-                 for r in q.relators
-                 if r and {abs(x) for x in r} <= set(gen_indices))
-    return Presentation(names, rels, ()), remap
+
+    def translate(word):
+        if not all(abs(x) in remap for x in word):
+            return None
+        return tuple(remap[x] if x > 0 else -remap[-x] for x in word)
+
+    rels = tuple(r for r in map(translate, q.relators) if r)
+    return Presentation(names, rels, ()), translate
+
+
+def _sides(w):
+    """(presentation, translator) of each side of a witness; an hnn's
+    second side is its first."""
+    side1 = _sub_presentation(w.q, w.s1)
+    if w.kind == "amalgam":
+        return side1, _sub_presentation(w.q, w.s2)
+    return side1, side1
+
+
+def _add_fragment(g, w, sides):
+    """Add the witness's fragment to g: two vertices joined by an edge
+    (amalgam) or one vertex with a loop (hnn).  Returns the side vertex
+    ids."""
+    (p1, to1), (p2, to2) = sides
+    pe, _ = _sub_presentation(w.q, w.s3)
+    v1 = g.add_vertex(p1)
+    v2 = g.add_vertex(p2) if w.kind == "amalgam" else v1
+    g.add_edge(v1, v2, pe, tuple(map(to1, w.iota1)),
+               tuple(map(to2, w.iota2)))
+    return v1, v2
 
 
 def verify_split_witness(p, backend, w, peripherals=(), budget=4, delta=0):
@@ -685,7 +717,7 @@ def verify_split_witness(p, backend, w, peripherals=(), budget=4, delta=0):
              == backend.normalize((i + 1,))
              for i in range(len(p.generators)))
     add("retraction", ok, "bwd o fwd is the identity")
-    p3, remap3 = _sub_presentation(w.q, w.s3, "edge")
+    p3, _ = _sub_presentation(w.q, w.s3)
     try:
         be3 = default_backend(p3)
         vc3 = vc_analyze(p3, be3, delta,
@@ -694,35 +726,22 @@ def verify_split_witness(p, backend, w, peripherals=(), budget=4, delta=0):
         add("1-edge-vc", vc3.verdict == "vc", "edge group virtually cyclic")
     except (BackendError, BudgetError) as exc:
         add("1-edge-vc", False, str(exc))
-    sides = [(w.s1, w.iota1)]
-    if w.kind == "amalgam":
-        sides.append((w.s2, w.iota2))
-    else:
-        sides.append((w.s1, w.iota2))
-    vertex_ps = []
-    for idx, (sgens, iota) in enumerate(sides):
-        pv, remap = _sub_presentation(w.q, sgens, "v%d" % idx)
-        vertex_ps.append((pv, remap))
+    for idx, ((pv, translate), iota) in enumerate(zip(_sides(w),
+                                                       (w.iota1, w.iota2))):
         try:
             bev = default_backend(pv)
         except BackendError as exc:
             add("2-injective", False, "side %d: %s" % (idx + 1, exc))
             continue
-        imgs = []
-        okv = True
-        for word in iota:
-            if not all(abs(x) in set(sgens) for x in word):
-                okv = False
-                break
-            imgs.append(tuple(remap[x] if x > 0 else -remap[-x]
-                              for x in word))
-        okv = okv and all(
+        imgs = [translate(word) for word in iota]
+        inside = None not in imgs
+        okv = inside and all(
             order_of(bev, im, _order_bound(pv, bev, delta)) is None
             for im in imgs)
         add("2-injective", okv,
             "side %d edge images have infinite order" % (idx + 1))
         if w.kind == "amalgam":
-            ok3 = not images_generate_abelianization(pv, imgs)
+            ok3 = inside and not images_generate_abelianization(pv, imgs)
             add("3-nonsurjective", ok3,
                 "side %d image misses the abelianization" % (idx + 1))
     for i, (side, qwords, c) in enumerate(w.per_sides):
@@ -758,29 +777,14 @@ def witness_to_gog(w):
     """Replacement fragment: two vertices and an edge (amalgam) or one
     vertex with a loop (hnn).  Returns (graph, side vertex ids)."""
     g = GraphOfGroups()
-    p1, remap1 = _sub_presentation(w.q, w.s1, "v1")
-    pe, _ = _sub_presentation(w.q, w.s3, "e")
-    inj1 = tuple(tuple(remap1[x] if x > 0 else -remap1[-x] for x in word)
-                 for word in w.iota1)
-    v1 = g.add_vertex(p1)
-    if w.kind == "amalgam":
-        p2, remap2 = _sub_presentation(w.q, w.s2, "v2")
-        inj2 = tuple(tuple(remap2[x] if x > 0 else -remap2[-x] for x in word)
-                     for word in w.iota2)
-        v2 = g.add_vertex(p2)
-        g.add_edge(v1, v2, pe, inj1, inj2)
-        return g, (v1, v2)
-    inj2 = tuple(tuple(remap1[x] if x > 0 else -remap1[-x] for x in word)
-                 for word in w.iota2)
-    g.add_edge(v1, v1, pe, inj1, inj2)
-    return g, (v1, v1)
+    return g, _add_fragment(g, w, _sides(w))
 
 
 # ---------------------------------------------------------------------------
 # split search
 
 
-def split_search(p, peripherals, backend, budget=50, depth=1, planted=()):
+def split_search(p, peripherals, backend, budget=50, planted=()):
     """Drive the presentation enumeration (optionally with planted
     candidates first) and pattern-match the amalgam and HNN shapes,
     checking the four splitting conditions.  Semi-decision: exhaustion
@@ -788,7 +792,7 @@ def split_search(p, peripherals, backend, budget=50, depth=1, planted=()):
     from .features import SearchOutcome
     stats = {"candidates": 0}
     stream = itertools.chain(
-        planted, enumerate_tietze(p, backend, depth=depth))
+        planted, enumerate_tietze(p, backend))
     for item in itertools.islice(stream, budget):
         stats["candidates"] += 1
         if isinstance(item, SplitWitness):
@@ -802,7 +806,7 @@ def split_search(p, peripherals, backend, budget=50, depth=1, planted=()):
     return SearchOutcome("none-in-budget", stats=stats)
 
 
-def _pattern_matches(item, p, backend, peripherals, max_free_assign=6):
+def _pattern_matches(item, p, backend, peripherals):
     q = item.presentation
     n = len(q.generators)
     rel_ix = list(enumerate(q.relators))
@@ -822,7 +826,7 @@ def _pattern_matches(item, p, backend, peripherals, max_free_assign=6):
             continue
         others = [r for i, r in rel_ix if i not in (i1, i2)]
         rest = sorted(set(range(1, n + 1)) - a_set - b_set - {z})
-        if len(rest) > max_free_assign:
+        if len(rest) > MAX_FREE_ASSIGN:
             continue
         for assign in itertools.product((0, 1), repeat=len(rest)):
             s1 = set(a_set)
@@ -951,16 +955,15 @@ def _small_orbifold_step(p, peripherals, backend, budget, delta, trace):
                          None, "unknown", tuple(trace))
 
 
-def decide_split_relative(p, peripherals=(), backend=None, budget=24,
-                          seeds=None, geometry=None, delta=0):
+def decide_split_relative(p, peripherals=(), budget=24, seeds=None,
+                          geometry=None, delta=0):
     """One round of the decision flow for a relative presentation: the
     virtually-cyclic gate, seeded facts (verified and labelled), the
     splitting search, and the geometric boundary leg when a cusped space
     and constant table are supplied as geometry=(space, table, n_cap).
     Every non-answer is an explicit exhaustion."""
     trace = ["Start"]
-    if backend is None:
-        backend = default_backend(p)
+    backend = default_backend(p)
     vc, vc_rep = _vc_screen(p, backend, delta, max(2, budget // 6), trace)
     if vc == "vc":
         return SplitDecision("no-splits", "virtually cyclic", vc_rep,
@@ -1021,41 +1024,21 @@ def decide_split_relative(p, peripherals=(), backend=None, budget=24,
 # maximal splitting
 
 
-def _reindex_to(sub_p, q, word):
-    idx = {g_: i + 1 for i, g_ in enumerate(sub_p.generators)}
-    out = []
-    for x in word:
-        name = q.generators[abs(x) - 1]
-        if name not in idx:
-            return None
-        out.append(idx[name] if x > 0 else -idx[name])
-    return tuple(out)
-
-
 def _replace_vertex(g, vid, w, rel_pers, extra_pers):
     """Replace a vertex by the two-vertex (or loop) fragment of a verified
     splitting witness and reattach incident edges through the witness's
     peripheral placements.  Returns the new vertex ids or None when a
     placement cannot be expressed inside its side group."""
-    p1, _ = _sub_presentation(w.q, w.s1, "")
-    pe, _ = _sub_presentation(w.q, w.s3, "")
-    p2 = p1
-    if w.kind == "amalgam":
-        p2, _ = _sub_presentation(w.q, w.s2, "")
-    side_ps = {1: p1, 2: p2}
+    sides = _sides(w)
     plan = []
     for (tag, _), (side, qwords, _) in zip(rel_pers, w.per_sides):
-        words = tuple(_reindex_to(side_ps[side], w.q, qw) for qw in qwords)
-        if any(word is None for word in words):
+        _, translate = sides[side - 1]
+        words = tuple(map(translate, qwords))
+        if None in words:
             return None
         plan.append((tag, side, words))
 
-    va = g.add_vertex(p1)
-    vb = g.add_vertex(p2) if w.kind == "amalgam" else va
-    inj1 = tuple(_reindex_to(p1, w.q, word) for word in w.iota1)
-    inj2 = tuple(_reindex_to(side_ps[2] if w.kind == "amalgam" else p1,
-                             w.q, word) for word in w.iota2)
-    g.add_edge(va, vb, pe, inj1, inj2)
+    va, vb = _add_fragment(g, w, sides)
     new_ids = {1: va, 2: vb}
 
     for tag, side, words in plan:
@@ -1089,7 +1072,7 @@ def _relative_peripherals(g, vid, extra_pers):
 
 
 def maximal_splitting(p, peripherals=(), budget=24, seeds=None, delta=0,
-                      geometry=None, max_passes=8):
+                      geometry=None):
     """Iteratively split vertex groups (relative to their incident edge
     groups and inherited peripheral structure) until every vertex is
     certified unsplittable or budgets run out.  Returns (graph, report);
@@ -1102,7 +1085,7 @@ def maximal_splitting(p, peripherals=(), budget=24, seeds=None, delta=0,
     log = []
     partial = False
     passes = 0
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         passes += 1
         progressed = False
         for vid in sorted(g.vertices):

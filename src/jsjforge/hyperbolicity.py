@@ -33,6 +33,12 @@ from fractions import Fraction
 from .geometry import bfs_distances, bfs_parents, path_to, shortest_path
 
 ROUND_DEN = 2 ** 20
+# certify_delta checks at most this many vertex triples, and at most
+# GEODESIC_CAP geodesics per pair when it takes all of them
+TRIPLE_BUDGET = 2_000_000
+GEODESIC_CAP = 10_000
+# ddag_search keeps the first MAX_FAILURES refuted pairs as its evidence
+MAX_FAILURES = 3
 
 
 class WindowInsufficient(RuntimeError):
@@ -79,7 +85,7 @@ class DeltaCertificate:
     worst: tuple = ()
 
 
-def certify_delta(space, radius, budget=2_000_000, all_geodesics=False):
+def certify_delta(space, radius, all_geodesics=False):
     """Minimal integer delta making every geodesic triangle on vertex
     triples within the given radius of the base thin: each side lies in
     the delta-neighbourhood of the union of the other two sides (checked
@@ -88,9 +94,9 @@ def certify_delta(space, radius, budget=2_000_000, all_geodesics=False):
     verts = sorted(u for u, d in space.distances(0).items() if d <= radius)
     m = len(verts)
     n_triples = m * (m - 1) * (m - 2) // 6
-    if n_triples > budget:
+    if n_triples > TRIPLE_BUDGET:
         raise WindowInsufficient(
-            "budget exceeded: %d triples > %d" % (n_triples, budget))
+            "budget exceeded: %d triples > %d" % (n_triples, TRIPLE_BUDGET))
     # one distance map per vertex, clipped at 2*radius and dropped at
     # return.  A side [a, b] has length d(a, b) <= 2*radius, so each of
     # its points lies within 2*radius of a or b, which the other two
@@ -152,7 +158,7 @@ def _triangle_thinness(dmaps, sides):
     return worst
 
 
-def _all_geodesics(space, x, y, dist, cap=10_000):
+def _all_geodesics(space, x, y, dist):
     """All geodesics from x to y via the BFS predecessor DAG, given a
     distance map dist from x that reaches at least as far as y."""
     if y not in dist:
@@ -164,7 +170,7 @@ def _all_geodesics(space, x, y, dist, cap=10_000):
         v = p[-1]
         if v == x:
             done.append(list(reversed(p)))
-            if len(done) > cap:
+            if len(done) > GEODESIC_CAP:
                 raise WindowInsufficient("all-geodesics cap exceeded")
             continue
         for u in space.neighbors(v):
@@ -250,7 +256,7 @@ class ConstantTable:
 
 
 def derive_constants(delta, delta_per=0, n=None, B=None, V=None,
-                     overrides=None, morse=None):
+                     overrides=None):
     """Evaluate the full constant chain in dependency order.
 
     delta: certified hyperbolicity constant (clamped to >= 1 for the
@@ -292,7 +298,7 @@ def derive_constants(delta, delta_per=0, n=None, B=None, V=None,
     if n is None:
         n = values["Kd"]
     n = put("n", n)
-    D = put("D", _morse_constant(lam, eps, delta) if morse is None else morse(lam, eps, delta))
+    D = put("D", _morse_constant(lam, eps, delta))
 
     # log_a(x) = 4*dv*log2(x); the argument mixes k2/k1 = 1/(3-2*sqrt(2))
     # = 3+2*sqrt(2) with the lacunarity factor 1/(1-a^-1).  mpmath is
@@ -496,7 +502,7 @@ class DdagReport:
     pairs_checked: int = 0
 
 
-def ddag_search(space, v, table, n_cap, eps=None, max_failures=3):
+def ddag_search(space, v, table, n_cap, eps=None):
     """The proof-driven search loop: for each n from Kd to n_cap check the
     double-dagger condition at eps = 10*delta over all star pairs in the
     ball of radius Rd(n) around v within the thick part of depth kd.
@@ -535,7 +541,7 @@ def ddag_search(space, v, table, n_cap, eps=None, max_failures=3):
                 reached = maps[cutoff] = bfs_parents(adj, x, n, dist_v,
                                                      cutoff)
             if y not in reached:
-                if len(report.failures) < max_failures:
+                if len(report.failures) < MAX_FAILURES:
                     report.failures.append((n, (x, y), m))
                 break
         else:

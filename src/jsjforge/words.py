@@ -92,11 +92,9 @@ def shortlex_key(word):
     return (len(word), tuple(letter_key(x) for x in word))
 
 
-def words_shortlex(n_gens, max_len, include_empty=True, reduced=True):
-    """Yield words over n_gens generators in shortlex order up to max_len.
-
-    With reduced=True only freely reduced words are produced.
-    """
+def words_shortlex(n_gens, max_len, include_empty=True):
+    """Yield the freely reduced words over n_gens generators in shortlex
+    order up to max_len."""
     letters = sorted(
         [i for i in range(1, n_gens + 1)] + [-i for i in range(1, n_gens + 1)],
         key=letter_key,
@@ -108,7 +106,7 @@ def words_shortlex(n_gens, max_len, include_empty=True, reduced=True):
         nxt = []
         for w in frontier:
             for x in letters:
-                if reduced and w and w[-1] == -x:
+                if w and w[-1] == -x:
                     continue
                 nxt.append(w + (x,))
         for w in nxt:
@@ -282,7 +280,7 @@ class WordProblemBackend:
         self.validated = False
         self.certificate = None
 
-    def validate(self, overlap_bound=64):
+    def validate(self):
         """Run the backend's soundness check.
 
         Returns a certificate dict on success and marks the backend
@@ -314,7 +312,7 @@ class FreeBackend(WordProblemBackend):
     kind = "free"
     canonical = True
 
-    def validate(self, overlap_bound=64):
+    def validate(self):
         if self.presentation.relators:
             raise BackendError(
                 "free backend requires no relators, got %d"
@@ -391,7 +389,7 @@ class DehnBackend(WordProblemBackend):
         for rw in sorted(sym, key=lambda w: (-len(w), shortlex_key(w))):
             self._sym_from.setdefault(rw[0], []).append(rw)
 
-    def validate(self, overlap_bound=64):
+    def validate(self):
         rels = self.presentation.relators
         if not rels:
             raise BackendError("dehn backend needs at least one relator")
@@ -452,6 +450,11 @@ class DehnBackend(WordProblemBackend):
         return w
 
 
+# rewrite-step factor of the rewriting backend's critical-pair check: a
+# pair's rewrite may take OVERLAP_BOUND * max(8, |word|) steps
+OVERLAP_BOUND = 64
+
+
 class RewritingBackend(WordProblemBackend):
     """Length/shortlex-reducing string rewriting with a bounded-overlap
     confluence check.  Free cancellation rules are built in."""
@@ -467,7 +470,7 @@ class RewritingBackend(WordProblemBackend):
             (pair, ()) for i in range(1, presentation.n_gens + 1)
             for pair in ((i, -i), (-i, i))]
 
-    def validate(self, overlap_bound=64):
+    def validate(self):
         for l, r in self.rules:
             if not l:
                 raise BackendError("empty left-hand side in rule")
@@ -486,8 +489,8 @@ class RewritingBackend(WordProblemBackend):
                 a = r1 + l2[k:]
                 b = l1[:-k] + r2
                 checked += 1
-                na = self._rewrite(a, cap=overlap_bound)
-                nb = self._rewrite(b, cap=overlap_bound)
+                na = self._rewrite(a, cap=OVERLAP_BOUND)
+                nb = self._rewrite(b, cap=OVERLAP_BOUND)
                 if na != nb:
                     raise BackendError(
                         "critical pair from overlap %r does not resolve: "
@@ -501,8 +504,8 @@ class RewritingBackend(WordProblemBackend):
                     a = r1
                     b = l1[:j] + r2 + l1[j + len(l2):]
                     checked += 1
-                    na = self._rewrite(a, cap=overlap_bound)
-                    nb = self._rewrite(b, cap=overlap_bound)
+                    na = self._rewrite(a, cap=OVERLAP_BOUND)
+                    nb = self._rewrite(b, cap=OVERLAP_BOUND)
                     if na != nb:
                         raise BackendError(
                             "critical pair from containment in %r does not "
@@ -513,7 +516,7 @@ class RewritingBackend(WordProblemBackend):
             "kind": self.kind,
             "rules": len(self.rules),
             "critical_pairs": checked,
-            "overlap_bound": overlap_bound,
+            "overlap_bound": OVERLAP_BOUND,
         }
         return self.certificate
 
@@ -541,15 +544,6 @@ class RewritingBackend(WordProblemBackend):
     def normalize(self, word):
         self._require_valid()
         return self._rewrite(word)
-
-
-def validate_backend(presentation, backend, overlap_bound=64):
-    """Validate; returns (True, certificate) or (False, diagnostic dict)."""
-    try:
-        cert = backend.validate(overlap_bound=overlap_bound)
-        return True, cert
-    except BackendError as e:
-        return False, {"kind": backend.kind, "reason": str(e)}
 
 
 def cyclic_power_rules(gen, p):
@@ -590,28 +584,28 @@ def torsion_rewriting_rules(presentation):
     return rules
 
 
-def default_backend(presentation, overlap_bound=64):
+def default_backend(presentation):
     """Pick and validate a backend: free, then Dehn, then torsion rewriting."""
     if not presentation.relators:
         b = FreeBackend(presentation)
         b.validate()
         return b
+    def candidates():
+        yield DehnBackend(presentation)
+        rules = torsion_rewriting_rules(presentation)
+        if rules is not None:
+            yield RewritingBackend(presentation, rules)
+
     attempts = []
-    b = DehnBackend(presentation)
-    ok, info = validate_backend(presentation, b, overlap_bound)
-    if ok:
-        return b
-    attempts.append(info)
-    rules = torsion_rewriting_rules(presentation)
-    if rules is not None:
-        b = RewritingBackend(presentation, rules)
-        ok, info = validate_backend(presentation, b, overlap_bound)
-        if ok:
+    for b in candidates():
+        try:
+            b.validate()
             return b
-        attempts.append(info)
+        except BackendError as e:
+            attempts.append("%s (%s)" % (b.kind, e))
     raise BackendError(
         "no backend validates for this presentation; tried %s"
-        % "; ".join("%(kind)s (%(reason)s)" % a for a in attempts)
+        % "; ".join(attempts)
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import jsjforge
 from jsjforge.words import parse_presentation, default_backend
-from jsjforge.geometry import build_cusped_space
+from jsjforge.geometry import CuspedSpace
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +17,7 @@ def free2():
 @pytest.fixture(scope="session")
 def free2_space(free2):
     p, be = free2
-    return build_cusped_space(p, be, R_max=8, h_max=0)
+    return CuspedSpace(p, be, R_max=8, h_max=0)
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +30,7 @@ def line_pair():
 @pytest.fixture(scope="session")
 def line_space(line_pair):
     p, be = line_pair
-    return build_cusped_space(p, be, R_max=16, h_max=6)
+    return CuspedSpace(p, be, R_max=16, h_max=6)
 
 
 @pytest.fixture()

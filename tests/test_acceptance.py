@@ -21,7 +21,7 @@ from jsjforge import algebra as A
 from jsjforge import features as F
 from jsjforge import gog as G
 from jsjforge.annulus import annulus_decompose, component_count_stability
-from jsjforge.geometry import build_cusped_space, distance
+from jsjforge.geometry import CuspedSpace, distance
 from jsjforge.hyperbolicity import (certify_delta, check_ddag, ddag_search,
                                     derive_constants, star_pairs_iter)
 from jsjforge.words import (Presentation, default_backend,
@@ -50,7 +50,7 @@ def test_criterion_01_horoball_metric_oracle():
     """Horoball BFS distances on (Z, {Z}) match an independent oracle."""
     with _clock(10):
         p = parse_presentation("gen a\nper P = a\n")
-        space = build_cusped_space(p, default_backend(p), R_max=64, h_max=8)
+        space = CuspedSpace(p, default_backend(p), R_max=64, h_max=8)
         oracle = _line_oracle(64, 8)
         for j in range(6):
             x = space.ball.vertex_id((1,) * 2 ** j)
@@ -110,9 +110,9 @@ def test_criterion_03_ddag_negative_control():
     with _clock(60):
         p = parse_presentation("gen a b\n")
         be = default_backend(p)
-        assert certify_delta(build_cusped_space(p, be, R_max=8, h_max=0),
+        assert certify_delta(CuspedSpace(p, be, R_max=8, h_max=0),
                              3).delta == 0
-        space = build_cusped_space(p, be, R_max=12, h_max=0)
+        space = CuspedSpace(p, be, R_max=12, h_max=0)
         tab = derive_constants(0, 0, n=4, B=3, V=4,
                                overrides={"kd": 0, "Kd": 1})
         rep = ddag_search(space, 0, tab, n_cap=20)
@@ -141,9 +141,9 @@ def _nx_components(space, vertex_set):
 
 def _spaces():
     p1 = parse_presentation("gen a\nper P = a\n")
-    line = build_cusped_space(p1, default_backend(p1), R_max=16, h_max=6)
+    line = CuspedSpace(p1, default_backend(p1), R_max=16, h_max=6)
     p2 = parse_presentation("gen a b\n")
-    free2 = build_cusped_space(p2, default_backend(p2), R_max=8, h_max=0)
+    free2 = CuspedSpace(p2, default_backend(p2), R_max=8, h_max=0)
     return line, free2
 
 
@@ -204,7 +204,7 @@ def test_criterion_06_cut_pair_round_trip():
     with _clock(120):
         p = parse_presentation("gen a b\n")
         be = default_backend(p)
-        space = build_cusped_space(p, be, R_max=8, h_max=0)
+        space = CuspedSpace(p, be, R_max=8, h_max=0)
         tab = derive_constants(0, 0, n=4, B=3, V=4, overrides=F2_OV)
         out = F.search_cut_pair(space, tab, budget=5000)
         assert out.verdict == "found"
@@ -212,7 +212,7 @@ def test_criterion_06_cut_pair_round_trip():
         ok, report = F.verify_cut_pair_feature(space, f, tab)
         assert ok, [d for c, o, d in report if not o]
         # the core extends to a verified periodic local geodesic
-        deep = build_cusped_space(p, be, R_max=10, h_max=0)
+        deep = CuspedSpace(p, be, R_max=10, h_max=0)
         f10 = F.search_cut_pair(deep, tab, budget=5000).feature
         path = F.build_periodic_path(deep, f10, range(-3, 4))
         assert path is not None

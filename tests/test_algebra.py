@@ -113,7 +113,12 @@ def test_orbifold_model_catalogue_items():
 def test_orbifold_model_strict_constraints():
     # (2,3,5) is spherical: excluded by the hyperbolic-area bound
     assert A.orbifold_model(1, (2, 3, 5)) is None
-    assert A.orbifold_model(1, (2, 3, 7)) is not None
+    m1 = A.orbifold_model(1, (2, 3, 7))
+    assert m1 is not None
+    # the corrected readings: item 1's third relator is (ab)^r, and item
+    # 7 needs 1/p + 1/q < 1
+    assert m1.presentation.relators[2] == (1, 2) * 7
+    assert A.orbifold_model(7, (2, 2)) is None
 
 
 def test_catalogue_models_sorted_and_bounded():
@@ -151,6 +156,28 @@ def test_small_orbifold_match_negative():
     be = default_backend(p)
     out = A.small_orbifold_match(p, list(p.peripherals), be, budget=2)
     assert out.verdict == "none-in-budget"
+
+
+def test_small_orbifold_match_propagates_backend_faults(monkeypatch):
+    # a BackendError means "this model has no backend": the model is
+    # skipped; any other error while building a backend propagates
+    import jsjforge.words
+    from jsjforge.words import BackendError
+    p = parse_presentation("gen a b\nper P = a\nper Q = b\nper R = ab\n")
+    be = default_backend(p)
+
+    def no_backend(presentation):
+        raise BackendError("no backend")
+
+    def broken(presentation):
+        raise RuntimeError("broken backend")
+
+    monkeypatch.setattr(jsjforge.words, "default_backend", no_backend)
+    out = A.small_orbifold_match(p, list(p.peripherals), be, budget=1)
+    assert out.verdict == "none-in-budget"
+    monkeypatch.setattr(jsjforge.words, "default_backend", broken)
+    with pytest.raises(RuntimeError, match="broken backend"):
+        A.small_orbifold_match(p, list(p.peripherals), be, budget=1)
 
 
 def _pair_loop_match(p, peripherals, backend, budget):

@@ -55,9 +55,9 @@ def test_cut_pair_serialization_round_trip(free2_space):
 def test_cut_pair_periodic_path(free2):
     # m = -3..3 translates of the core need a window deep enough to hold
     # seven copies of the period
-    from jsjforge.geometry import build_cusped_space
+    from jsjforge.geometry import CuspedSpace
     p, be = free2
-    space = build_cusped_space(p, be, R_max=10, h_max=0)
+    space = CuspedSpace(p, be, R_max=10, h_max=0)
     tab = _table(**F2_OV)
     f = F.search_cut_pair(space, tab, budget=5000).feature
     path = F.build_periodic_path(space, f, range(-3, 4))

@@ -5,8 +5,8 @@ from collections import deque
 import networkx as nx
 import pytest
 
-from jsjforge.geometry import (CayleyBall, HoroVertex, bfs_distances,
-                               build_cusped_space, distance, gromov_product,
+from jsjforge.geometry import (CayleyBall, CuspedSpace, HoroVertex,
+                               bfs_distances, distance, gromov_product,
                                is_local_geodesic, shortest_path,
                                valence_stats, vertex_label)
 from jsjforge.words import parse_presentation, default_backend
@@ -129,7 +129,7 @@ ADJACENCY_GOLDEN = [
 @pytest.mark.parametrize("text,R,h,n,digest", ADJACENCY_GOLDEN)
 def test_window_adjacency_golden(text, R, h, n, digest):
     p = parse_presentation(text)
-    space = build_cusped_space(p, default_backend(p), R_max=R, h_max=h)
+    space = CuspedSpace(p, default_backend(p), R_max=R, h_max=h)
     assert space.n == n
     hsh = hashlib.sha256()
     for v in space.vertices():
@@ -157,7 +157,7 @@ def test_horoball_edges_and_boundary_match_oracle(text, R, h):
     d <= 2**k, and a horoball vertex is a boundary vertex iff it is at the
     top or an element outside its coset's offsets lies within 2**k."""
     p = parse_presentation(text)
-    space = build_cusped_space(p, default_backend(p), R_max=R, h_max=h)
+    space = CuspedSpace(p, default_backend(p), R_max=R, h_max=h)
     want = {v: {u for _, u in space.ball.neighbors(v)}
             for v in range(space.ball.n)}
     boundary = {v: space.ball.dist[v] >= R for v in range(space.ball.n)}
@@ -233,7 +233,7 @@ F2_CUSPED = "gen a b\nper A = a\n"
 
 def _window(text, R, h):
     p = parse_presentation(text)
-    return build_cusped_space(p, default_backend(p), R, h)
+    return CuspedSpace(p, default_backend(p), R, h)
 
 
 def _nx_window(space):

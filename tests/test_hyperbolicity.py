@@ -6,7 +6,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from jsjforge.geometry import build_cusped_space, shortest_path
+from jsjforge.geometry import CuspedSpace, shortest_path
 from jsjforge.hyperbolicity import (ceil_frac, certify_delta, check_ddag,
                                     ddag_search, derive_constants, floor_frac,
                                     parse_const_file, star_pairs_iter)
@@ -27,9 +27,9 @@ def test_certify_delta_tree_is_zero(free2_space):
 
 
 def test_certify_delta_line_with_horoball(line_pair):
-    from jsjforge.geometry import build_cusped_space
+    from jsjforge.geometry import CuspedSpace
     p, be = line_pair
-    space = build_cusped_space(p, be, R_max=6, h_max=2)
+    space = CuspedSpace(p, be, R_max=6, h_max=2)
     cert = certify_delta(space, 3)
     assert cert.delta <= 2
 
@@ -124,7 +124,7 @@ LINE = "gen a\nper P = a\n"
 
 def _window(text, R, h):
     p = parse_presentation(text)
-    return build_cusped_space(p, default_backend(p), R_max=R, h_max=h)
+    return CuspedSpace(p, default_backend(p), R_max=R, h_max=h)
 
 
 def _nx_window(space):

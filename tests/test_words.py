@@ -110,6 +110,23 @@ def test_torsion_rewriting_via_default_backend():
     assert len({be.normalize((1,) * i) for i in range(5)}) == 5
 
 
+def test_default_backend_names_every_failed_attempt():
+    # two-letter relator: no torsion rules, and Dehn's check fails
+    p = parse_presentation("gen a b\nrel abab\n")
+    with pytest.raises(BackendError) as exc:
+        default_backend(p)
+    assert str(exc.value).startswith(
+        "no backend validates for this presentation; tried dehn "
+        "(small-cancellation check failed: piece (1, 2, 1)")
+
+
+def test_default_backend_falls_back_to_torsion_rewriting():
+    p = parse_presentation("gen a b\nrel aaa\nrel bb\n")
+    be = default_backend(p)
+    assert isinstance(be, RewritingBackend)
+    assert be.certificate["overlap_bound"] == 64
+
+
 def test_rewriting_backend_z2_x_z():
     # <a,b | a^2, abAB>: hand-built confluent shortlex rules
     p = Presentation(("a", "b"), ((1, 1), (1, 2, -1, -2)), ())
