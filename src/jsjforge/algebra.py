@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from .annulus import UnionFind
 from .words import BackendError, Presentation, concat, conjugate, \
-    free_reduce, inverse_word, parse_word, substitute, word_to_str, \
-    words_shortlex
+    free_reduce, inverse_word, parse_word, substitute, words_shortlex
 
 # vertex cap of the Cayley balls of radius 4*delta + 2 that bound torsion
 # orders here
@@ -464,8 +463,8 @@ def _peripherals_match(backend, model_per_images, target_pers, budget):
     if len(model_per_images) != len(target_pers):
         return None
     n_target = len(target_pers)
-    conj_words = [()] + [w for w in words_shortlex(
-        _backend_ngens(backend), budget)]
+    conj_words = [()] + list(words_shortlex(
+        len(backend.presentation.generators), budget))
     for pairing in itertools.permutations(range(n_target)):
         conjs = []
         ok = True
@@ -489,10 +488,6 @@ def _peripherals_match(backend, model_per_images, target_pers, budget):
         if ok:
             return pairing, tuple(conjs)
     return None
-
-
-def _backend_ngens(backend):
-    return len(backend.presentation.generators)
 
 
 def verify_hom_pair(model, model_backend, p, backend, phi, psi,

@@ -8,7 +8,7 @@ part of the tails' R-neighbourhood.  Connectivity is graph connectivity
 of the window's 1-skeleton using all edge kinds.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import bfs_distances

@@ -7,16 +7,19 @@ transformations to a saved graph-of-groups document.
 
 Exit codes: 0 decided, 2 usage error or malformed input file (one line
 `jsj-forge: error: FILE: message`, or `--window: message` for a bad or
-unpaired `--window`, on standard error), 3 exhausted
-(budget ran out), 4 window insufficient (the truncated geometric window
-provably cannot certify an answer at the requested parameters).
+unpaired `--window`, on standard error; a `--window` on a presentation
+that no word-problem backend accepts reads `FILE: no word-problem
+backend: ...`), 3 exhausted (budget ran out, or no word-problem backend
+for `split`, `maximal` and `jsj` without a window), 4 window
+insufficient (the truncated geometric window provably cannot certify an
+answer at the requested parameters).
 """
 
 import argparse
 import json
 import sys
 
-from .words import default_backend, parse_presentation
+from .words import BackendError, default_backend, parse_presentation
 from .geometry import CuspedSpace
 from .hyperbolicity import derive_constants, parse_const_file
 from .gog import (GraphOfGroups, assemble_jsj, collapse_edges,
@@ -86,7 +89,10 @@ def _geometry(args, presentation):
                      "got %r" % args.window)
     r_max, h_max = (int(x) for x in window)
     table = _read(_load_table, args.const)
-    backend = default_backend(presentation)
+    try:
+        backend = default_backend(presentation)
+    except BackendError as exc:
+        _usage_error(args.input, "no word-problem backend: %s" % exc)
     space = CuspedSpace(presentation, backend, r_max, h_max)
     return space, table, args.n_cap
 

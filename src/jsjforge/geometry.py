@@ -54,7 +54,6 @@ class CayleyBall:
     """
 
     def __init__(self, presentation, backend, radius, vertex_cap=2_000_000):
-        backend._require_valid()
         self.presentation = presentation
         self.radius = radius
         # sorted so that letters[i ^ 1] is the inverse of letters[i]

@@ -11,7 +11,7 @@ use and labelled in the decision trace.
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .words import BackendError, Presentation, abelianization_rank, \
     concat, conjugate, default_backend, enumerate_tietze, free_reduce, \
@@ -96,16 +96,6 @@ class GraphOfGroups:
                                   tuple(map(tuple, inj_target)))
         return eid
 
-    def incident(self, vid):
-        out = []
-        for eid in sorted(self.edges):
-            e = self.edges[eid]
-            if e.source == vid:
-                out.append((eid, 0))
-            if e.target == vid:
-                out.append((eid, 1))
-        return out
-
     def copy(self):
         g = GraphOfGroups(self.flavor)
         for vid in sorted(self.vertices):
@@ -179,22 +169,23 @@ class GraphOfGroups:
         return "\n".join(lines)
 
 
-def validate_gog(g, budget=3, delta=1):
-    """Itemized diagnostics: monomorphism arity and relator-image checks
-    in the endpoint backends, marking sanity, edge-group VC notes."""
+def validate_gog(g):
+    """Itemized diagnostics: marking sanity, edge-map arity and range,
+    relator images checked in the endpoint backends, and generators sent
+    to the identity judged in the edge group's backend."""
     diags = []
     backends = {}
 
-    def be(vid):
-        if vid not in backends:
+    def be(what, i, presentation):
+        """The backend of vertex or edge i, or None (diagnosed once)."""
+        if (what, i) not in backends:
             try:
-                backends[vid] = default_backend(
-                    g.vertices[vid].presentation)
+                backends[what, i] = default_backend(presentation)
             except BackendError as exc:
-                backends[vid] = None
-                diags.append("vertex %d: no validated backend (%s)"
-                             % (vid, exc))
-        return backends[vid]
+                backends[what, i] = None
+                diags.append("%s %d: no validated backend (%s)"
+                             % (what, i, exc))
+        return backends[what, i]
 
     for vid, v in sorted(g.vertices.items()):
         if v.marking not in MARKINGS:
@@ -217,7 +208,7 @@ def validate_gog(g, budget=3, delta=1):
                 diags.append("edge %d (%s): image uses generator index %d "
                              "outside vertex %d" % (eid, end, bad[0], vid))
                 continue
-            b = be(vid)
+            b = be("vertex", vid, g.vertices[vid].presentation)
             if b is None:
                 continue
             for r in e.presentation.relators:
@@ -226,19 +217,14 @@ def validate_gog(g, budget=3, delta=1):
                         "edge %d (%s): relator image %r is not trivial in "
                         "vertex %d" % (eid, end, r, vid))
             for i, w in enumerate(inj):
-                if not b.normalize(tuple(w)) and \
-                        order_of(be_or_free(e), (i + 1,), 4) is None:
+                if b.normalize(tuple(w)):
+                    continue
+                # judged in the edge group, when it has a backend
+                eb = be("edge", eid, e.presentation)
+                if eb is not None and order_of(eb, (i + 1,), 4) is None:
                     diags.append("edge %d (%s): generator %d maps to the "
                                  "identity" % (eid, end, i))
     return diags
-
-
-def be_or_free(e):
-    try:
-        return default_backend(e.presentation)
-    except BackendError:
-        from .words import FreeBackend
-        return FreeBackend(Presentation(e.presentation.generators, (), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -961,9 +947,14 @@ def decide_split_relative(p, peripherals=(), budget=24, seeds=None,
     virtually-cyclic gate, seeded facts (verified and labelled), the
     splitting search, and the geometric boundary leg when a cusped space
     and constant table are supplied as geometry=(space, table, n_cap).
-    Every non-answer is an explicit exhaustion."""
+    Every non-answer is an explicit exhaustion, including a presentation
+    that no word-problem backend accepts."""
     trace = ["Start"]
-    backend = default_backend(p)
+    try:
+        backend = default_backend(p)
+    except BackendError as exc:
+        return SplitDecision("exhausted", "no word-problem backend: %s" % exc,
+                             None, "unknown", tuple(trace))
     vc, vc_rep = _vc_screen(p, backend, delta, max(2, budget // 6), trace)
     if vc == "vc":
         return SplitDecision("no-splits", "virtually cyclic", vc_rep,
@@ -1094,17 +1085,8 @@ def maximal_splitting(p, peripherals=(), budget=24, seeds=None, delta=0,
             rel = _relative_peripherals(g, vid, extra_pers)
             pers = tuple(pair for _, pair in rel)
             pv = g.vertices[vid].presentation
-            try:
-                dec = decide_split_relative(pv, pers, budget=budget,
-                                            seeds=seeds, delta=delta,
-                                            geometry=geometry)
-            except BackendError as exc:
-                decided[vid] = "unknown"
-                g.vertices[vid].marking = "unknown"
-                log.append((vid, "exhausted", "no word-problem backend: %s"
-                            % exc, ("Start",)))
-                partial = True
-                continue
+            dec = decide_split_relative(pv, pers, budget=budget, seeds=seeds,
+                                        delta=delta, geometry=geometry)
             log.append((vid, dec.answer, dec.reason, dec.trace))
             if dec.answer == "splits":
                 new_ids = _replace_vertex(g, vid, dec.witness, rel,

@@ -293,11 +293,9 @@ def derive_constants(delta, delta_per=0, n=None, B=None, V=None,
     M = put("M", 6 * (C + 45 * delta) + 2 * delta + 3)
     lam = put("lam", Fraction(12 * delta + 1, 5 * delta + 1))
     eps = put("eps", 2 * delta)
-    kd = put("kd", 2 * M)
+    put("kd", 2 * M)
     Kd = put("Kd", 3 * 2 ** (2 * M + 3) + M + 3)
-    if n is None:
-        n = values["Kd"]
-    n = put("n", n)
+    n = put("n", Kd if n is None else n)
     D = put("D", _morse_constant(lam, eps, delta))
 
     # log_a(x) = 4*dv*log2(x); the argument mixes k2/k1 = 1/(3-2*sqrt(2))
@@ -320,27 +318,19 @@ def derive_constants(delta, delta_per=0, n=None, B=None, V=None,
 
     r_bound = max(Fraction(D), 2 * shadow_term + M + 12 * delta + D)
     r = put("r", floor_frac(r_bound) + 1)  # strict inequality
-    K = put("K", ceil_frac(Fraction(values["r"]) + D + delta + C))
+    K = put("K", ceil_frac(Fraction(r) + D + delta + C))
     R = put("R", ceil_frac(4 * delta + D
-                           + max(Fraction(values["r"] + 4 * delta + 1),
-                                 Fraction(values["K"]))))
-    T_bound = hollow_term + 3 * D + 2 * delta + values["K"]
+                           + max(Fraction(r + 4 * delta + 1), Fraction(K))))
+    T_bound = hollow_term + 3 * D + 2 * delta + K
     T = put("T", max(0, ceil_frac(T_bound)))  # clamped at 0
     k = put("k", ceil_frac(max(Fraction(8 * delta + 1),
                                log2_upper(2 * delta_per + 1),
-                               Fraction(values["T"] + values["R"]))))
-    R = values["R"]
-    T = values["T"]
-    k = values["k"]
-    r = values["r"]
-    K = values["K"]
-    lam = values["lam"]
-    eps = values["eps"]
+                               Fraction(T + R))))
     rho = put("rho", (2 * R + eps) * lam ** 2 + eps + R)
     eta = put("eta", max(Fraction(8 * delta + 1, 2),
                          lam * (T + K) + lam * eps,
                          lam * (R + r) + lam * eps,
-                         lam * (R + values["rho"]) + lam * eps))
+                         lam * (R + rho) + lam * eps))
     N_min = put("N_min", max(Fraction(8 * delta + 1),
                              lam * (2 * R + 1) + lam * eps + 1))
     values["B"] = B
@@ -355,18 +345,15 @@ def derive_constants(delta, delta_per=0, n=None, B=None, V=None,
     B = values["B"]
     V = values["V"]
     if B is not None and V is not None:
-        eta2 = ceil_frac(2 * values["eta"])  # integer exponent, rounded up
+        eta2 = ceil_frac(2 * eta)  # integer exponent, rounded up
         bulk = (k + R + 1) * B ** eta2
-        put("N_max", values["N_min"] * bulk * 2 ** V + 1)
-        put("N1", 2 * (V - 1) * (bulk * V ** (V + 1) + 2 * values["eta"])
-            + 2 * values["eta"] + 2 * (bulk + 1))
+        put("N_max", N_min * bulk * 2 ** V + 1)
+        put("N1", 2 * (V - 1) * (bulk * V ** (V + 1) + 2 * eta)
+            + 2 * eta + 2 * (bulk + 1))
         put("N2", bulk + 1)
-        put("N3", 2 * bulk * V ** (V + 1) + 4 * values["eta"])
-    else:
-        for name in ("N_max", "N1", "N2", "N3"):
-            if name in overrides:
-                values[name] = overrides.pop(name)
-                prov[name] = "override"
+        put("N3", 2 * bulk * V ** (V + 1) + 4 * eta)
+    # what is left: overrides of names no formula above set, and the N
+    # bounds when B or V is unknown
     for name, v in overrides.items():
         values[name] = v
         prov[name] = "override"

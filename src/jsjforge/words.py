@@ -5,19 +5,18 @@ A word is a tuple of nonzero ints: ``i > 0`` means generator number ``i``
 generators, uppercase letters their inverses, and juxtaposition is the
 product, so ``"abAB"`` is the commutator of the first two generators.
 
-Three word-problem backends are provided.  Each must be validated before
-use: the free backend accepts only relator-free presentations, the Dehn
+Three word-problem backends are provided.  Each runs its soundness
+check when it is built, so a backend object that exists has passed it:
+the free backend accepts only relator-free presentations, the Dehn
 backend checks a syntactic metric small-cancellation condition on the
 symmetrized relators, and the rewriting backend checks that a supplied
 shortlex-reducing rule set has confluent critical pairs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 import itertools
 import math
-
-Word = tuple  # tuple of nonzero ints
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -33,7 +32,7 @@ class ParseError(ValueError):
 
 
 class BackendError(ValueError):
-    """Raised when a backend is used unvalidated or cannot be built."""
+    """Raised when a backend cannot be built: its soundness check fails."""
 
 
 # ---------------------------------------------------------------------------
@@ -270,29 +269,16 @@ def parse_presentation(text):
 
 
 class WordProblemBackend:
-    """Base class.  canonical=True means normalize() is a normal form."""
+    """Base class.  Each constructor runs the backend's soundness check,
+    keeps its result as the certificate dict, and raises BackendError
+    with a diagnostic when it fails.  canonical=True means normalize()
+    is a normal form."""
 
     kind = "abstract"
     canonical = False
 
     def __init__(self, presentation):
         self.presentation = presentation
-        self.validated = False
-        self.certificate = None
-
-    def validate(self):
-        """Run the backend's soundness check.
-
-        Returns a certificate dict on success and marks the backend
-        validated; raises BackendError with a diagnostic otherwise.
-        """
-        raise NotImplementedError
-
-    def _require_valid(self):
-        if not self.validated:
-            raise BackendError(
-                "%s backend used before successful validation" % self.kind
-            )
 
     def normalize(self, word):
         raise NotImplementedError
@@ -312,18 +298,16 @@ class FreeBackend(WordProblemBackend):
     kind = "free"
     canonical = True
 
-    def validate(self):
-        if self.presentation.relators:
+    def __init__(self, presentation):
+        if presentation.relators:
             raise BackendError(
                 "free backend requires no relators, got %d"
-                % len(self.presentation.relators)
+                % len(presentation.relators)
             )
-        self.validated = True
+        super().__init__(presentation)
         self.certificate = {"kind": self.kind, "relators": 0}
-        return self.certificate
 
     def normalize(self, word):
-        self._require_valid()
         return free_reduce(word)
 
 
@@ -374,23 +358,14 @@ def max_piece_lengths(relators):
 
 
 class DehnBackend(WordProblemBackend):
-    """Dehn's algorithm; sound once the metric small-cancellation
-    condition (pieces shorter than a sixth of each relator) is verified."""
+    """Dehn's algorithm; built only when the metric small-cancellation
+    condition (pieces shorter than a sixth of each relator) holds."""
 
     kind = "dehn"
     canonical = False
 
     def __init__(self, presentation):
-        super().__init__(presentation)
-        sym = {w for _, w in symmetrized_relators(presentation.relators)}
-        # distinct words only, longest first so reductions are maximal,
-        # filed by first letter: a match at position i starts with w[i]
-        self._sym_from = {}
-        for rw in sorted(sym, key=lambda w: (-len(w), shortlex_key(w))):
-            self._sym_from.setdefault(rw[0], []).append(rw)
-
-    def validate(self):
-        rels = self.presentation.relators
+        rels = presentation.relators
         if not rels:
             raise BackendError("dehn backend needs at least one relator")
         for i, r in enumerate(rels):
@@ -398,35 +373,25 @@ class DehnBackend(WordProblemBackend):
                 raise BackendError("relator %d is trivial after reduction" % i)
         pieces = max_piece_lengths(rels)
         report = []
-        ok = True
         for i, r in enumerate(rels):
             rlen = len(cyclic_reduce(r))
             plen, piece = pieces.get(i, (0, ()))
             report.append({"relator": i, "length": rlen, "max_piece": plen})
             if Fraction(plen) >= Fraction(rlen, 6):
-                ok = False
-                report[-1]["violation"] = {
-                    "piece": piece,
-                    "bound": "length %d/6" % rlen,
-                }
-        if not ok:
-            bad = [e for e in report if "violation" in e]
-            raise BackendError(
-                "small-cancellation check failed: piece %r of length %d against "
-                "relator %d of length %d"
-                % (
-                    bad[0]["violation"]["piece"],
-                    bad[0]["max_piece"],
-                    bad[0]["relator"],
-                    bad[0]["length"],
+                raise BackendError(
+                    "small-cancellation check failed: piece %r of length %d "
+                    "against relator %d of length %d" % (piece, plen, i, rlen)
                 )
-            )
-        self.validated = True
+        super().__init__(presentation)
         self.certificate = {"kind": self.kind, "pieces": report}
-        return self.certificate
+        sym = {w for _, w in symmetrized_relators(rels)}
+        # distinct words only, longest first so reductions are maximal,
+        # filed by first letter: a match at position i starts with w[i]
+        self._sym_from = {}
+        for rw in sorted(sym, key=lambda w: (-len(w), shortlex_key(w))):
+            self._sym_from.setdefault(rw[0], []).append(rw)
 
     def normalize(self, word):
-        self._require_valid()
         w = free_reduce(word)
         changed = True
         while changed and w:
@@ -469,8 +434,6 @@ class RewritingBackend(WordProblemBackend):
         self._rewrite_rules = self.rules + [
             (pair, ()) for i in range(1, presentation.n_gens + 1)
             for pair in ((i, -i), (-i, i))]
-
-    def validate(self):
         for l, r in self.rules:
             if not l:
                 raise BackendError("empty left-hand side in rule")
@@ -511,14 +474,12 @@ class RewritingBackend(WordProblemBackend):
                             "critical pair from containment in %r does not "
                             "resolve: %r vs %r" % (l1, na, nb)
                         )
-        self.validated = True
         self.certificate = {
             "kind": self.kind,
             "rules": len(self.rules),
             "critical_pairs": checked,
             "overlap_bound": OVERLAP_BOUND,
         }
-        return self.certificate
 
     def _rewrite(self, word, cap=None):
         rules = self._rewrite_rules
@@ -542,7 +503,6 @@ class RewritingBackend(WordProblemBackend):
                 raise BackendError("rewrite step cap exceeded on %r" % (word,))
 
     def normalize(self, word):
-        self._require_valid()
         return self._rewrite(word)
 
 
@@ -585,24 +545,22 @@ def torsion_rewriting_rules(presentation):
 
 
 def default_backend(presentation):
-    """Pick and validate a backend: free, then Dehn, then torsion rewriting."""
+    """The first backend that builds: free, then Dehn, then torsion
+    rewriting."""
     if not presentation.relators:
-        b = FreeBackend(presentation)
-        b.validate()
-        return b
+        return FreeBackend(presentation)
     def candidates():
-        yield DehnBackend(presentation)
+        yield DehnBackend, ()
         rules = torsion_rewriting_rules(presentation)
         if rules is not None:
-            yield RewritingBackend(presentation, rules)
+            yield RewritingBackend, (rules,)
 
     attempts = []
-    for b in candidates():
+    for cls, args in candidates():
         try:
-            b.validate()
-            return b
+            return cls(presentation, *args)
         except BackendError as e:
-            attempts.append("%s (%s)" % (b.kind, e))
+            attempts.append("%s (%s)" % (cls.kind, e))
     raise BackendError(
         "no backend validates for this presentation; tried %s"
         % "; ".join(attempts)
@@ -939,7 +897,6 @@ def enumerate_tietze(presentation, backend, depth=1, length_budget=2):
     remove-relator < add-generator < remove-generator with payloads in
     shortlex order.
     """
-    backend._require_valid()
     root = _identity_item(presentation)
     yield root
     frontier = [root]

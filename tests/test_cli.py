@@ -8,7 +8,7 @@ import pytest
 
 from jsjforge import gog as G
 from jsjforge.cli import main
-from jsjforge.words import Presentation
+from jsjforge.words import Presentation, parse_presentation
 
 from test_gog import _g2_seeds, _star
 
@@ -203,3 +203,55 @@ def test_malformed_window_one_line_diagnostic(tmp_path, source_cli, argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "Traceback" not in proc.stderr, proc.stderr
     assert lines[0].startswith("jsj-forge: error: --window: ")
+
+
+# <a, b | abab>: Dehn's check fails and the relator is no generator power
+NO_BACKEND = "gen a b\nrel abab\n"
+
+
+def test_split_no_backend_is_exhausted(tmp_path, capsys):
+    path = tmp_path / "abab.grp"
+    path.write_text(NO_BACKEND)
+    rc = main(["split", str(path)])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 3
+    assert out[0] == "answer: exhausted"
+    assert out[1].startswith("reason: no word-problem backend: no backend "
+                             "validates for this presentation; tried dehn")
+    assert out[2] == "trace: Start"
+
+
+@pytest.mark.parametrize("command", ["split", "maximal", "jsj"])
+def test_window_no_backend_one_line_diagnostic(tmp_path, source_cli,
+                                               command):
+    grp = tmp_path / "abab.grp"
+    grp.write_text(NO_BACKEND)
+    const = tmp_path / "ok.const"
+    const.write_text("delta = 0\n")
+    prefix, env = source_cli
+    proc = subprocess.run(prefix + [command, str(grp), "--window", "2,0",
+                                    "--const", str(const)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert lines[0].startswith(
+        "jsj-forge: error: %s: no word-problem backend: " % grp)
+    assert proc.stdout == ""
+
+
+def test_gog_trace_edge_group_without_backend(tmp_path, capsys):
+    # both ends send the edge generator a to the identity and b to the
+    # vertex generator, so the relator abab goes to x^2, trivial there
+    g = G.GraphOfGroups()
+    u = g.add_vertex(parse_presentation("gen x\nrel xx\n"))
+    v = g.add_vertex(parse_presentation("gen y\nrel yy\n"))
+    g.add_edge(u, v, parse_presentation(NO_BACKEND), ((), (1,)), ((), (1,)))
+    path = tmp_path / "abab.gog"
+    path.write_text(g.to_json())
+    rc = main(["gog", "trace", str(path)])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 3
+    assert len(out) == 1
+    assert out[0].startswith("edge 0: no validated backend (no backend "
+                             "validates for this presentation; tried dehn")

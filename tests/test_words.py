@@ -6,7 +6,8 @@ from jsjforge.words import (BackendError, DehnBackend, ElementIndex,
                             FreeBackend, ParseError, Presentation,
                             RewritingBackend, _exponent_vector,
                             _smith_diagonal, abelian_key, concat, conjugate,
-                            cyclic_reduce, default_backend, enumerate_tietze,
+                            cyclic_power_rules, cyclic_reduce,
+                            default_backend, enumerate_tietze,
                             free_reduce, hermite_normal_form, inverse_word,
                             parse_presentation, parse_word, substitute,
                             symmetrized_relators, word_to_str,
@@ -77,7 +78,6 @@ def test_parse_presentation_rejects_bad_input():
 def test_free_backend_word_problem():
     p = Presentation(("a", "b"), (), ())
     be = FreeBackend(p)
-    be.validate()
     assert be.normalize((1, -1)) == ()
     assert be.equal((1, 2), (1, 2, -2, 2))
     assert not be.is_identity((1,))
@@ -99,7 +99,7 @@ def test_dehn_backend_rejects_non_small_cancellation():
     # abAB has long pieces relative to its length
     p = Presentation(("a", "b"), ((1, 2, -1, -2),), ())
     with pytest.raises(BackendError):
-        DehnBackend(p).validate()
+        DehnBackend(p)
 
 
 def test_torsion_rewriting_via_default_backend():
@@ -132,7 +132,6 @@ def test_rewriting_backend_z2_x_z():
     p = Presentation(("a", "b"), ((1, 1), (1, 2, -1, -2)), ())
     rules = [((-1,), (1,)), ((1, 1), ()), ((2, 1), (1, 2)), ((-2, 1), (1, -2))]
     be = RewritingBackend(p, rules)
-    be.validate()
     assert be.is_identity((1, 1))
     assert be.equal((2, 1), (1, 2))
     assert be.normalize((1, 2, 1, 2)) == be.normalize((2, 2))
@@ -235,3 +234,20 @@ def test_enumerate_tietze_deterministic(free2):
     a = [i.presentation for i in itertools.islice(enumerate_tietze(p, be), 20)]
     b = [i.presentation for i in itertools.islice(enumerate_tietze(p, be), 20)]
     assert a == b
+
+
+def test_backend_exists_only_once_checked():
+    # each constructor runs the soundness check: a failing one raises,
+    # and every built backend carries its certificate
+    with pytest.raises(BackendError):
+        FreeBackend(parse_presentation("gen a\nrel aa\n"))
+    with pytest.raises(BackendError):
+        # aa -> 1 without A -> a: the overlap aaA gives A one way, a the other
+        RewritingBackend(Presentation(("a",), ((1, 1),), ()),
+                         [((1, 1), ())])
+    built = [FreeBackend(Presentation(("a",), (), ())),
+             DehnBackend(parse_presentation("gen a b c d\nrel abABcdCD\n")),
+             RewritingBackend(Presentation(("a",), ((1, 1),), ()),
+                              cyclic_power_rules(1, 2))]
+    assert [b.certificate["kind"] for b in built] == [
+        "free", "dehn", "rewriting"]
