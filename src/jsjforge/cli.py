@@ -8,11 +8,12 @@ transformations to a saved graph-of-groups document.
 Exit codes: 0 decided, 2 usage error or malformed input file (one line
 `jsj-forge: error: FILE: message`, or `--window: message` for a bad or
 unpaired `--window`, on standard error; a `--window` on a presentation
-that no word-problem backend accepts reads `FILE: no word-problem
-backend: ...`), 3 exhausted (budget ran out, or no word-problem backend
-for `split`, `maximal` and `jsj` without a window), 4 window
-insufficient (the truncated geometric window provably cannot certify an
-answer at the requested parameters).
+that no word-problem backend accepts, or `gog cylinders` on a document
+with such a vertex group, reads `FILE: no word-problem backend: ...`),
+3 exhausted (budget ran out, or no word-problem backend for `split`,
+`maximal` and `jsj` without a window), 4 window insufficient (the
+truncated geometric window provably cannot certify an answer at the
+requested parameters).
 """
 
 import argparse
@@ -205,7 +206,10 @@ def _run_gog(args):
             edges, warnings = internal_surface_edges(g, budget=args.budget)
         out = collapse_edges(g, edges)
     elif args.action == "cylinders":
-        out = tree_of_cylinders(g, budget=args.budget)
+        try:
+            out = tree_of_cylinders(g, budget=args.budget)
+        except BackendError as exc:
+            _usage_error(args.input, "no word-problem backend: %s" % exc)
     else:
         out, warnings = zmax_fold(g, budget=args.budget)
     print(out.to_json())

@@ -138,15 +138,18 @@ def verify_cut_pair_feature(space, f, table):
 
 
 def _cutpair_ground_set(space, path, a, b, r, K, R):
-    """X = N_{r,R}(gamma) /\\ N_R(gamma[a,b]) and C_K(gamma)."""
-    cutoff = int(max(Fraction(R), Fraction(K)))
-    dist_g = bfs_distances(space, sorted(set(path)), cutoff=cutoff)
-    dist_mid = bfs_distances(space, sorted(set(path[a:b + 1])),
-                             cutoff=int(Fraction(R)))
-    X = {v for v, d in dist_g.items()
-         if Fraction(r) <= d <= Fraction(R)
-         and Fraction(dist_mid.get(v, cutoff + 1)) <= Fraction(R)}
-    CK = {v for v, d in dist_g.items() if d == Fraction(K)}
+    """X = N_{r,R}(gamma) /\\ N_R(gamma[a,b]) and C_K(gamma).  Distances
+    are integers, so the bounds are too: ceil(r) <= d <= floor(R), and
+    d = K only when K is integral."""
+    lo, hi = ceil_frac(r), floor_frac(R)
+    K = Fraction(K)
+    k = K.numerator if K.denominator == 1 else None
+    dist_g = bfs_distances(space, sorted(set(path)),
+                           cutoff=int(max(Fraction(R), K)))
+    # holds exactly the vertices within R of gamma[a, b]
+    dist_mid = bfs_distances(space, sorted(set(path[a:b + 1])), cutoff=hi)
+    X = {v for v, d in dist_g.items() if lo <= d <= hi and v in dist_mid}
+    CK = {v for v, d in dist_g.items() if d == k}
     return X, CK
 
 
@@ -282,7 +285,7 @@ def _geodesic_paths(space, length, depth_bound):
         if len(path) == length + 1:
             yield path
             continue
-        for u in sorted(space.neighbors(path[-1]), reverse=True):
+        for u in reversed(space.neighbors(path[-1])):
             if space.height(u) > depth_bound:
                 continue
             if dist_base.get(u, -1) != len(path):
@@ -305,7 +308,7 @@ def _horseshoe_paths(space, starts, length_bound):
                 yield path
             if len(path) - 1 >= length_bound:
                 continue
-            for u in sorted(space.neighbors(last), reverse=True):
+            for u in reversed(space.neighbors(last)):
                 if u in path or space.height(u) > h:
                     continue
                 if len(path) == 1 and space.height(u) != h - 1:
@@ -498,7 +501,11 @@ def _verify_noncut_horseshoe(space, f, table):
 def search_noncut_pair(space, table, budget=2000):
     """Mirror of search_cut_pair: triples of overlapping periodic
     segments (type 1), then horseshoe segments with endpoints at height
-    exactly k (type 2), the only ones its verifier can accept."""
+    exactly k (type 2), the only ones its verifier can accept.  Cayley
+    edge labels screen the outer segments of a triple, the exact
+    translate check decides (see _segment_translation), and each first
+    segment is judged once per search; every candidate still counts
+    once against the budget."""
     _params(table)
     eta = ceil_frac(table["eta"])
     n1 = min(floor_frac(table["N1"]), space.R_max)
@@ -510,8 +517,9 @@ def search_noncut_pair(space, table, budget=2000):
     window_cut = (floor_frac(table["N1"]) + floor_frac(table["N2"]) + 2 * eta
                   > space.R_max or k > space.h_max
                   or any(total > space.R_max for _, total in totals))
+    first = {}
     triples = (("triple_candidates",
-                _triple_candidate(space, path, lengths, eta))
+                _triple_candidate(space, path, lengths, eta, first))
                for lengths, total in totals if total <= space.R_max
                for path in _geodesic_paths(space, total, k))
     starts = (v for v in space.vertices() if space.height(v) == k > 0)
@@ -525,18 +533,24 @@ def search_noncut_pair(space, table, budget=2000):
                              "horseshoe_candidates": 0})
 
 
-def _triple_candidate(space, path, lengths, eta):
+def _triple_candidate(space, path, lengths, eta, first):
     """Slice an enumerated path (spans l1 + l2 + l3 plus an eta margin at
-    each end) into three segments overlapping by 2 eta."""
+    each end) into three segments overlapping by 2 eta.  first maps each
+    first segment already seen to its translation (or None): many paths
+    share it."""
     l1, l2, _ = lengths
     b1 = eta + l1
     b2 = b1 + l2
     segs = (tuple(path[:b1 + eta + 1]),
             tuple(path[b1 - eta:b2 + eta + 1]),
             tuple(path[b2 - eta:]))
-    g1 = _segment_translation(space, segs[0], eta)
+    if segs[0] not in first:
+        first[segs[0]] = _segment_translation(space, segs[0], eta)
+    g1 = first[segs[0]]
+    if g1 is None:
+        return None
     g3 = _segment_translation(space, segs[2], eta)
-    if g1 is None or g3 is None:
+    if g3 is None:
         return None
     c = next((i for i, v in enumerate(segs[1])
               if eta <= i <= len(segs[1]) - 1 - eta
@@ -547,10 +561,23 @@ def _triple_candidate(space, path, lengths, eta):
 
 
 def _segment_translation(space, seg, eta):
+    """The translation g = gamma(b) gamma(a)^-1 of a segment with margins
+    eta, if g.gamma(a+t) = gamma(b+t) for every t in [-eta, eta], else
+    None.  Left translation keeps Cayley edge labels, so a thick step
+    gamma(a+t) -> gamma(a+t+1) whose label differs from that of
+    gamma(b+t) -> gamma(b+t+1) rules the segment out before g is built;
+    the labels only screen, and the exact translate check at every t
+    decides."""
     a, b = eta, len(seg) - 1 - eta
     va, vb = seg[a], seg[b]
     if space.height(va) != space.height(vb):
         return None
+    ball, shift = space.ball, b - a
+    for t in range(2 * eta):  # the steps out of gamma(a-eta+t)
+        p, q, p2, q2 = seg[t], seg[t + 1], seg[t + shift], seg[t + shift + 1]
+        if (max(p, q, p2, q2) < ball.n
+                and ball.label(p, q) != ball.label(p2, q2)):
+            return None
     g = concat(space.group_word(vb), inverse_word(space.group_word(va)))
     for t in range(-eta, eta + 1):
         if space.translate(g, seg[a + t]) != seg[b + t]:

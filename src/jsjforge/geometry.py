@@ -112,6 +112,14 @@ class CayleyBall:
         """Vertex id equal to word in the group, or None if not in the ball."""
         return self._index.find(word)
 
+    def label(self, u, v):
+        """The least letter slot of u that holds v, or -1.  Letters equal
+        in the group share their slots, so on an edge of the ball this
+        names the element u^-1 v."""
+        k = len(self.letters)
+        slots = self._edges[u * k:u * k + k]
+        return slots.index(v) if v in slots else -1
+
     @property
     def n(self):
         return len(self.words)

@@ -255,3 +255,22 @@ def test_gog_trace_edge_group_without_backend(tmp_path, capsys):
     assert len(out) == 1
     assert out[0].startswith("edge 0: no validated backend (no backend "
                              "validates for this presentation; tried dehn")
+
+
+def test_gog_cylinders_no_backend_one_line_diagnostic(tmp_path, source_cli):
+    # a vertex <a, b | abab>, which no backend accepts, joined to <y>
+    g = G.GraphOfGroups()
+    u = g.add_vertex(parse_presentation(NO_BACKEND))
+    v = g.add_vertex(parse_presentation("gen y\n"))
+    g.add_edge(u, v, parse_presentation("gen e\n"), ((1,),), ((1,),))
+    path = tmp_path / "abab.gog"
+    path.write_text(g.to_json())
+    prefix, env = source_cli
+    proc = subprocess.run(prefix + ["gog", "cylinders", str(path)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert lines[0].startswith(
+        "jsj-forge: error: %s: no word-problem backend: " % path)
+    assert proc.stdout == ""

@@ -1,9 +1,13 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 from jsjforge import features as F
+from jsjforge.geometry import CuspedSpace, bfs_distances
 from jsjforge.hyperbolicity import derive_constants
+from jsjforge.words import concat, default_backend, inverse_word, \
+    parse_presentation
 
 
 def _table(**ov):
@@ -55,7 +59,7 @@ def test_cut_pair_serialization_round_trip(free2_space):
 def test_cut_pair_periodic_path(free2):
     # m = -3..3 translates of the core need a window deep enough to hold
     # seven copies of the period
-    from jsjforge.geometry import CuspedSpace
+    from jsjforge.geometry import CuspedSpace, bfs_distances
     p, be = free2
     space = CuspedSpace(p, be, R_max=10, h_max=0)
     tab = _table(**F2_OV)
@@ -204,3 +208,72 @@ def test_noncut_horseshoe_rejected_find_does_not_end_search(line_space, n3):
     assert out.verdict == "found"
     assert F.verify_noncut_feature(line_space, out.feature, tab)[0]
     assert all(line_space.height(v) <= 1 for v in out.feature.path)
+
+
+def _translation_reference(space, seg, eta):
+    """g = gamma(b) gamma(a)^-1 when g.gamma(a+t) = gamma(b+t) for every
+    t in [-eta, eta], by translate alone."""
+    a, b = eta, len(seg) - 1 - eta
+    g = concat(space.group_word(seg[b]),
+               inverse_word(space.group_word(seg[a])))
+    if all(space.translate(g, seg[a + t]) == seg[b + t]
+           for t in range(-eta, eta + 1)):
+        return g
+    return None
+
+
+# (presentation, R, h, depth bound): F2; genus 2 on its Dehn backend; the
+# torsion group <a, b | a^3, b^2>, where the b and B slots coincide; and
+# the line's cusped space, whose segments cross horoball vertices
+SCREEN_WINDOWS = {
+    "f2": ("gen a b\n", 5, 0, 0),
+    "genus2": ("gen a b c d\nrel abABcdCD\n", 3, 0, 0),
+    "torsion": ("gen a b\nrel aaa\nrel bb\n", 6, 0, 0),
+    "line": ("gen a\nper P = a\n", 16, 4, 2),
+}
+
+
+@pytest.mark.parametrize("window", sorted(SCREEN_WINDOWS))
+def test_segment_translation_matches_translate_reference(window):
+    text, R, h, depth = SCREEN_WINDOWS[window]
+    p = parse_presentation(text)
+    space = CuspedSpace(p, default_backend(p), R, h)
+    accepted = rejected = horo = 0
+    for length in range(3, 7):
+        for seg in F._geodesic_paths(space, length, depth):
+            horo += max(seg) >= space.ball.n
+            for eta in (0, 1):
+                want = _translation_reference(space, seg, eta)
+                assert F._segment_translation(space, seg, eta) == want, \
+                    (seg, eta)
+                accepted += want is not None
+                rejected += want is None
+    assert accepted and rejected
+    assert (horo > 0) == (window == "line")
+
+
+def _ground_set_reference(space, path, a, b, r, K, R):
+    """X and C_K with exact Fraction comparisons on whole-window
+    distances to gamma and to gamma[a, b]."""
+    r, K, R = Fraction(r), Fraction(K), Fraction(R)
+    to_path = {}
+    to_mid = {}
+    for i, p in enumerate(path):
+        for v, d in bfs_distances(space, [p]).items():
+            to_path[v] = min(d, to_path.get(v, d))
+            if a <= i <= b:
+                to_mid[v] = min(d, to_mid.get(v, d))
+    X = {v for v, d in to_path.items()
+         if r <= d <= R and to_mid.get(v, R + 1) <= R}
+    CK = {v for v, d in to_path.items() if d == K}
+    return X, CK
+
+
+@pytest.mark.parametrize("r,K,R", [(1, 1, 2), ("3/2", "5/2", "7/2")])
+def test_cutpair_ground_set_integer_bounds(free2_space, r, K, R):
+    paths = list(F._geodesic_paths(free2_space, 4, 0))[::12]
+    for path in paths:
+        got = F._cutpair_ground_set(free2_space, path, 1, 3, r, K, R)
+        assert got == _ground_set_reference(free2_space, path, 1, 3, r, K, R)
+        assert got[0]
+        assert bool(got[1]) == (Fraction(K).denominator == 1)
