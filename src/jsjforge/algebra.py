@@ -638,7 +638,7 @@ def mirrors_splitting(p, peripherals, backend, budget=3, delta=0):
     presentation is replayed against the input as a hom-pair.  No
     2-torsion means no mirrors and a trivial splitting."""
     from .features import SearchOutcome
-    from .gog import GraphOfGroups
+    from .gog import GraphOfGroups, _sub_presentation
     if budget <= 0:
         return SearchOutcome("none-in-budget")
     order_bound = max(4, 4 * delta + 2)
@@ -663,22 +663,11 @@ def mirrors_splitting(p, peripherals, backend, budget=3, delta=0):
         return SearchOutcome("found", {"kind": "trivial",
                                        "reason": "single mirror cluster"})
     g = GraphOfGroups()
-    center_names = tuple(p.generators[i] for i in center_gens)
-    center_rels = tuple(r for r in p.relators
-                        if {abs(x) - 1 for x in r} <= set(center_gens))
-    remap = {i + 1: (center_gens.index(i) + 1) for i in center_gens}
-    center_rels = tuple(tuple((remap[x] if x > 0 else -remap[-x])
-                              for x in r) for r in center_rels)
-    cid = g.add_vertex(Presentation(center_names, center_rels, ()),
+    cid = g.add_vertex(_sub_presentation(p, [i + 1 for i in center_gens])[0],
                        marking="rigid")
     for leaf in leaves:
-        idx = sorted(leaf)
-        names = tuple(p.generators[i] for i in idx)
-        lmap = {i + 1: (idx.index(i) + 1) for i in idx}
-        rels = tuple(tuple((lmap[x] if x > 0 else -lmap[-x]) for x in r)
-                     for r in p.relators
-                     if {abs(y) - 1 for y in r} <= leaf)
-        lid = g.add_vertex(Presentation(names, rels, ()), marking="rigid")
+        lid = g.add_vertex(_sub_presentation(p, [i + 1 for i in leaf])[0],
+                           marking="rigid")
         g.add_edge(cid, lid, Presentation((), (), ()), (), ())
     return SearchOutcome("found", g,
                          {"leaves": len(leaves),

@@ -2,7 +2,11 @@
 
 For a path gamma in a window: N_{r,R} is the set of vertices whose
 distance to gamma lies in [r, R]; C_K the distance-K shell; A the union
-of those connected components of N_{r,R} that meet C_K.  The horseshoe
+of those connected components of N_{r,R} that meet C_K; and the hot set
+of a thick vertex v the part of C_K within T of v.  Window distances are
+integers, so the shells compare them with integer bounds: ceil(r) <= d
+<= floor(R), and d = K only when K is integral (C_K is empty otherwise).
+This module alone builds the shells and the hot sets.  The horseshoe
 variant hats gamma with vertical rays at both ends and removes the deep
 part of the tails' R-neighbourhood.  Connectivity is graph connectivity
 of the window's 1-skeleton using all edge kinds.
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import bfs_distances
+from .hyperbolicity import ceil_frac, floor_frac
 
 
 class UnionFind:
@@ -47,19 +52,35 @@ def _components(space, vertex_set):
     return {root: frozenset(vs) for root, vs in comps.items()}
 
 
+def shells(space, path, a, b, r, K, R):
+    """X = N_{r,R}(gamma) /\\ N_R(gamma[a,b]) and C_K(gamma), as sets of
+    vertex ids, for a vertex id path gamma.  Over the whole path the
+    second bound adds nothing, so it costs no second BFS there."""
+    lo, hi = ceil_frac(r), floor_frac(R)
+    K = Fraction(K)
+    k = K.numerator if K.denominator == 1 else None
+    dist = bfs_distances(space, sorted(set(path)),
+                         cutoff=int(max(Fraction(R), K)))
+    # the vertices within R of gamma[a, b]; over the whole path, dist
+    # (d <= hi then decides alone)
+    near = (dist if a == 0 and b == len(path) - 1 else
+            bfs_distances(space, sorted(set(path[a:b + 1])), cutoff=hi))
+    X = {v for v, d in dist.items() if lo <= d <= hi and v in near}
+    CK = {v for v, d in dist.items() if d == k}
+    return X, CK
+
+
+def hot_set(space, CK, v, T):
+    """C_K /\\ B_T(v): the vertices of the shell C_K within T of v."""
+    return CK.intersection(bfs_distances(space, [v], cutoff=floor_frac(T)))
+
+
 @dataclass(frozen=True)
 class AnnulusDecomposition:
-    gamma: tuple
-    r: object
-    K: object
-    R: object
-    dist_to_gamma: dict
-    N: frozenset
-    CK: frozenset
+    N: set
+    CK: set
     components: dict          # root -> frozenset, components of N
     a_roots: tuple            # roots of components meeting C_K
-    marker_hits: dict         # root -> tuple of marker indices t with
-                              # component /\ C_K /\ B_T(gamma(t)) nonempty
     caveat: bool
 
     @property
@@ -70,48 +91,29 @@ class AnnulusDecomposition:
         return out
 
 
-def annulus_decompose(space, gamma, r, K, R, T=None):
+def annulus_decompose(space, gamma, r, K, R):
     """Decompose the annulus around gamma (a vertex id path) within the
-    window.  r, K, R may be exact rationals; shell membership compares
-    integer BFS distances against them exactly.  When T is given, each
-    A-component is tagged with the marker positions t (indices into
-    gamma of its thick vertices) whose T-ball around gamma(t) meets the
-    component's C_K vertices."""
+    window.  r, K, R may be exact rationals (see shells)."""
     gamma = tuple(gamma)
     if not gamma:
         raise ValueError("empty path")
-    cutoff = int(max(Fraction(R), Fraction(K)))
-    dist = bfs_distances(space, sorted(set(gamma)), cutoff=cutoff)
-    N = frozenset(v for v, d in dist.items()
-                  if Fraction(r) <= d <= Fraction(R))
-    CK = frozenset(v for v, d in dist.items() if d == Fraction(K))
+    N, CK = shells(space, gamma, 0, len(gamma) - 1, r, K, R)
     comps = _components(space, N)
     a_roots = tuple(sorted(
         root for root, comp in comps.items() if comp & CK))
-    marker_hits = {root: () for root in a_roots}
-    if T is not None:
-        for t, v in enumerate(gamma):
-            if space.height(v) != 0:
-                continue
-            ball_t = bfs_distances(space, [v], cutoff=int(Fraction(T)))
-            hot = CK & set(ball_t)
-            for root in a_roots:
-                if comps[root] & hot:
-                    marker_hits[root] = marker_hits[root] + (t,)
     touched = set(gamma) | N | CK
     caveat = any(space.boundary_vertex(v) for v in touched)
-    return AnnulusDecomposition(gamma, r, K, R, dist, N, CK, comps,
-                                a_roots, marker_hits, caveat)
+    return AnnulusDecomposition(N, CK, comps, a_roots, caveat)
 
 
-def component_count_stability(space, gamma, r, K, R, R2, T=None):
+def component_count_stability(space, gamma, r, K, R, R2):
     """Do the A-components at outer radius R and at R2 >= R correspond
     bijectively (equal counts, and inclusion of each R-component in a
     distinct R2-component, with matching C_K memberships)?"""
     if Fraction(R2) < Fraction(R):
         raise ValueError("R2 must be >= R")
-    d1 = annulus_decompose(space, gamma, r, K, R, T)
-    d2 = annulus_decompose(space, gamma, r, K, R2, T)
+    d1 = annulus_decompose(space, gamma, r, K, R)
+    d2 = annulus_decompose(space, gamma, r, K, R2)
     if len(d1.a_roots) != len(d2.a_roots):
         return False
     image = set()
@@ -126,20 +128,9 @@ def component_count_stability(space, gamma, r, K, R, R2, T=None):
 
 @dataclass(frozen=True)
 class HorseshoeDecomposition:
-    gamma: tuple
-    gamma_hat: tuple
     depth: int                # common endpoint height
-    annulus: AnnulusDecomposition
-    excluded: frozenset
     components: dict          # components of A' = A - excluded
     caveat: bool
-
-    @property
-    def vertices(self):
-        out = set()
-        for comp in self.components.values():
-            out |= comp
-        return out
 
     @property
     def connected(self):
@@ -169,15 +160,10 @@ def horseshoe_decompose(space, gamma, r, K, R):
     gamma_hat = tuple(reversed(tail_a)) + gamma[1:-1] + tuple(tail_b)
     ann = annulus_decompose(space, gamma_hat, r, K, R)
     tails = sorted(set(tail_a) | set(tail_b))
-    near_tails = bfs_distances(space, tails, cutoff=int(Fraction(R)))
-    excluded = frozenset(v for v in near_tails
-                         if space.height(v) >= ha
-                         and Fraction(near_tails[v]) <= Fraction(R))
-    core = ann.a_vertices - excluded
-    comps = _components(space, core)
-    caveat = ann.caveat
-    return HorseshoeDecomposition(gamma, gamma_hat, ha, ann, excluded,
-                                  comps, caveat)
+    near_tails = bfs_distances(space, tails, cutoff=floor_frac(R))
+    excluded = {v for v in near_tails if space.height(v) >= ha}
+    comps = _components(space, ann.a_vertices - excluded)
+    return HorseshoeDecomposition(ha, comps, ann.caveat)
 
 
 def _up_ray(space, vid):

@@ -9,9 +9,13 @@ Exit codes: 0 decided, 2 usage error or malformed input file (one line
 `jsj-forge: error: FILE: message`, or `--window: message` for a bad or
 unpaired `--window`, on standard error; a `--window` on a presentation
 that no word-problem backend accepts, or `gog cylinders` on a document
-with such a vertex group, reads `FILE: no word-problem backend: ...`),
-3 exhausted (budget ran out, or no word-problem backend for `split`,
-`maximal` and `jsj` without a window), 4 window insufficient (the
+with such a vertex group, reads `FILE: no word-problem backend: ...`;
+`gog cylinders` on a document with a non-cyclic edge group, and
+`gog collapse --edges` with an entry that is not an edge id of FILE,
+read `FILE: ...` too), 3 exhausted (budget ran out, or no word-problem
+backend for `split`, `maximal` and `jsj` without a window; `gog
+cylinders` whose root extraction spends its budget prints one line
+`jsj-forge: exhausted: FILE: message`), 4 window insufficient (the
 truncated geometric window provably cannot certify an answer at the
 requested parameters).
 """
@@ -20,6 +24,7 @@ import argparse
 import json
 import sys
 
+from .algebra import BudgetError
 from .words import BackendError, default_backend, parse_presentation
 from .geometry import CuspedSpace
 from .hyperbolicity import derive_constants, parse_const_file
@@ -201,7 +206,15 @@ def _run_gog(args):
         return EXIT_DECIDED if not diagnostics else EXIT_EXHAUSTED
     if args.action == "collapse":
         if args.edges:
-            edges = {int(x) for x in args.edges.split(",")}
+            try:
+                edges = {int(x) for x in args.edges.split(",")}
+            except ValueError:
+                _usage_error(args.input, "--edges: expected comma-separated "
+                             "edge ids, got %r" % args.edges)
+            unknown = sorted(edges - set(g.edges))
+            if unknown:
+                _usage_error(args.input, "--edges: no edge %s"
+                             % ",".join(map(str, unknown)))
         else:
             edges, warnings = internal_surface_edges(g, budget=args.budget)
         out = collapse_edges(g, edges)
@@ -210,6 +223,12 @@ def _run_gog(args):
             out = tree_of_cylinders(g, budget=args.budget)
         except BackendError as exc:
             _usage_error(args.input, "no word-problem backend: %s" % exc)
+        except ValueError as exc:
+            _usage_error(args.input, exc)
+        except BudgetError as exc:
+            print("jsj-forge: exhausted: %s: %s" % (args.input, exc),
+                  file=sys.stderr)
+            return EXIT_EXHAUSTED
     else:
         out, warnings = zmax_fold(g, budget=args.budget)
     print(out.to_json())

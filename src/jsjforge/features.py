@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain, islice
 
 from .annulus import UnionFind, _components, annulus_decompose, \
-    horseshoe_decompose
+    horseshoe_decompose, hot_set, shells
 from .geometry import bfs_distances, distance
 from .hyperbolicity import ceil_frac, floor_frac
 from .words import concat, inverse_word
@@ -129,28 +129,12 @@ def verify_cut_pair_feature(space, f, table):
     ok_c = all(space.translate(f.g, f.path[a + t]) == f.path[b + t]
                for t in range(-f.eta, f.eta + 1))
     report.append(("c", ok_c, "g-overlap of the eta-margins"))
-    X, CK = _cutpair_ground_set(space, f.path, a, b, r, K, R)
+    X, CK = shells(space, f.path, a, b, r, K, R)
     ok_d, detail_d = _check_partition(space, f, table, X, CK)
     report.append(("d", ok_d, detail_d))
     ok_e, detail_e = _check_translate_compat(space, f, table, X)
     report.append(("e", ok_e, detail_e))
     return all(ok for _, ok, _ in report), report
-
-
-def _cutpair_ground_set(space, path, a, b, r, K, R):
-    """X = N_{r,R}(gamma) /\\ N_R(gamma[a,b]) and C_K(gamma).  Distances
-    are integers, so the bounds are too: ceil(r) <= d <= floor(R), and
-    d = K only when K is integral."""
-    lo, hi = ceil_frac(r), floor_frac(R)
-    K = Fraction(K)
-    k = K.numerator if K.denominator == 1 else None
-    dist_g = bfs_distances(space, sorted(set(path)),
-                           cutoff=int(max(Fraction(R), K)))
-    # holds exactly the vertices within R of gamma[a, b]
-    dist_mid = bfs_distances(space, sorted(set(path[a:b + 1])), cutoff=hi)
-    X = {v for v, d in dist_g.items() if lo <= d <= hi and v in dist_mid}
-    CK = {v for v, d in dist_g.items() if d == k}
-    return X, CK
 
 
 def _check_partition(space, f, table, X, CK):
@@ -167,9 +151,8 @@ def _check_partition(space, f, table, X, CK):
     c = f.path[f.c_index]
     if space.height(c) != 0:
         return False, "thick parameter not at height 0"
-    hot = CK & set(bfs_distances(space, [c],
-                                 cutoff=int(Fraction(table["T"]))))
-    if not (hot & set(P1)) or not (hot & set(P2)):
+    hot = hot_set(space, CK, c, table["T"])
+    if hot.isdisjoint(P1) or hot.isdisjoint(P2):
         return False, "a side misses C_K /\\ B_T(gamma(c))"
     return True, "valid two-sided partition"
 
@@ -363,7 +346,7 @@ def _periodic_candidate(space, path, eta, table, r, K, R):
     g = _segment_translation(space, path, eta)
     if g is None:
         return None
-    X, CK = _cutpair_ground_set(space, path, a, b, r, K, R)
+    X, CK = shells(space, path, a, b, r, K, R)
     if not X:
         return None
     comps = _components(space, X)
@@ -393,8 +376,7 @@ def _periodic_candidate(space, path, eta, table, r, K, R):
     for c in range(a, b + 1):
         if space.height(path[c]) != 0:
             continue
-        hot = CK & set(bfs_distances(space, [path[c]],
-                                     cutoff=int(Fraction(table["T"]))))
+        hot = hot_set(space, CK, path[c], table["T"])
         hot_groups = sorted(gr for gr, vs in groups.items() if vs & hot)
         if len(hot_groups) < 2:
             continue
@@ -460,9 +442,8 @@ def _noncut_condition_f(space, f, table, r, K, R):
     a2, b2 = e2, len(s2) - 1 - e2
     if f.c_index is None or space.height(s2[f.c_index]) != 0:
         return False, "thick parameter missing or not at height 0"
-    X, CK = _cutpair_ground_set(space, s2, a2, b2, r, K, R)
-    hot = CK & set(bfs_distances(space, [s2[f.c_index]],
-                                 cutoff=int(Fraction(table["T"]))))
+    X, CK = shells(space, s2, a2, b2, r, K, R)
+    hot = hot_set(space, CK, s2[f.c_index], table["T"])
     if not hot:
         return False, "C_K /\\ B_T(gamma2(c)) empty"
     comps = _components(space, X)

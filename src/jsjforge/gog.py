@@ -376,13 +376,15 @@ def tree_of_cylinders(g, budget=3, delta=0):
     """Bipartite quotient: original vertices on one side, one cylinder
     vertex per commensurability class of cyclic edge groups on the
     other; the cylinder group is the maximal VC overgroup of the class
-    representative, found by bounded root extraction."""
+    representative, found by bounded root extraction.  Raises ValueError
+    on an edge group with more than one generator, and BudgetError when
+    root extraction does not certify an overgroup within the budget."""
     backends = {vid: default_backend(v.presentation)
                 for vid, v in g.vertices.items()}
     cores = {}
     for eid, e in sorted(g.edges.items()):
         if len(e.presentation.generators) != 1:
-            raise BudgetError("edge %d: non-cyclic edge group" % eid)
+            raise ValueError("edge %d: non-cyclic edge group" % eid)
         cores[eid] = (e.source, backends[e.source].normalize(
             tuple(e.inj_source[0])))
     uf = UnionFind(cores)
@@ -1149,7 +1151,7 @@ def assemble_jsj(p, flavor="vc", peripherals=(), budget=24, seeds=None,
         return g, artifacts
     try:
         g = tree_of_cylinders(g, budget=max(2, budget // 6), delta=delta)
-    except (BackendError, BudgetError) as exc:
+    except (BudgetError, ValueError) as exc:  # BackendError is a ValueError
         artifacts["warnings"].append("tree of cylinders skipped: %s" % exc)
     g.flavor = flavor
     if flavor == "zmax":

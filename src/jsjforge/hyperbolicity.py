@@ -208,12 +208,6 @@ class ConstantTable:
     def __getitem__(self, name):
         return self.values[name]
 
-    def __getattr__(self, name):
-        try:
-            return self.__dict__["values"][name]
-        except KeyError:
-            raise AttributeError(name)
-
     def Rd(self, n):
         return 4 * (n + self.values["M"]) + 3 * self.values["kd"] \
             + 50 * self.values["delta"] + 3

@@ -16,7 +16,6 @@ shortlex-reducing rule set has confluent critical pairs.
 from dataclasses import dataclass
 from fractions import Fraction
 import itertools
-import math
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -578,75 +577,24 @@ def _exponent_vector(w, n_gens):
     return v
 
 
-def _smith_diagonal(rows, n_cols):
-    """Diagonal of the Smith normal form of the integer matrix."""
-    m = [list(r) for r in rows]
-    diag = []
-    r0 = c0 = 0
-    while r0 < len(m) and c0 < n_cols:
-        pivot = None
-        best = None
-        for i in range(r0, len(m)):
-            for j in range(c0, n_cols):
-                if m[i][j] and (best is None or abs(m[i][j]) < best):
-                    best = abs(m[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        m[r0], m[i] = m[i], m[r0]
-        for row in m:
-            row[c0], row[j] = row[j], row[c0]
-        while True:
-            done = True
-            for i in range(r0 + 1, len(m)):
-                if m[i][c0]:
-                    q = m[i][c0] // m[r0][c0]
-                    for j in range(c0, n_cols):
-                        m[i][j] -= q * m[r0][j]
-                    if m[i][c0]:
-                        m[r0], m[i] = m[i], m[r0]
-                        done = False
-            for j in range(c0 + 1, n_cols):
-                if m[r0][j]:
-                    q = m[r0][j] // m[r0][c0]
-                    for row in m:
-                        row[j] -= q * row[c0]
-                    if m[r0][j]:
-                        for row in m:
-                            row[c0], row[j] = row[j], row[c0]
-                        done = False
-            if done:
-                break
-        diag.append(abs(m[r0][c0]))
-        r0 += 1
-        c0 += 1
-    # enforce the divisibility chain d1 | d2 | ... on the diagonal
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g_ = math.gcd(diag[i], diag[j])
-            if g_ != diag[i]:
-                diag[i], diag[j] = g_, diag[i] * diag[j] // g_
-    return diag
-
-
 def abelianization_rank(p):
-    """Free rank of the abelianized group."""
+    """Free rank of the abelianized group: n minus the rank of the
+    relator lattice."""
     n = len(p.generators)
-    rows = [_exponent_vector(r, n) for r in p.relators]
-    diag = _smith_diagonal(rows, n)
-    return n - sum(1 for d in diag if d != 0)
+    return n - len(hermite_normal_form(
+        [_exponent_vector(r, n) for r in p.relators], n))
 
 
 def images_generate_abelianization(vertex_p, images):
     """True iff the image vectors, together with the vertex relators,
-    span all of Z^n with trivial cokernel (a necessary condition for the
-    subgroup to be the whole group; False certifies non-surjectivity)."""
+    span all of Z^n (the lattice is Z^n iff its Hermite form is the
+    identity; a necessary condition for the subgroup to be the whole
+    group, so False certifies non-surjectivity)."""
     n = len(vertex_p.generators)
-    rows = [_exponent_vector(r, n) for r in vertex_p.relators]
-    rows += [_exponent_vector(w, n) for w in images]
-    diag = _smith_diagonal(rows, n)
-    return len(diag) == n and all(d == 1 for d in diag)
+    rows = [_exponent_vector(w, n)
+            for w in (*vertex_p.relators, *images)]
+    return hermite_normal_form(rows, n) == \
+        [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
 def hermite_normal_form(rows, n_cols):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import sys
 
@@ -31,6 +33,36 @@ def line_pair():
 def line_space(line_pair):
     p, be = line_pair
     return CuspedSpace(p, be, R_max=16, h_max=6)
+
+
+def _det(m):
+    """Leibniz determinant of a square integer matrix."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        term = -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) \
+            % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@pytest.fixture(scope="session")
+def determinantal_divisors():
+    """The integer-matrix oracle: rows, n_cols -> [d_1, d_2, ...], d_k the
+    gcd of all k x k minors.  The lattice the rows span has rank the
+    largest k with d_k != 0, Smith invariants d_k / d_(k-1), and is all of
+    Z^n iff d_n = 1."""
+    def divisors(rows, n_cols):
+        out = []
+        for k in range(1, min(len(rows), n_cols) + 1):
+            g = 0
+            for ri in itertools.combinations(rows, k):
+                for ci in itertools.combinations(range(n_cols), k):
+                    g = math.gcd(g, _det([[r[j] for j in ci] for r in ri]))
+            out.append(g)
+        return out
+    return divisors
 
 
 @pytest.fixture()

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import networkx as nx
 import pytest
 
 from jsjforge.annulus import (annulus_decompose, component_count_stability,
-                              horseshoe_decompose)
+                              horseshoe_decompose, hot_set)
 
 
 def _nx_components(space, vertex_set):
@@ -69,14 +70,58 @@ def test_component_count_stability(line_space):
     assert component_count_stability(line_space, ray, 2, 2, 3, 4)
 
 
-def test_marker_hits_tag_hot_components(line_space):
+def _nx_window(space):
+    g = nx.Graph()
+    g.add_nodes_from(space.vertices())
+    g.add_edges_from((v, u) for v in space.vertices()
+                     for u in space.neighbors(v))
+    return g
+
+
+def _line_segment(space):
+    return [_tid(space, x) for x in range(-4, 5)]
+
+
+def _f2_path(space):
+    return [space.ball.vertex_id(w) for w in ((), (1,), (1, 2), (1, 2, 2))]
+
+
+@pytest.mark.parametrize("window", ["line", "f2"])
+@pytest.mark.parametrize("r,K,R", [(1, 1, 2), (2, 3, 4), (1, 2, 2),
+                                   ("3/2", "5/2", "7/2")])
+def test_annulus_shells_match_fraction_reference(line_space, free2_space,
+                                                 window, r, K, R):
+    """N and C_K against exact Fraction comparisons on networkx distances
+    to the path; a non-integral K has an empty C_K."""
+    space = line_space if window == "line" else free2_space
+    g = _nx_window(space)
+    paths = ([_line_segment(space), space.vertical_ray(_tid(space, 2), 0)]
+             if window == "line" else [_f2_path(space)])
+    r, K, R = Fraction(r), Fraction(K), Fraction(R)
+    for gamma in paths:
+        dist = nx.multi_source_dijkstra_path_length(g, set(gamma), cutoff=5)
+        dec = annulus_decompose(space, gamma, r, K, R)
+        assert dec.N == {v for v, d in dist.items() if r <= d <= R}
+        assert dec.CK == {v for v, d in dist.items() if d == K}
+        assert dec.N
+        assert bool(dec.CK) == (K.denominator == 1)
+
+
+def test_hot_set_matches_networkx(line_space):
+    """C_K /\\ B_T(v) at each thick vertex of a segment, against networkx
+    distances from v; some vertex of the segment has a nonempty hot set."""
     space = line_space
-    seg = [_tid(space, x) for x in range(-4, 5)]
-    dec = annulus_decompose(space, seg, 1, 1, 2, T=2)
-    for root in dec.a_roots:
-        assert isinstance(dec.marker_hits[root], tuple)
-    # some component is hot somewhere along the path
-    assert any(dec.marker_hits[root] for root in dec.a_roots)
+    g = _nx_window(space)
+    seg = _line_segment(space)
+    dec = annulus_decompose(space, seg, 1, 1, 2)
+    hot_somewhere = False
+    for v in seg:
+        near = nx.single_source_shortest_path_length(g, v, cutoff=2)
+        want = {u for u in dec.CK if u in near}
+        assert hot_set(space, dec.CK, v, 2) == want
+        assert hot_set(space, dec.CK, v, "5/2") == want
+        hot_somewhere = hot_somewhere or bool(want)
+    assert hot_somewhere
 
 
 def _horoball_pair(space, x0, x1, k):

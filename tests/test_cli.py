@@ -274,3 +274,49 @@ def test_gog_cylinders_no_backend_one_line_diagnostic(tmp_path, source_cli):
     assert lines[0].startswith(
         "jsj-forge: error: %s: no word-problem backend: " % path)
     assert proc.stdout == ""
+
+
+def _run_gog_subprocess(source_cli, argv):
+    prefix, env = source_cli
+    proc = subprocess.run(prefix + ["gog"] + argv, capture_output=True,
+                          text=True, timeout=60, env=env)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stdout == ""
+    return proc.returncode, lines[0]
+
+
+def _two_generator_edge():
+    # <a, b> and <x, y> joined along <e, f>
+    g = G.GraphOfGroups()
+    u = g.add_vertex(parse_presentation("gen a b\n"))
+    v = g.add_vertex(parse_presentation("gen x y\n"))
+    g.add_edge(u, v, parse_presentation("gen e f\n"), ((1,), (2,)),
+               ((1,), (2,)))
+    return g
+
+
+@pytest.mark.parametrize("doc,argv,message", [
+    ("pair", ["cylinders"], "edge 0: non-cyclic edge group"),
+    ("star", ["collapse", "--edges", "x"],
+     "--edges: expected comma-separated edge ids, got 'x'"),
+    ("star", ["collapse", "--edges", "0,7"], "--edges: no edge 7"),
+])
+def test_gog_malformed_input_one_line_diagnostic(tmp_path, source_cli, doc,
+                                                 argv, message):
+    path = tmp_path / (doc + ".gog")
+    path.write_text((_two_generator_edge() if doc == "pair"
+                     else _star(2)).to_json())
+    rc, line = _run_gog_subprocess(source_cli,
+                                   argv[:1] + [str(path)] + argv[1:])
+    assert rc == 2
+    assert line == "jsj-forge: error: %s: %s" % (path, message)
+
+
+def test_gog_cylinders_spent_budget_is_exhausted(star_file, source_cli):
+    # with no rounds of root extraction no overgroup is certified
+    rc, line = _run_gog_subprocess(
+        source_cli, ["cylinders", star_file, "--budget", "0"])
+    assert rc == 3
+    assert line == ("jsj-forge: exhausted: %s: edge 0: overgroup not "
+                    "certified vc" % star_file)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jsjforge import features as F
+from jsjforge.annulus import shells
 from jsjforge.geometry import CuspedSpace, bfs_distances
 from jsjforge.hyperbolicity import derive_constants
 from jsjforge.words import concat, default_backend, inverse_word, \
@@ -273,7 +274,7 @@ def _ground_set_reference(space, path, a, b, r, K, R):
 def test_cutpair_ground_set_integer_bounds(free2_space, r, K, R):
     paths = list(F._geodesic_paths(free2_space, 4, 0))[::12]
     for path in paths:
-        got = F._cutpair_ground_set(free2_space, path, 1, 3, r, K, R)
+        got = shells(free2_space, path, 1, 3, r, K, R)
         assert got == _ground_set_reference(free2_space, path, 1, 3, r, K, R)
         assert got[0]
         assert bool(got[1]) == (Fraction(K).denominator == 1)

@@ -188,10 +188,13 @@ def test_tree_of_cylinders_bipartite():
     ([[2, 2], [2, 2]], [2]),
     ([[1, 0], [0, 0]], [1]),
 ])
-def test_smith_diagonal(rows, expected):
-    diag = [d for d in words._smith_diagonal([list(r) for r in rows],
-                                             len(rows[0])) if d]
-    assert diag == expected
+def test_smith_diagonal(rows, expected, determinantal_divisors):
+    """The nonzero Smith invariants, d_k / d_(k-1) from the determinantal
+    divisors, of the rows and of their Hermite form."""
+    n = len(rows[0])
+    for m in (rows, words.hermite_normal_form(rows, n)):
+        d = [1] + [x for x in determinantal_divisors(m, n) if x]
+        assert [b // a for a, b in zip(d, d[1:])] == expected
 
 
 def test_abelianization_rank():

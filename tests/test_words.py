@@ -1,14 +1,17 @@
 import itertools
+import random
 
 import pytest
 
 from jsjforge.words import (BackendError, DehnBackend, ElementIndex,
                             FreeBackend, ParseError, Presentation,
                             RewritingBackend, _exponent_vector,
-                            _smith_diagonal, abelian_key, concat, conjugate,
+                            ALPHABET, abelian_key, abelianization_rank,
+                            concat, conjugate,
                             cyclic_power_rules, cyclic_reduce,
                             default_backend, enumerate_tietze,
-                            free_reduce, hermite_normal_form, inverse_word,
+                            free_reduce, hermite_normal_form,
+                            images_generate_abelianization, inverse_word,
                             parse_presentation, parse_word, substitute,
                             symmetrized_relators, word_to_str,
                             words_shortlex)
@@ -150,11 +153,41 @@ DEHN_TEXTS = ("gen a b c d\nrel abABcdCD\n", "gen a b c\nrel aBCCbcB\n")
     ([[0, 3, 1], [0, -6, -2]], 3, [(0, 3, 1)]),
     ([], 2, []),
 ])
-def test_hermite_normal_form(rows, n_cols, expected):
+def test_hermite_normal_form(rows, n_cols, expected, determinantal_divisors):
     hnf = hermite_normal_form(rows, n_cols)
     assert hnf == expected
-    # the same lattice: equal Smith invariants
-    assert _smith_diagonal(hnf, n_cols) == _smith_diagonal(rows, n_cols)
+    # the same lattice: equal nonzero determinantal divisors
+
+    def nonzero(m):
+        return [d for d in determinantal_divisors(m, n_cols) if d]
+    assert nonzero(hnf) == nonzero(rows)
+
+
+def test_abelianization_matches_determinantal_divisors(
+        determinantal_divisors):
+    """abelianization_rank is n minus the largest k with d_k != 0, and
+    images_generate_abelianization holds iff d_n = 1, on random integer
+    matrices whose rows are split between relators and images."""
+    rng = random.Random(14)
+    generating = 0
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-4, 4) for _ in range(n)]
+                for _ in range(rng.randint(0, 5))]
+        ws = [tuple(x for j, e in enumerate(row)
+                    for x in [(j + 1) if e > 0 else -(j + 1)] * abs(e))
+              for row in rows]
+        gens = tuple(ALPHABET[:n])
+        d = determinantal_divisors(rows, n)
+        rank = max((k + 1 for k, dk in enumerate(d) if dk), default=0)
+        assert abelianization_rank(Presentation(gens, tuple(ws))) == \
+            n - rank
+        cut = rng.randint(0, len(rows))
+        want = len(d) == n and d[-1] == 1
+        generating += want
+        assert images_generate_abelianization(
+            Presentation(gens, tuple(ws[:cut])), ws[cut:]) == want
+    assert 0 < generating < 400
 
 
 @pytest.mark.parametrize("text", DEHN_TEXTS)
