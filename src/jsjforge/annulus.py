@@ -9,7 +9,9 @@ integers, so the shells compare them with integer bounds: ceil(r) <= d
 This module alone builds the shells and the hot sets.  The horseshoe
 variant hats gamma with vertical rays at both ends and removes the deep
 part of the tails' R-neighbourhood.  Connectivity is graph connectivity
-of the window's 1-skeleton using all edge kinds.
+of the window's 1-skeleton using all edge kinds: each component is found
+by one graph search over space.adjacency(), from its least vertex, and
+keyed by that vertex id.
 """
 
 from dataclasses import dataclass
@@ -41,15 +43,25 @@ class UnionFind:
 
 
 def _components(space, vertex_set):
-    uf = UnionFind(vertex_set)
-    for v in vertex_set:
-        for u in space.neighbors(v):
-            if u in vertex_set:
-                uf.union(v, u)
+    """The connected components of the subgraph vertex_set spans, as
+    least vertex id -> frozenset, in ascending order of that id.  One
+    search per component, from its least vertex, over the neighbours
+    inside vertex_set."""
+    adj = space.adjacency()
+    rest = set(vertex_set)
     comps = {}
-    for v in vertex_set:
-        comps.setdefault(uf.find(v), set()).add(v)
-    return {root: frozenset(vs) for root, vs in comps.items()}
+    for s in sorted(vertex_set):
+        if s not in rest:
+            continue
+        rest.remove(s)
+        comp = [s]
+        for v in comp:      # comp grows as the search reaches vertices
+            for u in adj[v]:
+                if u in rest:
+                    rest.remove(u)
+                    comp.append(u)
+        comps[s] = frozenset(comp)
+    return comps
 
 
 def shells(space, path, a, b, r, K, R):
@@ -79,8 +91,8 @@ def hot_set(space, CK, v, T):
 class AnnulusDecomposition:
     N: set
     CK: set
-    components: dict          # root -> frozenset, components of N
-    a_roots: tuple            # roots of components meeting C_K
+    components: dict          # least vertex id -> frozenset, components of N
+    a_roots: tuple            # keys of the components meeting C_K
     caveat: bool
 
     @property

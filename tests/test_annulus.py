@@ -4,8 +4,11 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from jsjforge.annulus import (annulus_decompose, component_count_stability,
-                              horseshoe_decompose, hot_set)
+from jsjforge.annulus import (_components, annulus_decompose,
+                              component_count_stability, horseshoe_decompose,
+                              hot_set)
+from jsjforge.geometry import CuspedSpace
+from jsjforge.words import default_backend, parse_presentation
 
 
 def _nx_components(space, vertex_set):
@@ -23,9 +26,48 @@ def _tid(space, x):
     return space.ball.vertex_id(word)
 
 
-def test_annulus_components_match_networkx(line_space):
-    space = line_space
+def _window(text, R, h):
+    p = parse_presentation(text)
+    return CuspedSpace(p, default_backend(p), R_max=R, h_max=h)
+
+
+@pytest.fixture(scope="module")
+def f2_small_space():
+    return _window("gen a b\n", 5, 0)
+
+
+@pytest.fixture(scope="module")
+def f2_cusp_space():
+    """F2 relative to <a>, whose horoballs hang off the lines a^n."""
+    return _window("gen a b\nper P = a\n", 5, 3)
+
+
+def _check_components(space, vertex_set):
+    comps = _components(space, vertex_set)
+    assert set(comps.values()) == \
+        set(map(frozenset, _nx_components(space, vertex_set)))
+    assert all(key == min(comp) for key, comp in comps.items())
+    assert list(comps) == sorted(comps)
+    return comps
+
+
+def test_annulus_components_match_networkx(line_space, f2_small_space,
+                                           f2_cusp_space):
+    """The exact partition, each key the least id of its component, the
+    keys in ascending order, on seeded random vertex subsets (horoball
+    vertices included) of three windows and on annuli around vertical
+    rays of the line; the empty set has no components."""
     rng = random.Random(7)
+    for space in (line_space, f2_small_space, f2_cusp_space):
+        assert _components(space, set()) == {}
+        split = False
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for _ in range(4):
+                subset = {v for v in range(space.n) if rng.random() < density}
+                split = split or len(_check_components(space, subset)) >= 2
+        assert split
+    assert any(f2_cusp_space.height(v) > 0 for v in range(f2_cusp_space.n))
+    space = line_space
     for _ in range(25):
         x = rng.randint(-6, 6)
         gamma = space.vertical_ray(_tid(space, x), 0)
@@ -33,16 +75,11 @@ def test_annulus_components_match_networkx(line_space):
         K = rng.randint(r, r + 2)
         R = rng.randint(K, K + 3)
         dec = annulus_decompose(space, gamma, r, K, R)
-        want = _nx_components(space, dec.N)
-        assert sorted(map(len, dec.components.values())) == \
-            sorted(map(len, want))
-        assert set().union(*dec.components.values()) == dec.N if dec.N \
-            else not dec.components
+        assert dec.components == _check_components(space, dec.N)
 
 
 def test_annulus_two_sided_for_r_at_least_two(line_space):
     space = line_space
-    from jsjforge.annulus import _components
     ray = space.vertical_ray(0, 0)
     dec = annulus_decompose(space, ray, 2, 2, 3)
     for k in range(0, 4):
@@ -54,7 +91,6 @@ def test_annulus_connected_for_r_one(line_space):
     # at r=1 the two sides of a vertical ray meet through the adjacent
     # horoball vertices, so the annulus is a single component
     space = line_space
-    from jsjforge.annulus import _components
     ray = space.vertical_ray(0, 0)
     dec = annulus_decompose(space, ray, 1, 1, 2)
     assert len(_components(space, dec.a_vertices)) == 1
@@ -65,9 +101,45 @@ def test_annulus_empty_path_rejected(line_space):
         annulus_decompose(line_space, [], 1, 1, 2)
 
 
-def test_component_count_stability(line_space):
-    ray = line_space.vertical_ray(0, 0)
-    assert component_count_stability(line_space, ray, 2, 2, 3, 4)
+def _nx_stability(space, gamma, r, K, R, R2):
+    """The stability model: the A-components at R and at R2, from
+    networkx distances and components, correspond when the map taking
+    each R-component to the R2-component holding it is a bijection."""
+    g = _nx_window(space)
+    dist = nx.multi_source_dijkstra_path_length(g, set(gamma))
+
+    def a_components(outer):
+        shell = g.subgraph(v for v, d in dist.items() if r <= d <= outer)
+        return [c for c in nx.connected_components(shell)
+                if any(dist[v] == K for v in c)]
+
+    small, large = a_components(R), a_components(R2)
+    image = {next(i for i, c2 in enumerate(large) if c <= c2)
+             for c in small}
+    return len(image) == len(small) == len(large)
+
+
+# the (r, K, R, R2) parameter sets of the line-horoball benchmark
+LINE_RAYS = ((2, 2, 3, 4), (2, 2, 3, 5), (2, 2, 4, 5), (2, 2, 4, 6),
+             (2, 2, 5, 6), (2, 2, 5, 7))
+
+
+def test_component_count_stability(line_space, f2_cusp_space):
+    """Against the networkx model, both answers on F2 relative to <a>:
+    around the path a.b.a the twelve A-components at R=1 become eight at
+    R=2, and those eight correspond to the eight at R=3.  Every parameter
+    set of the line benchmark is stable."""
+    space = f2_cusp_space
+    vid = space.ball.vertex_id
+    aba = [vid(w) for w in ((), (1,), (1, 2), (1, 2, 1))]
+    cases = [(space, aba, (1, 1, 1, 2), False),
+             (space, aba, (1, 1, 2, 3), True)]
+    for x in (-5, 0, 3):
+        ray = line_space.vertical_ray(_tid(line_space, x), 0)
+        cases += [(line_space, ray, params, True) for params in LINE_RAYS]
+    for sp, gamma, params, want in cases:
+        assert _nx_stability(sp, gamma, *params) == want, params
+        assert component_count_stability(sp, gamma, *params) == want, params
 
 
 def _nx_window(space):
