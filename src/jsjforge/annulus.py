@@ -6,12 +6,18 @@ of those connected components of N_{r,R} that meet C_K; and the hot set
 of a thick vertex v the part of C_K within T of v.  Window distances are
 integers, so the shells compare them with integer bounds: ceil(r) <= d
 <= floor(R), and d = K only when K is integral (C_K is empty otherwise).
-This module alone builds the shells and the hot sets.  The horseshoe
+This module alone builds the shells and the hot sets.  A BFS cut off at
+a radius gives exact distances up to it, so one cut-off BFS from the
+path serves every radius up to its cutoff: the stability check reads
+the annuli at R and at R2 from one map.  A BFS from a union of sources
+is the pointwise minimum of the BFSs from its parts.  The horseshoe
 variant hats gamma with vertical rays at both ends and removes the deep
-part of the tails' R-neighbourhood.  Connectivity is graph connectivity
-of the window's 1-skeleton using all edge kinds: each component is found
-by one graph search over space.adjacency(), from its least vertex, and
-keyed by that vertex id.
+part of the tails' R-neighbourhood; its map is the minimum of one BFS
+from the tails, which also gives that neighbourhood, and one from the
+middle of gamma.  Connectivity is graph connectivity of the window's
+1-skeleton using all edge kinds: each component is found by one graph
+search over space.adjacency(), from its least vertex, and keyed by that
+vertex id.
 """
 
 from dataclasses import dataclass
@@ -64,21 +70,32 @@ def _components(space, vertex_set):
     return comps
 
 
+def _reach(K, R):
+    """The cutoff of a BFS from a path that serves the shells at K and R."""
+    return int(max(Fraction(R), Fraction(K)))
+
+
+def _rings(dist, r, K, R):
+    """N_{r,R} and C_K read off a distance map from gamma that is exact
+    up to at least _reach(K, R)."""
+    lo, hi = ceil_frac(r), floor_frac(R)
+    K = Fraction(K)
+    k = K.numerator if K.denominator == 1 else None
+    N = {v for v, d in dist.items() if lo <= d <= hi}
+    CK = {v for v, d in dist.items() if d == k}
+    return N, CK
+
+
 def shells(space, path, a, b, r, K, R):
     """X = N_{r,R}(gamma) /\\ N_R(gamma[a,b]) and C_K(gamma), as sets of
     vertex ids, for a vertex id path gamma.  Over the whole path the
     second bound adds nothing, so it costs no second BFS there."""
-    lo, hi = ceil_frac(r), floor_frac(R)
-    K = Fraction(K)
-    k = K.numerator if K.denominator == 1 else None
-    dist = bfs_distances(space, sorted(set(path)),
-                         cutoff=int(max(Fraction(R), K)))
-    # the vertices within R of gamma[a, b]; over the whole path, dist
-    # (d <= hi then decides alone)
-    near = (dist if a == 0 and b == len(path) - 1 else
-            bfs_distances(space, sorted(set(path[a:b + 1])), cutoff=hi))
-    X = {v for v, d in dist.items() if lo <= d <= hi and v in near}
-    CK = {v for v, d in dist.items() if d == k}
+    dist = bfs_distances(space, sorted(set(path)), cutoff=_reach(K, R))
+    X, CK = _rings(dist, r, K, R)
+    if not (a == 0 and b == len(path) - 1):
+        near = bfs_distances(space, sorted(set(path[a:b + 1])),
+                             cutoff=floor_frac(R))
+        X = {v for v in X if v in near}
     return X, CK
 
 
@@ -103,13 +120,10 @@ class AnnulusDecomposition:
         return out
 
 
-def annulus_decompose(space, gamma, r, K, R):
-    """Decompose the annulus around gamma (a vertex id path) within the
-    window.  r, K, R may be exact rationals (see shells)."""
-    gamma = tuple(gamma)
-    if not gamma:
-        raise ValueError("empty path")
-    N, CK = shells(space, gamma, 0, len(gamma) - 1, r, K, R)
+def _decompose(space, gamma, dist, r, K, R):
+    """The annulus decomposition around gamma, read off dist, a distance
+    map from gamma exact up to at least _reach(K, R)."""
+    N, CK = _rings(dist, r, K, R)
     comps = _components(space, N)
     a_roots = tuple(sorted(
         root for root, comp in comps.items() if comp & CK))
@@ -118,14 +132,29 @@ def annulus_decompose(space, gamma, r, K, R):
     return AnnulusDecomposition(N, CK, comps, a_roots, caveat)
 
 
+def annulus_decompose(space, gamma, r, K, R):
+    """Decompose the annulus around gamma (a vertex id path) within the
+    window.  r, K, R may be exact rationals (see shells)."""
+    gamma = tuple(gamma)
+    if not gamma:
+        raise ValueError("empty path")
+    dist = bfs_distances(space, sorted(set(gamma)), cutoff=_reach(K, R))
+    return _decompose(space, gamma, dist, r, K, R)
+
+
 def component_count_stability(space, gamma, r, K, R, R2):
     """Do the A-components at outer radius R and at R2 >= R correspond
     bijectively (equal counts, and inclusion of each R-component in a
-    distinct R2-component, with matching C_K memberships)?"""
+    distinct R2-component, with matching C_K memberships)?  One BFS from
+    gamma, cut off at R2 or K, serves both radii."""
     if Fraction(R2) < Fraction(R):
         raise ValueError("R2 must be >= R")
-    d1 = annulus_decompose(space, gamma, r, K, R)
-    d2 = annulus_decompose(space, gamma, r, K, R2)
+    gamma = tuple(gamma)
+    if not gamma:
+        raise ValueError("empty path")
+    dist = bfs_distances(space, sorted(set(gamma)), cutoff=_reach(K, R2))
+    d1 = _decompose(space, gamma, dist, r, K, R)
+    d2 = _decompose(space, gamma, dist, r, K, R2)
     if len(d1.a_roots) != len(d2.a_roots):
         return False
     image = set()
@@ -170,10 +199,19 @@ def horseshoe_decompose(space, gamma, r, K, R):
     tail_a = _up_ray(space, gamma[0])
     tail_b = _up_ray(space, gamma[-1])
     gamma_hat = tuple(reversed(tail_a)) + gamma[1:-1] + tuple(tail_b)
-    ann = annulus_decompose(space, gamma_hat, r, K, R)
-    tails = sorted(set(tail_a) | set(tail_b))
-    near_tails = bfs_distances(space, tails, cutoff=floor_frac(R))
-    excluded = {v for v in near_tails if space.height(v) >= ha}
+    # the BFS from gamma_hat is the pointwise minimum of the BFSs from
+    # the tails and from the middle; the tails' alone gives the exclusion
+    reach, hi = _reach(K, R), floor_frac(R)
+    dist = bfs_distances(space, sorted(set(tail_a) | set(tail_b)),
+                         cutoff=reach)
+    excluded = {v for v, d in dist.items()
+                if d <= hi and space.height(v) >= ha}
+    if len(gamma) > 2:
+        for v, d in bfs_distances(space, sorted(set(gamma[1:-1])),
+                                  cutoff=reach).items():
+            if d < dist.get(v, reach + 1):
+                dist[v] = d
+    ann = _decompose(space, gamma_hat, dist, r, K, R)
     comps = _components(space, ann.a_vertices - excluded)
     return HorseshoeDecomposition(ha, comps, ann.caveat)
 

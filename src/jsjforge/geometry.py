@@ -356,7 +356,10 @@ class CuspedSpace:
         """Every vertex's sorted neighbour list and every column's lowest
         boundary height, from one peripheral BFS of radius 2**h_max per
         offset.  An offset at intrinsic distance d > 0 is a horizontal
-        neighbour at every height k with 2**k >= d."""
+        neighbour at every height k with 2**k >= d, so from height
+        first_height[d] up; a coset's dict from element to column start
+        sorts each element the BFS reaches into a held column or the
+        outside."""
         ball, h = self.ball, self.h_max
         # horoball ids recur in many lists: share one int object per id
         ids = list(range(self.n)) if self.n > ball.n else None
@@ -371,26 +374,29 @@ class CuspedSpace:
         self._boundary_height = boundary_height = []
         if ids is None:
             return
+        # the least k >= 1 with 2**k >= d, for d = 1..2**h + 1; the
+        # source itself (d = 0) goes to the unused slot 0
+        first_height = [0] + [max(1, (d - 1).bit_length())
+                              for d in range(1, 2 ** h + 2)]
         for pi, cosets in enumerate(self.cosets):
             pg = self.pgraphs[pi]
             for ci, coset in enumerate(cosets):
                 offsets = coset["offsets"]
-                index = {hj: oj for oj, (hj, _) in enumerate(offsets)}
                 first = self.horo_id(pi, ci, 0, 1)
+                column = {hj: first + oj * h
+                          for oj, (hj, _) in enumerate(offsets)}
                 for oi, (hi, v) in enumerate(offsets):
                     # columns joined first at height k, and the distance
                     # to the nearest element outside the offsets held
                     joined = [[] for _ in range(h + 1)]
                     outside = 2 ** h + 1
                     for hj, d in pg.h_dist(hi, 2 ** h).items():
-                        oj = index.get(hj)
-                        if oj is None:
-                            outside = min(outside, d)
-                        elif d > 0:
-                            joined[max(1, (d - 1).bit_length())].append(
-                                first + oj * h)
-                    boundary_height.append(
-                        min(h, max(1, (outside - 1).bit_length())))
+                        c = column.get(hj)
+                        if c is not None:
+                            joined[first_height[d]].append(c)
+                        elif d < outside:
+                            outside = d
+                    boundary_height.append(min(h, first_height[outside]))
                     col = first + oi * h
                     level = []
                     for k in range(1, h + 1):

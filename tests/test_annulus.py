@@ -7,7 +7,7 @@ import pytest
 from jsjforge.annulus import (_components, annulus_decompose,
                               component_count_stability, horseshoe_decompose,
                               hot_set)
-from jsjforge.geometry import CuspedSpace
+from jsjforge.geometry import CuspedSpace, shortest_path
 from jsjforge.words import default_backend, parse_presentation
 
 
@@ -142,6 +142,53 @@ def test_component_count_stability(line_space, f2_cusp_space):
         assert component_count_stability(sp, gamma, *params) == want, params
 
 
+def _two_map_stability(space, gamma, r, K, R, R2):
+    """The stability comparison over two independent decompositions, one
+    BFS from gamma each: at R and at R2."""
+    d1 = annulus_decompose(space, gamma, r, K, R)
+    d2 = annulus_decompose(space, gamma, r, K, R2)
+    if len(d1.a_roots) != len(d2.a_roots):
+        return False
+    image = set()
+    for root in d1.a_roots:
+        targets = {r2 for r2 in d2.a_roots
+                   if d1.components[root] & d2.components[r2]}
+        if len(targets) != 1:
+            return False
+        image |= targets
+    return len(image) == len(d1.a_roots)
+
+
+# (r, K, R, R2), with a rational K and with K > R2, where the one BFS
+# is cut off at K
+STABILITY_PARAMS = ((1, 1, 1, 2), (1, 1, 2, 3), (1, 2, 2, 4), (2, 2, 3, 5),
+                    (1, "3/2", 2, 3), (1, 2, "5/2", "7/2"), (1, 4, 2, 3),
+                    (2, 5, 3, 3))
+
+
+def test_stability_one_map_matches_two(line_space, f2_cusp_space):
+    """component_count_stability, which reads both radii off one BFS,
+    agrees with two independent annulus_decompose calls compared the
+    same way, on rays and paths of the line and of F2 relative to <a>;
+    both answers occur."""
+    line, f2 = line_space, f2_cusp_space
+    vid = f2.ball.vertex_id
+    paths = [(line, line.vertical_ray(_tid(line, x), 0)) for x in (-5, 0, 3)]
+    paths += [(line, _line_segment(line)),
+              (line, shortest_path(line, *_horoball_pair(line, -3, 5, 2)))]
+    paths += [(f2, f2.vertical_ray(0, 0)),
+              (f2, [vid(w) for w in ((), (1,), (1, 2), (1, 2, 1))]),
+              (f2, _f2_path(f2))]
+    answers = set()
+    for space, gamma in paths:
+        for params in STABILITY_PARAMS:
+            want = _two_map_stability(space, gamma, *params)
+            assert component_count_stability(space, gamma, *params) == want, \
+                (gamma, params)
+            answers.add(want)
+    assert answers == {True, False}
+
+
 def _nx_window(space):
     g = nx.Graph()
     g.add_nodes_from(space.vertices())
@@ -237,3 +284,70 @@ def test_horseshoe_rejects_bad_segments(line_space):
     with pytest.raises(ValueError):
         horseshoe_decompose(line_space, [_tid(line_space, 0),
                                          _tid(line_space, 1)], 1, 1, 2)
+
+
+def _nx_horseshoe(space, gamma, r, K, R):
+    """A' of a horseshoe segment from networkx distances: the components
+    of N_{r,R} around the hatted path that meet C_K, less the vertices at
+    height >= the endpoint height within R of the tails."""
+    g = _nx_window(space)
+    depth = space.height(gamma[0])
+    tails = set()
+    for end in (gamma[0], gamma[-1]):
+        col = space.describe(end)[1]
+        tails |= {space.horo_id(col.peripheral, col.coset, col.offset, k)
+                  for k in range(depth, space.h_max + 1)}
+    hat = tails | set(gamma[1:-1])
+    r, K, R = Fraction(r), Fraction(K), Fraction(R)
+    dist = nx.multi_source_dijkstra_path_length(g, hat)
+    near_tails = nx.multi_source_dijkstra_path_length(g, tails, cutoff=R)
+    shell = g.subgraph(v for v, d in dist.items() if r <= d <= R)
+    a = set().union(*(c for c in nx.connected_components(shell)
+                      if any(dist[v] == K for v in c)))
+    a -= {v for v in near_tails if space.height(v) >= depth}
+    return {frozenset(c) for c in nx.connected_components(g.subgraph(a))}
+
+
+def _horseshoe_segments(line, f2):
+    """Horseshoe segments (endpoints at one positive height) of the line
+    and of F2 relative to <a>: an edge (no middle), geodesics within a
+    horoball, and paths down to the thick part and back up."""
+    def dip(ray0, ray1, k, floor):
+        return ray0[k:0:-1] + floor + ray1[1:k + 1]
+
+    segs = [(line, list(_horoball_pair(line, 0, 4, 2))),
+            (line, shortest_path(line, *_horoball_pair(line, -3, 5, 2))),
+            (line, shortest_path(line, *_horoball_pair(line, -6, 6, 1)))]
+    rays = {x: line.vertical_ray(_tid(line, x), 0) for x in (-2, 3)}
+    segs.append((line, dip(rays[-2], rays[3], 2,
+                           [_tid(line, x) for x in range(-2, 4)])))
+    vid = f2.ball.vertex_id
+    words = ((), (1,), (1, 1), (2,), (2, 1))
+    rays = {w: f2.vertical_ray(vid(w), 0) for w in words}
+    segs += [(f2, [rays[()][1], rays[(1,)][1]]),
+             (f2, shortest_path(f2, rays[()][2], rays[(1, 1)][2])),
+             (f2, dip(rays[()], rays[(2,)], 1, [vid(()), vid((2,))])),
+             (f2, dip(rays[(1,)], rays[(2, 1)], 2,
+                      [vid(w) for w in ((1,), (), (2,), (2, 1))]))]
+    return segs
+
+
+@pytest.mark.parametrize("r,K,R", [(1, 1, 2), (1, 2, 3), (2, 2, 3),
+                                   ("3/2", 2, "7/2")])
+def test_horseshoe_matches_networkx(line_space, f2_cusp_space, r, K, R):
+    """A' from the pointwise minimum of the tails' and the middle's BFS
+    against networkx multi-source distances from the hatted path and
+    from the tails, on horseshoe segments of two windows, one of them
+    with an empty middle; the keys are least vertex ids.  Both connected
+    and disconnected A' occur."""
+    sizes = set()
+    for space, gamma in _horseshoe_segments(line_space, f2_cusp_space):
+        assert space.height(gamma[0]) == space.height(gamma[-1]) > 0
+        assert all(u in space.neighbors(v) for v, u in zip(gamma, gamma[1:]))
+        dec = horseshoe_decompose(space, gamma, r, K, R)
+        assert dec.depth == space.height(gamma[0])
+        assert set(dec.components.values()) == \
+            _nx_horseshoe(space, gamma, r, K, R), gamma
+        assert all(key == min(c) for key, c in dec.components.items())
+        sizes.add(len(dec.components))
+    assert 1 in sizes and max(sizes) >= 2

@@ -115,6 +115,10 @@ def test_neighbors_sorted_and_symmetric(line_space):
 ADJACENCY_GOLDEN = [
     ("gen a\nper P = a\n", 16, 6, 231,
      "fc2d9ddc99dbfe2cf05dbb7f17009c80a67d9152f73be633d1aa5d7445590ce5"),
+    # the line-horoball benchmark window: columns joined at heights up
+    # to 8, horizontal distances up to 256
+    ("gen a\nper P = a\n", 64, 8, 1161,
+     "b81960b7c3a7a304927fb69b725087b5b1bdda9ced7b4a94c944fe3166f0b8b1"),
     ("gen a b\n", 6, 0, 1457,
      "6e074c9f586aab4162baec07c389359909135cf7dd71194df7cfb05584101659"),
     ("gen a b\nper A = a\n", 4, 3, 644,
@@ -148,6 +152,7 @@ def _peripheral_nx(pg):
 
 @pytest.mark.parametrize("text,R,h", [
     ("gen a\nper P = a\n", 16, 6),
+    ("gen a\nper P = a\n", 64, 8),
     ("gen a b\nper A = a\n", 4, 3),
     ("gen a b\nper A = a\nper B = b\n", 3, 3),
 ])
