@@ -14,13 +14,15 @@ is the pointwise minimum of the BFSs from its parts.  The horseshoe
 variant hats gamma with vertical rays at both ends and removes the deep
 part of the tails' R-neighbourhood; its map is the minimum of one BFS
 from the tails, which also gives that neighbourhood, and one from the
-middle of gamma.  Connectivity is graph connectivity of the window's
+middle of gamma.  Only annulus_decompose scans N, C_K and gamma for
+the window boundary, the caveat that cut-point detection reads.
+Connectivity is graph connectivity of the window's
 1-skeleton using all edge kinds: each component is found by one graph
 search over space.adjacency(), from its least vertex, and keyed by that
 vertex id.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .geometry import bfs_distances
@@ -110,7 +112,8 @@ class AnnulusDecomposition:
     CK: set
     components: dict          # least vertex id -> frozenset, components of N
     a_roots: tuple            # keys of the components meeting C_K
-    caveat: bool
+    caveat: bool = None       # gamma, N or C_K meets the window boundary;
+                              # only annulus_decompose scans for it
 
     @property
     def a_vertices(self):
@@ -120,26 +123,29 @@ class AnnulusDecomposition:
         return out
 
 
-def _decompose(space, gamma, dist, r, K, R):
-    """The annulus decomposition around gamma, read off dist, a distance
-    map from gamma exact up to at least _reach(K, R)."""
+def _decompose(space, dist, r, K, R):
+    """The annulus decomposition around a path, read off dist, a distance
+    map from the path exact up to at least _reach(K, R).  It leaves the
+    caveat unscanned."""
     N, CK = _rings(dist, r, K, R)
     comps = _components(space, N)
     a_roots = tuple(sorted(
         root for root, comp in comps.items() if comp & CK))
-    touched = set(gamma) | N | CK
-    caveat = any(space.boundary_vertex(v) for v in touched)
-    return AnnulusDecomposition(N, CK, comps, a_roots, caveat)
+    return AnnulusDecomposition(N, CK, comps, a_roots)
 
 
 def annulus_decompose(space, gamma, r, K, R):
     """Decompose the annulus around gamma (a vertex id path) within the
-    window.  r, K, R may be exact rationals (see shells)."""
+    window, with the caveat set when gamma, N or C_K meets the window
+    boundary.  r, K, R may be exact rationals (see shells)."""
     gamma = tuple(gamma)
     if not gamma:
         raise ValueError("empty path")
     dist = bfs_distances(space, sorted(set(gamma)), cutoff=_reach(K, R))
-    return _decompose(space, gamma, dist, r, K, R)
+    dec = _decompose(space, dist, r, K, R)
+    touched = set(gamma) | dec.N | dec.CK
+    return replace(dec, caveat=any(space.boundary_vertex(v)
+                                   for v in touched))
 
 
 def component_count_stability(space, gamma, r, K, R, R2):
@@ -153,8 +159,8 @@ def component_count_stability(space, gamma, r, K, R, R2):
     if not gamma:
         raise ValueError("empty path")
     dist = bfs_distances(space, sorted(set(gamma)), cutoff=_reach(K, R2))
-    d1 = _decompose(space, gamma, dist, r, K, R)
-    d2 = _decompose(space, gamma, dist, r, K, R2)
+    d1 = _decompose(space, dist, r, K, R)
+    d2 = _decompose(space, dist, r, K, R2)
     if len(d1.a_roots) != len(d2.a_roots):
         return False
     image = set()
@@ -171,7 +177,6 @@ def component_count_stability(space, gamma, r, K, R, R2):
 class HorseshoeDecomposition:
     depth: int                # common endpoint height
     components: dict          # components of A' = A - excluded
-    caveat: bool
 
     @property
     def connected(self):
@@ -198,9 +203,9 @@ def horseshoe_decompose(space, gamma, r, K, R):
         raise ValueError("horseshoe endpoints must lie in a horoball")
     tail_a = _up_ray(space, gamma[0])
     tail_b = _up_ray(space, gamma[-1])
-    gamma_hat = tuple(reversed(tail_a)) + gamma[1:-1] + tuple(tail_b)
-    # the BFS from gamma_hat is the pointwise minimum of the BFSs from
-    # the tails and from the middle; the tails' alone gives the exclusion
+    # the BFS from the hatted path (tail_a reversed, the middle
+    # gamma[1:-1], tail_b) is the pointwise minimum of the BFSs from the
+    # tails and from the middle; the tails' alone gives the exclusion
     reach, hi = _reach(K, R), floor_frac(R)
     dist = bfs_distances(space, sorted(set(tail_a) | set(tail_b)),
                          cutoff=reach)
@@ -211,9 +216,9 @@ def horseshoe_decompose(space, gamma, r, K, R):
                                   cutoff=reach).items():
             if d < dist.get(v, reach + 1):
                 dist[v] = d
-    ann = _decompose(space, gamma_hat, dist, r, K, R)
+    ann = _decompose(space, dist, r, K, R)
     comps = _components(space, ann.a_vertices - excluded)
-    return HorseshoeDecomposition(ha, comps, ann.caveat)
+    return HorseshoeDecomposition(ha, comps)
 
 
 def _up_ray(space, vid):

@@ -10,6 +10,13 @@ or connected, respectively).  Each search feeds its candidates to one
 loop that spends the budget, replays every built feature through its
 verifier and returns the first one accepted as found, or else names why
 it stopped: none-in-budget, window-insufficient or none-at-full-bound.
+The geodesic paths from the base are walked over one BFS cut off at the
+largest length a search needs.  The non-cut search walks the paths of
+each span total once, when the first triple of span lengths with that
+total comes up, and judges every triple of that total on each path: the
+first streams as the walk goes, and each later one keeps only the
+features it built, by path ordinal, plus the path count, and replays
+them in its turn.
 """
 
 import json
@@ -257,19 +264,21 @@ def _first_verified(space, table, verify, candidates, budget, window_cut,
     return SearchOutcome("none-at-full-bound", stats=stats)
 
 
-def _geodesic_paths(space, length, depth_bound):
+def _geodesic_paths(space, length, depth_bound, dist_base):
     """All geodesic paths from the base vertex 0 of the exact length
     inside the depth-bounded part, in deterministic order (extensions by
-    sorted neighbor id, which follows the shortlex vertex layout)."""
-    dist_base = bfs_distances(space, [0], cutoff=length)
+    sorted neighbor id, which follows the shortlex vertex layout).
+    dist_base is a distance map from 0 exact up to at least length: one
+    BFS cut off at the largest length serves every walk."""
+    adj, heights = space.adjacency(), space.heights
     stack = [(0,)]
     while stack:
         path = stack.pop()
         if len(path) == length + 1:
             yield path
             continue
-        for u in reversed(space.neighbors(path[-1])):
-            if space.height(u) > depth_bound:
+        for u in reversed(adj[path[-1]]):
+            if heights[u] > depth_bound:
                 continue
             if dist_base.get(u, -1) != len(path):
                 continue
@@ -305,9 +314,9 @@ def _horseshoe_paths(space, starts, length_bound):
 
 def search_cut_pair(space, table, budget=2000):
     """Enumerate candidate periodic features (geodesic segments from the
-    base, by length then discovery order), then horseshoe segments whose
-    endpoints sit at height >= max(1, k); return the first candidate the
-    verifier accepts."""
+    base, by length then discovery order, all walked over one BFS from
+    the base), then horseshoe segments whose endpoints sit at height >=
+    max(1, k); return the first candidate the verifier accepts."""
     r, K, R = _params(table)
     eta = ceil_frac(table["eta"])
     need = ceil_frac(table["N_min"]) + 2 * eta
@@ -317,10 +326,13 @@ def search_cut_pair(space, table, budget=2000):
             "required_radius": need, "window": space.R_max})
     k = ceil_frac(table["k"])
     depth_bound = ceil_frac(Fraction(table["k"]) + Fraction(R))
+    totals = range(need, min(n_hi, space.R_max) + 1)
+    dist_base = bfs_distances(space, [0], cutoff=max(totals, default=0))
     periodic = (("periodic_candidates",
                  _periodic_candidate(space, path, eta, table, r, K, R))
-                for total in range(need, min(n_hi, space.R_max) + 1)
-                for path in _geodesic_paths(space, total, depth_bound))
+                for total in totals
+                for path in _geodesic_paths(space, total, depth_bound,
+                                            dist_base))
     starts = (v for v in space.vertices() if space.height(v) >= max(1, k))
     length_bound = floor_frac(Fraction(table["N_max"]) - 2 * Fraction(R)
                               + 2 * Fraction(table["eta"]))
@@ -482,11 +494,13 @@ def _verify_noncut_horseshoe(space, f, table):
 def search_noncut_pair(space, table, budget=2000):
     """Mirror of search_cut_pair: triples of overlapping periodic
     segments (type 1), then horseshoe segments with endpoints at height
-    exactly k (type 2), the only ones its verifier can accept.  Cayley
-    edge labels screen the outer segments of a triple, the exact
-    translate check decides (see _segment_translation), and each first
-    segment is judged once per search; every candidate still counts
-    once against the budget."""
+    exactly k (type 2), the only ones its verifier can accept.  The
+    triples come lengths-major, in walk order within (see
+    _triple_stream): one walk per span total judges every lengths of
+    that total.  Cayley edge labels screen the outer segments of a
+    triple, the exact translate check decides (see
+    _segment_translation), and each first segment is judged once per
+    search; every candidate still counts once against the budget."""
     _params(table)
     eta = ceil_frac(table["eta"])
     n1 = min(floor_frac(table["N1"]), space.R_max)
@@ -498,11 +512,8 @@ def search_noncut_pair(space, table, budget=2000):
     window_cut = (floor_frac(table["N1"]) + floor_frac(table["N2"]) + 2 * eta
                   > space.R_max or k > space.h_max
                   or any(total > space.R_max for _, total in totals))
-    first = {}
-    triples = (("triple_candidates",
-                _triple_candidate(space, path, lengths, eta, first))
-               for lengths, total in totals if total <= space.R_max
-               for path in _geodesic_paths(space, total, k))
+    triples = _triple_stream(
+        space, [(m, t) for m, t in totals if t <= space.R_max], eta, k)
     starts = (v for v in space.vertices() if space.height(v) == k > 0)
     length_bound = min(floor_frac(table["N3"]), 4 * space.R_max)
     horseshoes = (("horseshoe_candidates", NonCutFeature("horseshoe",
@@ -514,31 +525,69 @@ def search_noncut_pair(space, table, budget=2000):
                              "horseshoe_candidates": 0})
 
 
+def _triple_stream(space, totals, eta, depth_bound):
+    """("triple_candidates", feature or None) for each (lengths, total)
+    in turn and each geodesic path of that total in walk order.  One BFS
+    from the base, cut off at the largest total, serves every walk, and
+    the paths of a total are walked once, when its first lengths comes
+    up: each path is judged for every lengths of that total.  The first
+    lengths streams as the walk goes; each later one keeps only the
+    features it built, by path ordinal, plus the path count, and replays
+    from that record when its turn comes."""
+    dist_base = bfs_distances(
+        space, [0], cutoff=max((total for _, total in totals), default=0))
+    same_total = {}
+    for lengths, total in totals:
+        same_total.setdefault(total, []).append(lengths)
+    first = {}
+    records = {}    # later lengths -> (path count, {ordinal: feature})
+    for lengths, total in totals:
+        if lengths in records:
+            n, built = records.pop(lengths)
+            for i in range(n):
+                yield "triple_candidates", built.get(i)
+            continue
+        later = [(m, {}) for m in same_total[total][1:]]
+        n = 0
+        for path in _geodesic_paths(space, total, depth_bound, dist_base):
+            yield "triple_candidates", _triple_candidate(
+                space, path, lengths, eta, first)
+            for m, built in later:
+                f = _triple_candidate(space, path, m, eta, first)
+                if f is not None:
+                    built[n] = f
+            n += 1
+        for m, built in later:
+            records[m] = (n, built)
+
+
 def _triple_candidate(space, path, lengths, eta, first):
-    """Slice an enumerated path (spans l1 + l2 + l3 plus an eta margin at
-    each end) into three segments overlapping by 2 eta.  first maps each
-    first segment already seen to its translation (or None): many paths
-    share it."""
+    """Slice an enumerated path (a tuple of spans l1 + l2 + l3 plus an eta
+    margin at each end) into three segments overlapping by 2 eta.  first
+    maps each first segment already seen to its translation (or None):
+    many paths share it, and most fail on it, so the other two segments
+    are cut only once it passes."""
     l1, l2, _ = lengths
     b1 = eta + l1
     b2 = b1 + l2
-    segs = (tuple(path[:b1 + eta + 1]),
-            tuple(path[b1 - eta:b2 + eta + 1]),
-            tuple(path[b2 - eta:]))
-    if segs[0] not in first:
-        first[segs[0]] = _segment_translation(space, segs[0], eta)
-    g1 = first[segs[0]]
+    seg1 = path[:b1 + eta + 1]
+    g1 = first.get(seg1, False)
+    if g1 is False:
+        g1 = first[seg1] = _segment_translation(space, seg1, eta)
     if g1 is None:
         return None
-    g3 = _segment_translation(space, segs[2], eta)
+    seg3 = path[b2 - eta:]
+    g3 = _segment_translation(space, seg3, eta)
     if g3 is None:
         return None
-    c = next((i for i, v in enumerate(segs[1])
-              if eta <= i <= len(segs[1]) - 1 - eta
+    seg2 = path[b1 - eta:b2 + eta + 1]
+    c = next((i for i, v in enumerate(seg2)
+              if eta <= i <= len(seg2) - 1 - eta
               and space.height(v) == 0), None)
     if c is None:
         return None
-    return NonCutFeature("triple", segs, (eta, eta, eta), g1, g3, c)
+    return NonCutFeature("triple", (seg1, seg2, seg3), (eta, eta, eta),
+                         g1, g3, c)
 
 
 def _segment_translation(space, seg, eta):

@@ -363,9 +363,12 @@ class CuspedSpace:
         ball, h = self.ball, self.h_max
         # horoball ids recur in many lists: share one int object per id
         ids = list(range(self.n)) if self.n > ball.n else None
+        # a ball vertex's Cayley neighbours are its filled edge slots
+        edges, n_letters = ball._edges, len(ball.letters)
         adj = []
         for v in range(ball.n):
-            out = [u for _, u in ball.neighbors(v)]
+            out = [u for u in edges[v * n_letters:(v + 1) * n_letters]
+                   if u >= 0]
             if ids:
                 out.extend(ids[self.horo_id(pi, ci, oi, 1)]
                            for pi, ci, oi in self._thick_memberships[v])

@@ -6,7 +6,7 @@ import pytest
 from jsjforge import features as F
 from jsjforge.annulus import shells
 from jsjforge.geometry import CuspedSpace, bfs_distances
-from jsjforge.hyperbolicity import derive_constants
+from jsjforge.hyperbolicity import ceil_frac, derive_constants, floor_frac
 from jsjforge.words import concat, default_backend, inverse_word, \
     parse_presentation
 
@@ -211,6 +211,24 @@ def test_noncut_horseshoe_rejected_find_does_not_end_search(line_space, n3):
     assert all(line_space.height(v) <= 1 for v in out.feature.path)
 
 
+def _geodesic_paths_reference(space, length, depth_bound):
+    """The per-length walk: its own BFS from the base, cut off at length,
+    and every geodesic path of that length in the depth-bounded part."""
+    dist_base = bfs_distances(space, [0], cutoff=length)
+    stack = [(0,)]
+    while stack:
+        path = stack.pop()
+        if len(path) == length + 1:
+            yield path
+            continue
+        for u in reversed(space.neighbors(path[-1])):
+            if space.height(u) > depth_bound:
+                continue
+            if dist_base.get(u, -1) != len(path):
+                continue
+            stack.append(path + (u,))
+
+
 def _translation_reference(space, seg, eta):
     """g = gamma(b) gamma(a)^-1 when g.gamma(a+t) = gamma(b+t) for every
     t in [-eta, eta], by translate alone."""
@@ -241,7 +259,7 @@ def test_segment_translation_matches_translate_reference(window):
     space = CuspedSpace(p, default_backend(p), R, h)
     accepted = rejected = horo = 0
     for length in range(3, 7):
-        for seg in F._geodesic_paths(space, length, depth):
+        for seg in _geodesic_paths_reference(space, length, depth):
             horo += max(seg) >= space.ball.n
             for eta in (0, 1):
                 want = _translation_reference(space, seg, eta)
@@ -251,6 +269,77 @@ def test_segment_translation_matches_translate_reference(window):
                 rejected += want is None
     assert accepted and rejected
     assert (horo > 0) == (window == "line")
+
+
+def _triple_candidate_reference(space, path, lengths, eta, first):
+    """One triple cut from a path of span l1 + l2 + l3 plus the margins."""
+    l1, l2, _ = lengths
+    b1 = eta + l1
+    b2 = b1 + l2
+    segs = (tuple(path[:b1 + eta + 1]),
+            tuple(path[b1 - eta:b2 + eta + 1]),
+            tuple(path[b2 - eta:]))
+    if segs[0] not in first:
+        first[segs[0]] = F._segment_translation(space, segs[0], eta)
+    g1 = first[segs[0]]
+    if g1 is None:
+        return None
+    g3 = F._segment_translation(space, segs[2], eta)
+    if g3 is None:
+        return None
+    c = next((i for i, v in enumerate(segs[1])
+              if eta <= i <= len(segs[1]) - 1 - eta
+              and space.height(v) == 0), None)
+    if c is None:
+        return None
+    return F.NonCutFeature("triple", segs, (eta, eta, eta), g1, g3, c)
+
+
+def _noncut_totals(space, tab):
+    """eta, the depth bound k, and every (lengths, total) of the
+    non-cut search's bounds, in lengths-major order."""
+    eta = ceil_frac(tab["eta"])
+    n1 = min(floor_frac(tab["N1"]), space.R_max)
+    n2 = min(floor_frac(tab["N2"]), space.R_max)
+    totals = [((l1, l2, l3), l1 + l2 + l3 + 2 * eta)
+              for l1 in range(1, n1 + 1) for l2 in range(1, n2 + 1)
+              for l3 in range(1, n1 + 1)]
+    return eta, ceil_frac(tab["k"]), totals
+
+
+# the screen windows, and F2 at R=7, where the later lengths of a
+# total build features of their own, so a replay off by one shows
+STREAM_WINDOWS = dict(SCREEN_WINDOWS, **{"f2-r7": ("gen a b\n", 7, 0, 0)})
+
+
+def test_triple_stream_matches_per_lengths_reference():
+    """The one-walk-per-total triple stream yields the same (key,
+    feature) sequence as one BFS and one walk per lengths, on each
+    stream window under three tables.  Built features, Nones, features
+    replayed from a shared walk and lengths cut by the window all occur."""
+    seen = {"feature": 0, "none": 0, "replayed": 0, "window_cut": 0}
+    for window in sorted(STREAM_WINDOWS):
+        text, R, h, _ = STREAM_WINDOWS[window]
+        p = parse_presentation(text)
+        space = CuspedSpace(p, default_backend(p), R, h)
+        for table in ("F2", "LINE", "NONCUT_GUARD"):
+            eta, k, totals = _noncut_totals(space, _table(**TABLES[table]))
+            kept = [(m, t) for m, t in totals if t <= space.R_max]
+            first, walked, want = {}, set(), []
+            for m, t in kept:
+                block = [("triple_candidates", _triple_candidate_reference(
+                    space, path, m, eta, first))
+                    for path in _geodesic_paths_reference(space, t, k)]
+                if t in walked:
+                    seen["replayed"] += sum(f is not None for _, f in block)
+                walked.add(t)
+                want += block
+            got = list(F._triple_stream(space, kept, eta, k))
+            assert got == want, (window, table)
+            seen["feature"] += sum(f is not None for _, f in got)
+            seen["none"] += sum(f is None for _, f in got)
+            seen["window_cut"] += len(totals) > len(kept)
+    assert all(seen.values()), seen
 
 
 def _ground_set_reference(space, path, a, b, r, K, R):
@@ -272,7 +361,7 @@ def _ground_set_reference(space, path, a, b, r, K, R):
 
 @pytest.mark.parametrize("r,K,R", [(1, 1, 2), ("3/2", "5/2", "7/2")])
 def test_cutpair_ground_set_integer_bounds(free2_space, r, K, R):
-    paths = list(F._geodesic_paths(free2_space, 4, 0))[::12]
+    paths = list(_geodesic_paths_reference(free2_space, 4, 0))[::12]
     for path in paths:
         got = shells(free2_space, path, 1, 3, r, K, R)
         assert got == _ground_set_reference(free2_space, path, 1, 3, r, K, R)

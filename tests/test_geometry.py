@@ -143,6 +143,27 @@ def test_window_adjacency_golden(text, R, h, n, digest):
     assert hsh.hexdigest() == digest
 
 
+@pytest.mark.parametrize("text,R,h", [
+    ("gen a b\nrel aaa\nrel bb\n", 6, 0),
+    ("gen a b\nrel aaa\nrel bb\nper B = b\n", 4, 2),
+    ("gen a b c\nrel aBCCbcB\n", 3, 0),
+])
+def test_thick_adjacency_matches_ball_neighbors(text, R, h):
+    """Each thick vertex's window neighbours inside the ball are its
+    Cayley neighbours, read off the edge slots, with repeats: where two
+    letters are equal in the group (b = B when b^2 = 1) both slots hold
+    the same neighbour."""
+    p = parse_presentation(text)
+    space = CuspedSpace(p, default_backend(p), R_max=R, h_max=h)
+    ball = space.ball
+    repeats = 0
+    for v in range(ball.n):
+        want = sorted(u for _, u in ball.neighbors(v))
+        assert [u for u in space.neighbors(v) if u < ball.n] == want
+        repeats += len(set(want)) < len(want)
+    assert (repeats > 0) == ("bb" in text)
+
+
 def _peripheral_nx(pg):
     g = nx.Graph()
     g.add_nodes_from(range(len(pg.elems)))
