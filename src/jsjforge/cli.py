@@ -9,10 +9,12 @@ Exit codes: 0 decided, 2 usage error or malformed input file (one line
 `jsj-forge: error: FILE: message`, or `--window: message` for a bad or
 unpaired `--window`, on standard error; a `--window` on a presentation
 that no word-problem backend accepts, or `gog cylinders` on a document
-with such a vertex group, reads `FILE: no word-problem backend: ...`;
-`gog cylinders` on a document with a non-cyclic edge group, and
-`gog collapse --edges` with an entry that is not an edge id of FILE,
-read `FILE: ...` too), 3 exhausted (budget ran out, or no word-problem
+with such a vertex group at an edge end, reads `FILE: no word-problem
+backend: ...`; `gog cylinders` on a non-cyclic edge group or an edge
+map sending the edge generator to the identity (`FILE: edge N: trivial
+image at vertex V`; `gog fold` warns and skips such an edge), and `gog
+collapse --edges` with an entry that is not an edge id of FILE, read
+`FILE: ...` too), 3 exhausted (budget ran out, or no word-problem
 backend for `split`, `maximal` and `jsj` without a window; `gog
 cylinders` whose root extraction spends its budget prints one line
 `jsj-forge: exhausted: FILE: message`), 4 window insufficient (the

@@ -372,32 +372,69 @@ def _conjugate_powers(backend, u, w, budget):
     return False
 
 
+def _ends(e):
+    """The (vertex, edge map) at each end of edge e, source first."""
+    return (e.source, e.inj_source), (e.target, e.inj_target)
+
+
+def _edge_root(g, eid, end, backends, budget, delta):
+    """The root question at one end (0 source, 1 target) of the cyclic
+    edge eid: (u, report, m), with u the image of the edge generator in
+    normal form, report the vc_analyze of <u>, whose overgroup's first
+    generator is the root r, and r^m = u (m is None unless the verdict
+    is vc and a power up to 4*budget matches).  Builds the vertex
+    backend into `backends` on first use; raises BackendError when there
+    is none, and ValueError when u is trivial."""
+    vid, inj = _ends(g.edges[eid])[end]
+    if vid not in backends:
+        backends[vid] = default_backend(g.vertices[vid].presentation)
+    be = backends[vid]
+    u = be.normalize(tuple(inj[0]))
+    if not u:
+        raise ValueError("edge %d: trivial image at vertex %d" % (eid, vid))
+    rep = vc_analyze(g.vertices[vid].presentation, be, delta, [u],
+                     budget=budget)
+    m = None
+    if rep.verdict == "vc":
+        m = _power_of(be, rep.overgroup[0], u, 4 * budget)
+    return u, rep, m
+
+
+def _power_of(backend, base, target, bound):
+    for sign, step in ((1, base), (-1, inverse_word(base))):
+        acc = ()
+        for k in range(1, bound + 1):
+            acc = backend.normalize(concat(acc, step))
+            if acc == target:
+                return sign * k
+    return None
+
+
 def tree_of_cylinders(g, budget=3, delta=0):
     """Bipartite quotient: original vertices on one side, one cylinder
     vertex per commensurability class of cyclic edge groups on the
     other; the cylinder group is the maximal VC overgroup of the class
-    representative, found by bounded root extraction.  Raises ValueError
-    on an edge group with more than one generator, and BudgetError when
-    root extraction does not certify an overgroup within the budget."""
-    backends = {vid: default_backend(v.presentation)
-                for vid, v in g.vertices.items()}
-    cores = {}
+    representative, and each end maps into it by its own root power m.
+    Raises ValueError on a non-cyclic edge group or a trivial image,
+    BackendError on an end with no backend, and BudgetError when root
+    extraction does not certify an overgroup within the budget."""
+    backends = {}
+    roots = {}
+    images = {}
     for eid, e in sorted(g.edges.items()):
         if len(e.presentation.generators) != 1:
             raise ValueError("edge %d: non-cyclic edge group" % eid)
-        cores[eid] = (e.source, backends[e.source].normalize(
-            tuple(e.inj_source[0])))
-    uf = UnionFind(cores)
-    eids = sorted(cores)
+        roots[eid] = [_edge_root(g, eid, end, backends, budget, delta)
+                      for end in (0, 1)]
+        (u_source, _, _), (u_target, _, _) = roots[eid]
+        # the image at each endpoint; a loop keeps its source image
+        images[eid] = {e.target: u_target, e.source: u_source}
+    uf = UnionFind(roots)
+    eids = sorted(roots)
     for a, b in itertools.combinations(eids, 2):
-        va, ua = cores[a]
-        vb, ub = cores[b]
-        shared = {g.edges[a].source, g.edges[a].target} & \
-            {g.edges[b].source, g.edges[b].target}
-        for v in sorted(shared):
-            wa = _image_in(g, a, v, backends)
-            wb = _image_in(g, b, v, backends)
-            if _conjugate_powers(backends[v], wa, wb, budget):
+        for v in sorted(images[a].keys() & images[b].keys()):
+            if _conjugate_powers(backends[v], images[a][v], images[b][v],
+                                 budget):
                 uf.union(a, b)
                 break
     classes = {}
@@ -409,10 +446,7 @@ def tree_of_cylinders(g, budget=3, delta=0):
         v = g.vertices[vid]
         out.add_vertex(v.presentation, v.marking, namespace=False, vid=vid)
     for ci, root in enumerate(sorted(classes)):
-        members = classes[root]
-        v0, u0 = cores[root]
-        rep = vc_analyze(g.vertices[v0].presentation, backends[v0], delta,
-                         [u0], budget=budget)
+        (_, rep, _), _ = roots[root]  # read at the representative's source
         if rep.verdict != "vc":
             raise BudgetError("edge %d: overgroup not certified vc" % root)
         cyl_names = tuple("cyl%d.g%d" % (ci, i)
@@ -422,19 +456,9 @@ def tree_of_cylinders(g, budget=3, delta=0):
             cyl_rels = ((2, 2),)  # the inverting generator has order 2
         cyl_pres = Presentation(cyl_names, cyl_rels, ())
         cid = out.add_vertex(cyl_pres, "vc", namespace=False)
-        for eid in members:
+        for eid in classes[root]:
             e = g.edges[eid]
-            for endpoint, inj in ((e.source, e.inj_source),
-                                  (e.target, e.inj_target)):
-                # exponent of the class root realizing this edge image,
-                # found by root extraction at the endpoint itself
-                be_v = backends[endpoint]
-                w = be_v.normalize(tuple(inj[0]))
-                rep_v = vc_analyze(g.vertices[endpoint].presentation, be_v,
-                                   delta, [w], budget=budget)
-                k = None
-                if rep_v.verdict == "vc":
-                    k = _power_of(be_v, rep_v.overgroup[0], w, 4 * budget)
+            for (endpoint, inj), (_, _, k) in zip(_ends(e), roots[eid]):
                 if k is None:
                     k = 1  # class membership recorded, exponent unknown
                 cyl_word = tuple([1] * k if k >= 0 else [-1] * (-k))
@@ -443,101 +467,71 @@ def tree_of_cylinders(g, budget=3, delta=0):
     return out
 
 
-def _image_in(g, eid, vid, backends):
-    e = g.edges[eid]
-    inj = e.inj_source if e.source == vid else e.inj_target
-    return backends[vid].normalize(tuple(inj[0]))
-
-
-def _power_of(backend, base, target, bound):
-    acc = ()
-    for k in range(1, bound + 1):
-        acc = backend.normalize(concat(acc, base))
-        if acc == target:
-            return k
-    acc = ()
-    inv = inverse_word(base)
-    for k in range(1, bound + 1):
-        acc = backend.normalize(concat(acc, inv))
-        if acc == target:
-            return -k
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Z_max fold
 
 
 def zmax_fold(g, budget=4, delta=0):
-    """Replace each cyclic edge group by its maximal VC overgroup inside
-    the source vertex: the edge map there becomes the root, and the
-    opposite endpoint absorbs a fresh root generator.  Iterated in
-    deterministic edge order to a fixpoint."""
+    """Replace each cyclic edge group by its maximal VC overgroup at an
+    end where its image is r^m, |m| >= 2: the edge map there becomes the
+    root r, and the opposite endpoint absorbs a fresh root generator.
+    Iterated in deterministic edge order to a fixpoint; each warning is
+    given once."""
     g = g.copy()
     warnings = []
+    backends = {}
     changed = True
     rounds = 0
     while changed and rounds < budget * (len(g.edges) + 1):
         changed = False
         rounds += 1
         for eid in sorted(g.edges):
-            e = g.edges[eid]
-            if len(e.presentation.generators) != 1:
+            if len(g.edges[eid].presentation.generators) != 1:
                 warnings.append("edge %d: non-cyclic, skipped" % eid)
                 continue
-            for end_is_source in (True, False):
-                vid = e.source if end_is_source else e.target
-                inj = e.inj_source if end_is_source else e.inj_target
-                v = g.vertices[vid]
+            for end, (vid, _) in enumerate(_ends(g.edges[eid])):
                 try:
-                    be = default_backend(v.presentation)
+                    _, rep, m = _edge_root(g, eid, end, backends, budget,
+                                           delta)
                 except BackendError as exc:
                     warnings.append("vertex %d: %s" % (vid, exc))
                     continue
-                u = be.normalize(tuple(inj[0]))
-                rep = vc_analyze(v.presentation, be, delta, [u],
-                                 budget=budget)
+                except ValueError as exc:  # a trivial image
+                    warnings.append("%s, skipped" % exc)
+                    break
                 if rep.verdict != "vc":
                     warnings.append("edge %d at vertex %d: overgroup "
                                     "unknown" % (eid, vid))
                     continue
-                root = rep.overgroup[0]
-                if be.normalize(root) == u or len(rep.overgroup) > 1:
-                    continue
-                m = _power_of(be, root, u, 4 * budget)
-                if m is None or abs(m) < 2:
-                    continue
-                _apply_fold(g, eid, end_is_source, root, m)
-                changed = True
-                break
+                if m is not None and abs(m) >= 2 and len(rep.overgroup) == 1:
+                    # the opposite vertex changes: its backend is stale
+                    backends.pop(_apply_fold(g, eid, end, rep.overgroup[0],
+                                             m), None)
+                    changed = True
+                    break
             if changed:
                 break
-    return g, warnings
+    return g, list(dict.fromkeys(warnings))
 
 
-def _apply_fold(g, eid, end_is_source, root, m):
+def _apply_fold(g, eid, end, root, m):
+    """Send the edge generator to the root at end `end` of edge eid; the
+    opposite vertex gains a generator e<eid>.r with e<eid>.r^m equal to
+    its old image.  Returns the opposite vertex id."""
     e = g.edges[eid]
-    this_vid = e.source if end_is_source else e.target
-    other_vid = e.target if end_is_source else e.source
-    other_inj = e.inj_target if end_is_source else e.inj_source
+    other_vid, other_inj = _ends(e)[1 - end]
     ov = g.vertices[other_vid]
-    r_name = "e%d.r" % eid
-    gens = ov.presentation.generators + (r_name,)
+    gens = ov.presentation.generators + ("e%d.r" % eid,)
     t = len(gens)
-    old_w = tuple(other_inj[0])
-    sign_t = t if m >= 0 else -t
-    rel = free_reduce(tuple([sign_t] * abs(m)) + inverse_word(old_w))
+    rel = free_reduce(tuple([t if m >= 0 else -t] * abs(m))
+                      + inverse_word(tuple(other_inj[0])))
     rels = ov.presentation.relators + (rel,)
     g.vertices[other_vid] = GoGVertex(
         Presentation(gens, rels, ov.presentation.peripherals), ov.marking)
-    new_this = (tuple(root),)
-    new_other = ((t,),)
-    if end_is_source:
-        g.edges[eid] = GoGEdge(e.source, e.target, e.presentation,
-                               new_this, new_other)
-    else:
-        g.edges[eid] = GoGEdge(e.source, e.target, e.presentation,
-                               new_other, new_this)
+    maps = ((tuple(root),), ((t,),))
+    g.edges[eid] = GoGEdge(e.source, e.target, e.presentation,
+                           *(maps[::-1] if end else maps))
+    return other_vid
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +540,8 @@ def _apply_fold(g, eid, end_is_source, root, m):
 
 def internal_surface_edges(g, budget=3, delta=0):
     """Edges both of whose endpoints are hanging Fuchsian with the edge
-    group maximal VC there, or extended-Moebius (VC vertex with the edge
+    group maximal VC there (its image is the root of a one-generator
+    overgroup, m = +-1), or extended-Moebius (VC vertex with the edge
     image of index two).  Unknown verdicts exclude the edge and warn."""
     warnings = []
     backends = {}
@@ -556,38 +551,31 @@ def internal_surface_edges(g, budget=3, delta=0):
             warnings.append("edge %d: non-cyclic, excluded" % eid)
             continue
         sides = []
-        for vid, inj in ((e.source, e.inj_source), (e.target, e.inj_target)):
+        for end, (vid, _) in enumerate(_ends(e)):
             v = g.vertices[vid]
-            if vid not in backends:
-                try:
-                    backends[vid] = default_backend(v.presentation)
-                except BackendError:
-                    backends[vid] = None
-            be = backends[vid]
-            if be is None:
+            if v.marking not in ("hangingFuchsian", "vc"):
+                sides.append(False)
+                continue
+            try:
+                u, rep, m = _edge_root(g, eid, end, backends, budget, delta)
+            except ValueError:  # no backend (a BackendError), trivial image
                 sides.append(None)
                 continue
-            u = be.normalize(tuple(inj[0]))
             if v.marking == "hangingFuchsian":
-                rep = vc_analyze(v.presentation, be, delta, [u],
-                                 budget=budget)
-                ok = (rep.verdict == "vc" and len(rep.overgroup) == 1
-                      and be.normalize(rep.overgroup[0]) in
-                      (u, be.normalize(inverse_word(u))))
-                sides.append(ok or None)
-            elif v.marking == "vc":
-                rep = vc_analyze(v.presentation, be, delta,
-                                 [(i + 1,) for i in
-                                  range(len(v.presentation.generators))],
-                                 budget=budget)
-                if rep.verdict == "vc" and rep.core:
-                    sq = be.normalize(concat(rep.core, rep.core))
-                    ok = sq in (u, be.normalize(inverse_word(u)))
-                    sides.append(ok or None)
-                else:
-                    sides.append(None)
+                sides.append(None if m is None else
+                              abs(m) == 1 and len(rep.overgroup) == 1)
+                continue
+            # a VC vertex: its own core decides, not the edge's root
+            be = backends[vid]
+            whole = vc_analyze(v.presentation, be, delta,
+                               [(i + 1,) for i in
+                                range(len(v.presentation.generators))],
+                               budget=budget)
+            if whole.verdict == "vc" and whole.core:
+                sq = be.normalize(concat(whole.core, whole.core))
+                sides.append(sq in (u, be.normalize(inverse_word(u))) or None)
             else:
-                sides.append(False)
+                sides.append(None)
         if all(s is True for s in sides):
             keep.add(eid)
         elif None in sides:

@@ -276,13 +276,13 @@ def test_gog_cylinders_no_backend_one_line_diagnostic(tmp_path, source_cli):
     assert proc.stdout == ""
 
 
-def _run_gog_subprocess(source_cli, argv):
+def _run_gog_subprocess(source_cli, argv, stdout=""):
     prefix, env = source_cli
     proc = subprocess.run(prefix + ["gog"] + argv, capture_output=True,
                           text=True, timeout=60, env=env)
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "Traceback" not in proc.stderr, proc.stderr
-    assert proc.stdout == ""
+    assert proc.stdout == stdout
     return proc.returncode, lines[0]
 
 
@@ -320,3 +320,33 @@ def test_gog_cylinders_spent_budget_is_exhausted(star_file, source_cli):
     assert rc == 3
     assert line == ("jsj-forge: exhausted: %s: edge 0: overgroup not "
                     "certified vc" % star_file)
+
+
+def _trivial_image_edge():
+    # <x> and <y> joined by an edge whose map at x is xX, the identity
+    g = G.GraphOfGroups()
+    u = g.add_vertex(parse_presentation("gen x\n"))
+    v = g.add_vertex(parse_presentation("gen y\n"))
+    g.add_edge(u, v, parse_presentation("gen e\n"), ((1, -1),), ((1,),))
+    return g
+
+
+def test_gog_cylinders_trivial_image_one_line_diagnostic(tmp_path,
+                                                         source_cli):
+    path = tmp_path / "trivial.gog"
+    path.write_text(_trivial_image_edge().to_json())
+    rc, line = _run_gog_subprocess(source_cli, ["cylinders", str(path)])
+    assert rc == 2
+    assert line == ("jsj-forge: error: %s: edge 0: trivial image at "
+                    "vertex 0" % path)
+
+
+def test_gog_fold_trivial_image_warns_and_skips(tmp_path, source_cli):
+    # the edge is left as it is, and the graph printed unchanged
+    g = _trivial_image_edge()
+    path = tmp_path / "trivial.gog"
+    path.write_text(g.to_json())
+    rc, line = _run_gog_subprocess(source_cli, ["fold", str(path)],
+                                   stdout=g.to_json() + "\n")
+    assert rc == 0
+    assert line == "# edge 0: trivial image at vertex 0, skipped"

@@ -151,6 +151,24 @@ def test_zmax_fold_idempotent_and_confluent():
     assert G.canonical_key(f1) == G.canonical_key(f3)
 
 
+def test_zmax_fold_warns_once():
+    # a two-generator edge is skipped in every round, and vertex 0 has no
+    # backend once the cube loop is folded; each warning is given once
+    g = G.GraphOfGroups()
+    a = g.add_vertex(parse_presentation("gen g r\n"))
+    b = g.add_vertex(parse_presentation("gen s t\n"))
+    g.add_edge(a, b, parse_presentation("gen e f\n"), ((1,), (2,)),
+               ((1,), (2,)))
+    g.add_edge(a, a, Presentation(("e",), (), ()), ((1,),), ((2, 2, 2),))
+    g.add_edge(b, b, Presentation(("e",), (), ()), ((1,),), ((2, 2),))
+    f, warnings = G.zmax_fold(g)
+    assert len(warnings) == len(set(warnings)) == 3
+    assert warnings[0] == "edge 0: non-cyclic, skipped"
+    assert [w[:10] for w in warnings[1:]] == ["vertex 0: ", "vertex 1: "]
+    assert f.vertices[a].presentation.generators[-1] == "e1.r"
+    assert f.vertices[b].presentation.generators[-1] == "e2.r"
+
+
 # -- tree of cylinders --------------------------------------------------------
 
 def test_tree_of_cylinders_star():
@@ -164,12 +182,9 @@ def test_tree_of_cylinders_star():
     assert len(t.edges) == 2
     cyl = [v for v in t.vertices.values() if v.marking == "vc"]
     assert len(cyl) == 1
-    for e in t.edges.values():
-        for w in e.inj_source + e.inj_target:
-            assert w in (((1,))[0:0],) or all(x == w[0] for x in w) or True
-    exps = sorted(tuple(len(w) for w in e.inj_source)
-                  for e in t.edges.values())
-    assert exps == [(1,), (1,)] or exps == [(1,), (2,)]
+    # the cylinder's root is x: x is its first power, y^2 its second
+    assert {e.source: e.inj_target for e in t.edges.values()} == {
+        a: ((1,),), b: ((1, 1),)}
 
 
 def test_tree_of_cylinders_bipartite():
@@ -178,6 +193,32 @@ def test_tree_of_cylinders_bipartite():
     cyl = {vid for vid, v in t.vertices.items() if v.marking == "vc"}
     for e in t.edges.values():
         assert (e.source in cyl) != (e.target in cyl)
+
+
+# -- internal surface edges ---------------------------------------------------
+
+def _surface_edge(image_at_y):
+    # <x> -(x = image_at_y)- <y>, both ends hanging Fuchsian
+    g = G.GraphOfGroups()
+    x = g.add_vertex(Z, "hangingFuchsian")
+    y = g.add_vertex(Presentation(("y",), (), ()), "hangingFuchsian")
+    g.add_edge(x, y, Presentation(("e",), (), ()), ((1,),), (image_at_y,))
+    return g
+
+
+@pytest.mark.parametrize("image_at_y,keep", [((1,), {0}), ((1, 1), set())])
+def test_internal_surface_edges_certified_root(image_at_y, keep):
+    # a certified root answers either way: x = y is maximal at both ends;
+    # at y, y^2 = r^m with m = 2 is a definite no, with no warning
+    assert G.internal_surface_edges(_surface_edge(image_at_y)) == (keep, [])
+
+
+def test_internal_surface_edges_unknown_verdict_warns():
+    # with no rounds of root extraction neither end is certified
+    keep, warnings = G.internal_surface_edges(_surface_edge((1, 1)),
+                                              budget=0)
+    assert keep == set()
+    assert warnings == ["edge 0: endpoint verdict unknown, excluded"]
 
 
 # -- linear algebra helpers ---------------------------------------------------
