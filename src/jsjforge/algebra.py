@@ -463,7 +463,7 @@ def _peripherals_match(backend, model_per_images, target_pers, budget):
     if len(model_per_images) != len(target_pers):
         return None
     n_target = len(target_pers)
-    conj_words = [()] + list(words_shortlex(
+    conj_words = list(words_shortlex(
         len(backend.presentation.generators), budget))
     for pairing in itertools.permutations(range(n_target)):
         conjs = []

@@ -359,7 +359,7 @@ def collapse_edges(g, edge_ids):
 def _conjugate_powers(backend, u, w, budget):
     """Bounded commensurability test: c u^p c^-1 = w^(+-q)."""
     n = len(backend.presentation.generators)
-    conjs = [()] + list(words_shortlex(n, budget))
+    conjs = list(words_shortlex(n, budget))
     for p_ in range(1, budget + 1):
         up = backend.normalize(tuple(u) * p_)
         for q in range(1, budget + 1):

@@ -6,7 +6,13 @@ search constants into exact integers and rationals: every comparison is
 done in exact arithmetic, and the few genuinely real-valued terms
 (logarithms base the visual-metric parameter) are replaced by rational
 upper bounds with denominator 2**20, rounded conservatively so that the
-derived constants still satisfy their defining inequalities.
+derived constants still satisfy their defining inequalities.  Those
+bounds come from integer interval arithmetic (math.isqrt, an integer
+m-th root, fixed-point log2 by repeated squaring), with no floating
+point and no dependency beyond the standard library.  The four N bounds,
+numbers of hundreds of thousands of bits at the paper's constants, are
+evaluated on first read, so a caller that reads none of them pays for
+none.
 
 The star/double-dagger machinery: star-pairs are window vertex pairs
 nearly equidistant from a base vertex and uniformly close to each other;
@@ -26,13 +32,17 @@ at most eps + 1 values of m for one x, so ddag_search builds at most
 eps + 1 maps per x and answers every star pair of x from them.
 """
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import bfs_distances, bfs_parents, path_to, shortest_path
 
 ROUND_DEN = 2 ** 20
+# fraction bits log2_upper starts from; it doubles them on a tie
+LOG_BITS = 48
 # certify_delta checks at most this many vertex triples, and at most
 # GEODESIC_CAP geodesics per pair when it takes all of them
 TRIPLE_BUDGET = 2_000_000
@@ -50,16 +60,101 @@ class WindowInsufficient(RuntimeError):
 
 
 def round_up(x):
-    """Smallest Fraction with denominator 2**20 at least x (an mpf)."""
-    import mpmath
-    return Fraction(int(mpmath.ceil(mpmath.mpf(x) * ROUND_DEN)), ROUND_DEN)
+    """Smallest Fraction with denominator 2**20 at least x (a rational)."""
+    return Fraction(ceil_frac(Fraction(x) * ROUND_DEN), ROUND_DEN)
 
 
 def log2_upper(value):
-    """Conservative rational upper bound for log2(value)."""
-    import mpmath
-    with mpmath.workdps(60):
-        return round_up(mpmath.log(mpmath.mpf(value), 2) + mpmath.mpf(2) ** -40)
+    """Smallest Fraction with denominator 2**20 at least log2(value) +
+    2**-40.
+
+    value is a positive int or Fraction, or, for an irrational value, a
+    function p -> (lo, hi) of positive Fractions with lo <= value <= hi
+    whose width shrinks as the working precision p grows.  The log is
+    bracketed in exact integer arithmetic, from LOG_BITS fraction bits,
+    doubled while the two ends of the bracket round to different grid
+    points.
+    """
+    bracket = value if callable(value) else (lambda p: (value, value))
+    bits = LOG_BITS
+    while True:
+        # log2(value) + 2**-40 lies between the two ends over 2**bits
+        lo, hi = (round_up(Fraction(_log2_fixed(x, bits, up)
+                                    + (1 << (bits - 40)), 1 << bits))
+                  for x, up in zip(bracket(bits), (False, True)))
+        if lo == hi:
+            return lo
+        bits *= 2
+
+
+def _log2_fixed(x, bits, up):
+    """An integer L with L <= 2**bits * log2(x) (up False) or L >=
+    2**bits * log2(x) (up True), for a positive rational x.
+
+    x = 2**k * y with 1 <= y < 2; each fraction bit squares y, kept in
+    fixed point with `bits` + 8 fraction bits and rounded toward the
+    bound's side, and halves it when it reaches 2.  Rounding down only
+    lowers every later y, so the bits read are a lower bound; rounding up
+    keeps y at most 2, so the bits read plus one unit are an upper bound.
+    """
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    k = p.bit_length() - q.bit_length()
+    if (p << max(-k, 0)) < (q << max(k, 0)):
+        k -= 1
+    w = bits + 8
+    shift = w - k
+    num, den = (p << shift, q) if shift >= 0 else (p, q << -shift)
+    y = -(-num // den) if up else num // den
+    two = 1 << (w + 1)
+    acc = 0
+    for _ in range(bits):
+        y = -(-(y * y) >> w) if up else (y * y) >> w
+        acc <<= 1
+        if y >= two:
+            acc |= 1
+            y = (y + up) >> 1
+    return (k << bits) + acc + up
+
+
+def _sqrt2(p):
+    """(lo, hi) bracketing sqrt(2), 2**-p apart."""
+    s = math.isqrt(2 << (2 * p))
+    return Fraction(s, 1 << p), Fraction(s + 1, 1 << p)
+
+
+def _k2_over_k1(p):
+    """k2/k1 = 1/(3 - 2*sqrt(2)) = 3 + 2*sqrt(2)."""
+    lo, hi = _sqrt2(p + 4)
+    return 3 + 2 * lo, 3 + 2 * hi
+
+
+def _two_k1_over_k2(p):
+    """2*k1/k2 = 2*(3 - 2*sqrt(2)), which is below 1."""
+    lo, hi = _sqrt2(p + 8)
+    return 2 * (3 - 2 * hi), 2 * (3 - 2 * lo)
+
+
+def _lacunarity(m, p):
+    """1/(1 - a^-1) for the visual parameter a = 2**(1/m).  With t =
+    floor(2**(q + 1/m)), a lies in [t, t + 1] / 2**q, and the factor
+    falls as a grows; q exceeds p by the bits of the factor's size,
+    about m / log(2), and some to spare."""
+    q = p + 8 + m.bit_length()
+    t = _iroot(2 << (m * q), m)
+    one = 1 << q
+    return Fraction(t + 1, t + 1 - one), Fraction(t, t - one)
+
+
+def _iroot(a, m):
+    """floor(a ** (1/m)) for an integer a >= 1: Newton's method descends
+    to it from any start above the root."""
+    x = 1 << -(-a.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + a // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
 
 
 def ceil_frac(x):
@@ -192,25 +287,64 @@ def _morse_constant(lam, eps, delta):
     return 4 * lam ** 2 * (lam + eps + delta + 1) ** 2
 
 
+# the N bounds are linear in bulk = (k + R + 1) * B**ceil(2*eta), a number
+# of hundreds of thousands of bits at the paper's constants; a table
+# evaluates one only when it is read
+N_BOUNDS = ("N_max", "N1", "N2", "N3")
+
+
+def _n_bound(name, v, bulk):
+    """The N bound called name, from the table's values v and its bulk."""
+    V, eta = v["V"], v["eta"]
+    if name == "N_max":
+        return v["N_min"] * bulk * 2 ** V + 1
+    if name == "N1":
+        return 2 * (V - 1) * (bulk * V ** (V + 1) + 2 * eta) + 2 * eta \
+            + 2 * (bulk + 1)
+    if name == "N2":
+        return bulk + 1
+    return 2 * bulk * V ** (V + 1) + 4 * eta
+
+
 class ConstantTable:
     """Exact table of all derived search constants with provenance.
 
     values: name -> int or Fraction; provenance: name -> 'formula' |
     'override' | 'input'; warnings: constraint violations caused by
-    overrides (reported, not fatal).
+    overrides (reported, not fatal).  The N bounds named in pending are
+    evaluated on first read, from one bulk per table; values,
+    fingerprint() and as_text() evaluate them all.
     """
 
-    def __init__(self, values, provenance, warnings):
-        self.values = dict(values)
+    def __init__(self, values, provenance, warnings, pending=()):
+        self._values = dict(values)
+        self._pending = list(pending)
+        self._bulk = None
         self.provenance = dict(provenance)
         self.warnings = list(warnings)
 
+    @property
+    def values(self):
+        for name in list(self._pending):
+            self[name]
+        return self._values
+
     def __getitem__(self, name):
-        return self.values[name]
+        v = self._values
+        try:
+            return v[name]
+        except KeyError:
+            if name not in self._pending:
+                raise
+        if self._bulk is None:
+            self._bulk = (v["k"] + v["R"] + 1) * \
+                v["B"] ** ceil_frac(2 * v["eta"])
+        v[name] = _n_bound(name, v, self._bulk)
+        self._pending.remove(name)
+        return v[name]
 
     def Rd(self, n):
-        return 4 * (n + self.values["M"]) + 3 * self.values["kd"] \
-            + 50 * self.values["delta"] + 3
+        return 4 * (n + self["M"]) + 3 * self["kd"] + 50 * self["delta"] + 3
 
     def as_text(self):
         lines = ["%-10s %-9s %s" % ("name", "source", "value")]
@@ -258,8 +392,14 @@ def derive_constants(delta, delta_per=0, n=None, B=None, V=None,
     peripheral subgroups; n: double-dagger index (defaults to Kd); B, V:
     valence and ball-size stats of the thick part (needed for the N
     bounds; may be None, leaving those entries unset); overrides: name ->
-    value applied atomically with provenance 'override'.
+    value applied atomically with provenance 'override'.  A delta or
+    delta_per that is not an integer >= 0, or an n, B or V that is not
+    an integer >= 1, is a ValueError that names the entry.
     """
+    delta = _whole("delta", delta, 0)
+    delta_per = _whole("delta_per", delta_per, 0)
+    if n is not None:
+        n = _whole("n", n, 1)
     overrides = dict(overrides or {})
     values = {}
     prov = {}
@@ -293,22 +433,16 @@ def derive_constants(delta, delta_per=0, n=None, B=None, V=None,
     D = put("D", _morse_constant(lam, eps, delta))
 
     # log_a(x) = 4*dv*log2(x); the argument mixes k2/k1 = 1/(3-2*sqrt(2))
-    # = 3+2*sqrt(2) with the lacunarity factor 1/(1-a^-1).  mpmath is
-    # imported only where the table needs it: the import alone adds about
-    # 4 MB of resident memory, which a run without a table never uses.
-    import mpmath
-    with mpmath.workdps(60):
-        log2_k2k1 = log2_upper(3 + 2 * mpmath.sqrt(2))
-        a_inv = mpmath.mpf(2) ** (-Fraction(1, 4 * dv))
-        log2_lac = log2_upper(1 / (1 - a_inv))
-        nn = max(int(n) - 1, 2)
-        log2_n1 = log2_upper(nn)
-        shadow_term = 4 * dv * (log2_k2k1 + log2_n1 + log2_lac)
-        # 2*k1/k2 = 2*(3-2*sqrt(2)) < 1, so this log is negative; rounding
-        # up (toward zero) keeps the T bound an upper bound
-        log2_2k1 = round_up(mpmath.log(2 * (3 - 2 * mpmath.sqrt(2)), 2)
-                            + mpmath.mpf(2) ** -40)
-        hollow_term = 4 * dv * log2_2k1
+    # = 3+2*sqrt(2) with the lacunarity factor 1/(1-a^-1).  Each log2 is
+    # a rational upper bound on the 2**-20 grid, from exact integer
+    # interval arithmetic (log2_upper).
+    log2_k2k1 = log2_upper(_k2_over_k1)
+    log2_lac = log2_upper(functools.partial(_lacunarity, 4 * dv))
+    log2_n1 = log2_upper(max(int(n) - 1, 2))
+    shadow_term = 4 * dv * (log2_k2k1 + log2_n1 + log2_lac)
+    # 2*k1/k2 = 2*(3-2*sqrt(2)) < 1, so this log is negative; rounding up
+    # (toward zero) keeps the T bound an upper bound
+    hollow_term = 4 * dv * log2_upper(_two_k1_over_k2)
 
     r_bound = max(Fraction(D), 2 * shadow_term + M + 12 * delta + D)
     r = put("r", floor_frac(r_bound) + 1)  # strict inequality
@@ -336,24 +470,31 @@ def derive_constants(delta, delta_per=0, n=None, B=None, V=None,
     if "V" in overrides:
         values["V"] = overrides.pop("V")
         prov["V"] = "override"
-    B = values["B"]
-    V = values["V"]
-    if B is not None and V is not None:
-        eta2 = ceil_frac(2 * eta)  # integer exponent, rounded up
-        bulk = (k + R + 1) * B ** eta2
-        put("N_max", N_min * bulk * 2 ** V + 1)
-        put("N1", 2 * (V - 1) * (bulk * V ** (V + 1) + 2 * eta)
-            + 2 * eta + 2 * (bulk + 1))
-        put("N2", bulk + 1)
-        put("N3", 2 * bulk * V ** (V + 1) + 4 * eta)
-    # what is left: overrides of names no formula above set, and the N
-    # bounds when B or V is unknown
+    for name in ("B", "V"):
+        if values[name] is not None:
+            _whole(name, values[name], 1)
+    pending = []
+    if values["B"] is not None and values["V"] is not None:
+        # an N bound that no override sets is evaluated on first read
+        pending = [name for name in N_BOUNDS if name not in overrides]
+        prov.update(dict.fromkeys(pending, "formula"))
+    # what is left: overrides of names no formula above set, the N bounds
+    # among them
     for name, v in overrides.items():
         values[name] = v
         prov[name] = "override"
 
     _audit(values, prov, warnings, shadow_term, hollow_term)
-    return ConstantTable(values, prov, warnings)
+    return ConstantTable(values, prov, warnings, pending)
+
+
+def _whole(name, value, least):
+    """value as an int, or a ValueError naming the entry when it is not an
+    integer or is below least."""
+    if Fraction(value).denominator != 1 or value < least:
+        raise ValueError("%s: expected an integer >= %d, got %s"
+                         % (name, least, value))
+    return int(value)
 
 
 def _audit(values, prov, warnings, shadow_term, hollow_term):

@@ -185,6 +185,62 @@ def test_malformed_input_one_line_diagnostic(tmp_path, source_cli, name,
     assert lines[0].startswith("jsj-forge: error: %s: " % bad)
 
 
+@pytest.mark.parametrize("text,entry", [
+    ("delta = 1\ndelta_per = -1\n", "delta_per"),
+    ("delta = -1\n", "delta"),
+    ("delta = 1/2\n", "delta"),
+    ("delta = 0\nn = 0\n", "n"),
+    ("delta = 0\nB = 0\nV = 4\n", "B"),
+    ("delta = 0\nB = 3\nV = 0\n", "V"),
+])
+def test_malformed_constant_entry_one_line_diagnostic(tmp_path, source_cli,
+                                                      text, entry):
+    grp = tmp_path / "ok.grp"
+    grp.write_text("gen a b\n")
+    bad = tmp_path / "bad.const"
+    bad.write_text(text)
+    prefix, env = source_cli
+    proc = subprocess.run(prefix + ["split", str(grp), "--window", "2,0",
+                                    "--const", str(bad)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert lines[0].startswith("jsj-forge: error: %s: %s: " % (bad, entry))
+    assert proc.stdout == ""
+
+
+def test_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+def test_readme_example_runs_without_mpmath(tmp_path, source_cli):
+    # the README genus-2 example decides with mpmath blocked, and a run
+    # that does not block it never imports it
+    (tmp_path / "g2.grp").write_text("gen a b c d\nrel abABcdCD\n")
+    (tmp_path / "paper.const").write_text("delta = 1\nB = 3\nV = 5\n")
+    argv = ["split", "g2.grp", "--const", "paper.const", "--window", "3,1",
+            "--budget", "12"]
+    _, env = source_cli
+    for block in (True, False):
+        code = ("import sys\n"
+                + ("sys.modules['mpmath'] = None\n" if block else "")
+                + "from jsjforge.cli import main\n"
+                "rc = main(%r)\n"
+                "print('mpmath' in sys.modules)\n"
+                "sys.exit(rc)\n" % argv)
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "answer: splits"
+        assert lines[-1] == str(block)
+
+
 @pytest.mark.parametrize("argv", [
     ["--window", "3", "--const", "{const}"],
     ["--window", "3,x", "--const", "{const}"],

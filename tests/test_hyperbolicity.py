@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -6,10 +7,12 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+from jsjforge import hyperbolicity as hyp
 from jsjforge.geometry import CuspedSpace, shortest_path
 from jsjforge.hyperbolicity import (ceil_frac, certify_delta, check_ddag,
                                     ddag_search, derive_constants, floor_frac,
-                                    parse_const_file, star_pairs_iter)
+                                    log2_upper, parse_const_file, round_up,
+                                    star_pairs_iter)
 from jsjforge.words import default_backend, parse_presentation
 
 
@@ -75,6 +78,201 @@ def test_as_text_handles_huge_values_quickly():
     text = t.as_text()
     assert "~10^" in text
     assert "override" not in text
+
+
+# ---------------------------------------------------------------------------
+# log2 bounds against mpmath at 60 digits (mpmath is a test-only oracle)
+
+
+def _mp_round_up(mp, x):
+    return Fraction(int(mp.ceil(x * 2 ** 20)), 2 ** 20)
+
+
+def _mpq(mp, x):
+    """An int, a Fraction or an mpf as an mpf."""
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpf(x)
+
+
+def _mp_log2_plus(mp, x):
+    """log2(x) + 2**-40 in mpmath."""
+    return mp.log(_mpq(mp, x), 2) + mp.mpf(2) ** -40
+
+
+def _check_log2_upper(mp, value, x):
+    """log2_upper(value) is mpmath's bound for x, and it is the least
+    point of the 2**-20 grid at or above log2(x) + 2**-40."""
+    got = log2_upper(value)
+    target = _mp_log2_plus(mp, x)
+    assert got == _mp_round_up(mp, target), x
+    assert _mpq(mp, got - Fraction(1, 2 ** 20)) < target <= _mpq(mp, got), x
+
+
+def _log_oracle_inputs():
+    rng = random.Random(20)
+    ints = [rng.randrange(1, 10 ** rng.randrange(1, 40)) for _ in range(200)]
+    ints += [2 ** k for k in range(300)] + [2 ** k - 1 for k in range(1, 300)]
+    ints += [2 ** k + 1 for k in range(300)]
+    # the paper's Kd - 1 for delta = 0..7
+    for delta in range(8):
+        m = 290 * delta + 3
+        ints.append(3 * 2 ** (2 * m + 3) + m + 2)
+    rats = [Fraction(rng.randrange(1, 10 ** 12), rng.randrange(1, 10 ** 12))
+            for _ in range(200)]
+    rats += [Fraction(1, 2 ** k) for k in range(1, 60)]
+    rats += [Fraction(2 ** k - 1, 2 ** k) for k in range(1, 60)]
+    return ints + rats
+
+
+def test_log2_upper_matches_mpmath_on_rationals():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        for x in _log_oracle_inputs():
+            _check_log2_upper(mp, x, x)
+
+
+def test_round_up_matches_mpmath_on_rationals():
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(21)
+    xs = [Fraction(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(1, 10 ** 9))
+          for _ in range(500)]
+    xs += [Fraction(k, 2 ** 20) for k in range(-5, 6)]
+    with mp.workdps(60):
+        for x in xs:
+            got = round_up(x)
+            assert got == _mp_round_up(mp, _mpq(mp, x))
+            assert got - Fraction(1, 2 ** 20) < x <= got
+
+
+def test_log2_upper_matches_mpmath_on_irrationals():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        root2 = mp.sqrt(2)
+        _check_log2_upper(mp, hyp._k2_over_k1, 3 + 2 * root2)
+        _check_log2_upper(mp, hyp._two_k1_over_k2, 2 * (3 - 2 * root2))
+        for m in range(4, 161):
+            lac = 1 / (1 - mp.mpf(2) ** (-mp.mpf(1) / m))
+            _check_log2_upper(mp, functools.partial(hyp._lacunarity, m), lac)
+
+
+def test_log2_upper_refines_a_wide_bracket():
+    # a bracket too wide at the first precision is asked again at more
+    # bits, and the answer is the one for the exact value
+    asked = []
+
+    def bracket(p):
+        asked.append(p)
+        slack = Fraction(1, 2 ** (p // 4))
+        return 3 * (1 - slack), 3 * (1 + slack)
+
+    assert log2_upper(bracket) == log2_upper(3)
+    assert asked[0] == hyp.LOG_BITS and len(asked) > 1
+
+
+@pytest.mark.parametrize("m", [4, 7, 160])
+def test_irrational_brackets_hold_their_value(m):
+    # each bracket holds the value it stands for, and narrows with p
+    for p in (48, 96):
+        lo, hi = hyp._sqrt2(p)
+        assert lo * lo <= 2 <= hi * hi and hi - lo == Fraction(1, 2 ** p)
+        lo, hi = hyp._lacunarity(m, p)
+        # x = 1/(1 - 2**(-1/m)) iff 2 = (x / (x - 1))**m
+        assert (lo / (lo - 1)) ** m >= 2 >= (hi / (hi - 1)) ** m
+        assert hi - lo < Fraction(m, 2 ** (p - 1))
+
+
+# ---------------------------------------------------------------------------
+# N bounds on first read
+
+
+def _eager_n_bounds(t):
+    """The four N bounds by their formulas, from the table's own k, R, eta,
+    N_min, B and V."""
+    V, eta = t["V"], t["eta"]
+    bulk = (t["k"] + t["R"] + 1) * t["B"] ** math.ceil(2 * eta)
+    return {"N_max": t["N_min"] * bulk * 2 ** V + 1,
+            "N1": 2 * (V - 1) * (bulk * V ** (V + 1) + 2 * eta) + 2 * eta
+            + 2 * (bulk + 1),
+            "N2": bulk + 1,
+            "N3": 2 * bulk * V ** (V + 1) + 4 * eta}
+
+
+def _spy_n_bounds(monkeypatch):
+    """Record (name, id(bulk)) for every N bound the tables evaluate."""
+    calls = []
+    real = hyp._n_bound
+
+    def spy(name, values, bulk):
+        calls.append((name, id(bulk)))
+        return real(name, values, bulk)
+
+    monkeypatch.setattr(hyp, "_n_bound", spy)
+    return calls
+
+
+def test_n_bounds_evaluated_on_first_read(monkeypatch):
+    calls = _spy_n_bounds(monkeypatch)
+    t = derive_constants(1, 0, B=3, V=5)
+    assert calls == []
+    assert t["M"] == 293 and t["Kd"] == 3 * 2 ** 589 + 296
+    assert calls == []
+    eager = _eager_n_bounds(t)
+    for name in ("N1", "N3", "N1", "N_max", "N2"):
+        assert t[name] == eager[name], name
+    # one evaluation per bound, all from one bulk
+    assert [c[0] for c in calls] == ["N1", "N3", "N_max", "N2"]
+    assert len({c[1] for c in calls}) == 1
+    assert all(t.provenance[name] == "formula" for name in eager)
+
+
+@pytest.mark.parametrize("reader", ["values", "fingerprint", "as_text"])
+def test_whole_table_readers_evaluate_every_n_bound(monkeypatch, reader):
+    calls = _spy_n_bounds(monkeypatch)
+    t = derive_constants(0, 0, n=4, B=3, V=4)
+    out = getattr(t, reader)
+    if callable(out):
+        out()
+    assert sorted(c[0] for c in calls) == ["N1", "N2", "N3", "N_max"]
+    assert len({c[1] for c in calls}) == 1
+    eager = _eager_n_bounds(t)
+    assert {name: t.values[name] for name in eager} == eager
+    assert len(calls) == 4
+
+
+def test_overridden_n_bound_is_never_computed(monkeypatch):
+    calls = _spy_n_bounds(monkeypatch)
+    t = derive_constants(1, 0, B=3, V=5, overrides={"N2": 7})
+    assert t["N2"] == 7 and t.provenance["N2"] == "override"
+    assert calls == []
+    eager = _eager_n_bounds(t)
+    for name in ("N_max", "N1", "N3"):
+        assert t[name] == eager[name] and t.provenance[name] == "formula"
+    assert t.values["N2"] == 7
+    assert "N2" not in [c[0] for c in calls]
+
+
+def test_n_bounds_unset_without_b_and_v():
+    t = derive_constants(1, 0, B=3)
+    assert not set(t.values) & {"N_max", "N1", "N2", "N3"}
+    with pytest.raises(KeyError):
+        t["N1"]
+    assert derive_constants(1, 0, overrides={"N1": 4})["N1"] == 4
+
+
+@pytest.mark.parametrize("kwargs,entry", [
+    ({"delta": -1}, "delta"),
+    ({"delta": Fraction(1, 2)}, "delta"),
+    ({"delta": 1, "delta_per": -1}, "delta_per"),
+    ({"delta": 1, "delta_per": Fraction(3, 2)}, "delta_per"),
+    ({"delta": 1, "n": 0}, "n"),
+    ({"delta": 1, "B": 0, "V": 5}, "B"),
+    ({"delta": 1, "B": 3, "V": 0}, "V"),
+    ({"delta": 1, "B": 3, "V": Fraction(3, 2)}, "V"),
+])
+def test_derive_constants_rejects_malformed_entries(kwargs, entry):
+    with pytest.raises(ValueError, match="^%s: " % entry):
+        derive_constants(**kwargs)
 
 
 def test_star_pairs_symmetric_distance_window(line_space):
