@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .annulus import UnionFind
+from .geometry import Ball, CayleyBall
 from .words import BackendError, Presentation, concat, conjugate, \
     free_reduce, inverse_word, parse_word, substitute, words_shortlex
 
@@ -47,27 +48,18 @@ def order_of(backend, w, bound):
 
 
 def subgroup_elements(backend, gens, max_syllables):
-    """Normal forms of products of up to max_syllables subgroup
-    generators (and inverses), with one witness expression each.
-    Deterministic BFS order."""
-    alphabet = []
-    for g in gens:
-        alphabet.append(tuple(g))
-        alphabet.append(inverse_word(g))
-    seen = {(): ()}
-    frontier = [()]
-    order = [()]
+    """Normal forms of the products of up to max_syllables generators and
+    inverses, one per element of <gens>, in BFS order."""
+    ball = _subgroup_ball(backend, gens)
     for _ in range(max_syllables):
-        new_frontier = []
-        for nf in frontier:
-            for a in alphabet:
-                nf2 = backend.normalize(concat(nf, a))
-                if nf2 not in seen:
-                    seen[nf2] = None
-                    new_frontier.append(nf2)
-                    order.append(nf2)
-        frontier = new_frontier
-    return order
+        ball.grow()
+    return ball.normal_forms()
+
+
+def _subgroup_ball(backend, gens):
+    """The Ball of <gens> stepping by each generator, then its inverse."""
+    return Ball(backend, [s for g in gens
+                          for s in (tuple(g), inverse_word(g))])
 
 
 def cyclic_subgroup_contains(backend, u, x):
@@ -98,10 +90,8 @@ def finite_normal_subgroups(p, backend, delta):
     the ball of radius 4*delta + 2, plus the unique maximal one.
     Returns (subgroups, maximal), each subgroup a sorted list of normal
     forms."""
-    from .geometry import CayleyBall
     radius = 4 * delta + 2
-    ball = CayleyBall(p, backend, radius, vertex_cap=MAX_BALL)
-    elems = [backend.normalize(w) for w in ball.words]
+    elems = CayleyBall(p, backend, radius, vertex_cap=MAX_BALL).normal_forms()
     elem_set = set(elems)
     order_bound = len(elems)
     gens = [(i + 1,) for i in range(len(p.generators))]
@@ -206,23 +196,19 @@ def vc_analyze(p, backend, delta, S, budget=6):
     interleaved rounds: (i) find an infinite-order u with s u s^-1 in
     {u, u^-1} for all s in S and a closing coset system for <u> in <S>;
     (ii) find g, h in <S> with [g^2, h^2] of infinite order."""
-    from .geometry import CayleyBall
     S = [tuple(backend.normalize(tuple(w))) for w in S]
     S = [w for w in S if w]
     if not S:
         return VCReport("vc", vc_type="Z", overgroup=[], core=(),
                         budgets={"rounds": 0})
-    ball = CayleyBall(p, backend, 4 * delta + 2, vertex_cap=MAX_BALL)
-    order_bound = ball.n
-    elems_cache = {}
-
-    def elems(rounds):
-        if rounds not in elems_cache:
-            elems_cache[rounds] = subgroup_elements(backend, S, rounds)
-        return elems_cache[rounds]
-
+    order_bound = CayleyBall(p, backend, 4 * delta + 2,
+                             vertex_cap=MAX_BALL).n
+    # round r reads the elements of up to r syllables: one sphere more
+    ball = _subgroup_ball(backend, S)
+    candidates = []
     for rounds in range(1, budget + 1):
-        candidates = [w for w in elems(rounds) if w]
+        ball.grow()
+        candidates.extend(ball.normal_forms(len(candidates) + 1))
         # leg (ii): obstruction pair
         for g, h in itertools.combinations(candidates, 2):
             c = backend.normalize(_commutator(concat(g, g), concat(h, h)))
@@ -498,14 +484,6 @@ def verify_hom_pair(model, model_backend, p, backend, phi, psi,
         return None
     if not _is_hom(model_backend, p.relators, psi):
         return None
-    return _inverse_pair(model, model_backend, p, backend, phi, psi,
-                         target_pers, budget)
-
-
-def _inverse_pair(model, model_backend, p, backend, phi, psi, target_pers,
-                  budget):
-    """The checks of verify_hom_pair after the homomorphism conditions:
-    two-sided composition identity and peripheral alignment."""
     for i in range(len(model.presentation.generators)):
         back = model_backend.normalize(substitute(phi[i], psi))
         if back != model_backend.normalize((i + 1,)):
@@ -593,10 +571,11 @@ def _match_model(model, mbe, p, backend, pers, pools, L, stats):
 
     For each phi one pass over the model pool finds, per Gamma generator
     i, the words v with phi(v) = i in Gamma: the preimage table.  A psi
-    passes the second composition check of `_inverse_pair` exactly when
-    each psi[i] lies in its table entry, so only those psis are judged;
-    an empty entry rules out every psi.  stats["maps_checked"] counts
-    the (phi, psi) pairs decided, up to and including the winner."""
+    passes the second composition check of `verify_hom_pair` exactly when
+    each psi[i] lies in its table entry, so only those psis are judged,
+    each by `verify_hom_pair` in full; an empty entry rules out every
+    psi.  stats["maps_checked"] counts the (phi, psi) pairs decided, up
+    to and including the winner."""
     n_m = len(model.presentation.generators)
     n_g = len(p.generators)
     pool_m = pools[n_m]
@@ -614,12 +593,9 @@ def _match_model(model, mbe, p, backend, pers, pools, L, stats):
             for k, psi in enumerate(psis):
                 if not all(psi[i] in pre[i] for i in range(n_g)):
                     continue
-                # the winner is replayed through the full verifier
-                w = _inverse_pair(model, mbe, p, backend, phi, psi, pers,
-                                  min(L, 2))
-                if w is not None and verify_hom_pair(
-                        model, mbe, p, backend, phi, psi, pers,
-                        budget=min(L, 2)) is not None:
+                w = verify_hom_pair(model, mbe, p, backend, phi, psi, pers,
+                                    budget=min(L, 2))
+                if w is not None:
                     stats["maps_checked"] += k + 1
                     return w
         stats["maps_checked"] += len(psis)

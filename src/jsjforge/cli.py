@@ -5,21 +5,21 @@ splitting question, `maximal` iterates it to a maximal splitting, `jsj`
 adds the flavor-specific reassembly, and `gog` applies single graph
 transformations to a saved graph-of-groups document.
 
-Exit codes: 0 decided, 2 usage error or malformed input file (one line
-`jsj-forge: error: FILE: message`, or `--window: message` for a bad or
-unpaired `--window`, on standard error; a `--window` on a presentation
-that no word-problem backend accepts, or `gog cylinders` on a document
-with such a vertex group at an edge end, reads `FILE: no word-problem
-backend: ...`; `gog cylinders` on a non-cyclic edge group or an edge
-map sending the edge generator to the identity (`FILE: edge N: trivial
-image at vertex V`; `gog fold` warns and skips such an edge), and `gog
-collapse --edges` with an entry that is not an edge id of FILE, read
-`FILE: ...` too), 3 exhausted (budget ran out, or no word-problem
-backend for `split`, `maximal` and `jsj` without a window; `gog
-cylinders` whose root extraction spends its budget prints one line
-`jsj-forge: exhausted: FILE: message`), 4 window insufficient (the
-truncated geometric window provably cannot certify an answer at the
-requested parameters).
+Exit codes:
+- 0 decided.
+- 2 usage error or malformed input: one line `jsj-forge: error: WHERE:
+  message` on standard error, WHERE being `--window` for a bad or
+  unpaired `--window` and FILE otherwise: also for no word-problem
+  backend under `--window` or at a `gog cylinders` edge end, a window
+  past an element cap (`window: ...`), `gog cylinders` on a non-cyclic
+  edge group or a trivial edge image (`gog fold` warns and skips it),
+  and `gog collapse --edges` naming no edge.  A `--budget` that is not
+  an integer >= 0 prints argparse's usage line.
+- 3 exhausted: the budget ran out, or no word-problem backend for
+  `split`, `maximal` and `jsj` without a window; `gog cylinders` whose
+  root extraction spends its budget prints `jsj-forge: exhausted: FILE:
+  message`.
+- 4 window insufficient: the window provably cannot certify an answer.
 """
 
 import argparse
@@ -28,7 +28,7 @@ import sys
 
 from .algebra import BudgetError
 from .words import BackendError, default_backend, parse_presentation
-from .geometry import CuspedSpace
+from .geometry import CuspedSpace, WindowError
 from .hyperbolicity import derive_constants, parse_const_file
 from .gog import (GraphOfGroups, assemble_jsj, collapse_edges,
                   decide_split_relative, internal_surface_edges,
@@ -98,10 +98,12 @@ def _geometry(args, presentation):
     r_max, h_max = (int(x) for x in window)
     table = _read(_load_table, args.const)
     try:
-        backend = default_backend(presentation)
+        space = CuspedSpace(presentation, default_backend(presentation),
+                            r_max, h_max)
     except BackendError as exc:
         _usage_error(args.input, "no word-problem backend: %s" % exc)
-    space = CuspedSpace(presentation, backend, r_max, h_max)
+    except WindowError as exc:
+        _usage_error(args.input, "window: %s" % exc)
     return space, table, args.n_cap
 
 
@@ -111,8 +113,16 @@ def _emit_dot(args, graph):
             fh.write(graph.to_dot())
 
 
+def _budget(text):
+    """argparse type of --budget: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            "expected a non-negative integer, got %r" % text)
+    return int(text)
+
+
 def _common(sub):
-    sub.add_argument("--budget", type=int, default=24)
+    sub.add_argument("--budget", type=_budget, default=24)
     sub.add_argument("--window", metavar="R,h",
                      help="cusped-space window: ball radius, horoball height")
     sub.add_argument("--const", metavar="FILE",

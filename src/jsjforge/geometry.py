@@ -8,6 +8,12 @@ and k+1 are joined by vertical edges, and two offsets at height k are
 joined when their intrinsic peripheral word-metric distance is positive
 and at most 2**k.  Only the 1-skeleton is built.
 
+One grower, Ball, builds every ball of group elements, one sphere at a
+time over a list of step words: the Cayley ball steps by the letters,
+each peripheral graph by its generating words and their inverses, and
+subgroup enumeration (algebra.subgroup_elements) by each generator and
+its inverse.
+
 All queries are BFS-based and deterministic; distance answers carry a
 caveat flag when the window cannot certify them.  The window answers
 d(v, .) itself: CuspedSpace.distances(v) is one whole-window BFS per
@@ -36,81 +42,127 @@ class WindowError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Cayley balls
+# balls of group elements
 
 
-class CayleyBall:
-    """Ball of given radius in the Cayley graph of a presentation.
+class Ball:
+    """Ball in the word metric of a list of step words that holds each
+    step's inverse word, grown one sphere per grow() call.  Elements are
+    integers, 0 the identity; words[v] is the first product of steps
+    found for v, dist[v] its number of steps, and outer the last sphere.
+    Words are identified through an ElementIndex: by normal form on a
+    canonical backend, by Dehn's algorithm within an abelian-key bucket
+    otherwise.  Each edge is stored when its product is identified, in a
+    slot per (element, step) holding the neighbour id or -1; the reverse
+    edge fills the slot of the first step spelling the inverse, so the
+    outer sphere's outward slots stay empty.  Past cap elements grow()
+    raises the WindowError of _cap_error()."""
 
-    Vertices are integers; vertex 0 is the identity.  words[v] is the
-    shortlex-least geodesic word found for v.  Words are identified
-    through an ElementIndex: by normal form on a canonical backend, by
-    Dehn's algorithm within an abelian-key bucket otherwise.  Each edge
-    is stored when its product is identified, as a slot per (vertex,
-    letter) holding the neighbor id or -1.  The spheres' outward products
-    give every edge except those joining two outer-sphere vertices; when
-    some relator has odd length such edges can exist, and a last
-    identify-only pass over the outer sphere records them.
-    """
-
-    def __init__(self, presentation, backend, radius, vertex_cap=2_000_000):
-        self.presentation = presentation
-        self.radius = radius
-        # sorted so that letters[i ^ 1] is the inverse of letters[i]
-        letters = sorted(
-            [i for i in range(1, presentation.n_gens + 1)]
-            + [-i for i in range(1, presentation.n_gens + 1)],
-            key=letter_key,
-        )
-        self.letters = letters
-        k = len(letters)
-        self.words = words = [()]
-        self.dist = dist = [0]
-        self._index = index = ElementIndex(backend)
-        index.setdefault((), 0)
+    def __init__(self, backend, steps, cap=None):
+        self.steps = steps
+        self._inverse = [steps.index(inverse_word(s)) for s in steps]
+        self.cap = cap
+        self.radius = 0
+        self.words = [()]
+        self.dist = [0]
+        self.outer = [0]
+        self._index = ElementIndex(backend)
+        self._index.setdefault((), 0)
         # a list, not an array: its entries are the index's own int
         # objects, which the window's adjacency lists then share
+        self._edges = [-1] * len(steps)
+        self._adjacency = None
+
+    def grow(self):
+        """Add the next sphere: every product of an outer element and a
+        step, identified in the ball or stored as a new element."""
+        self.radius = d = self.radius + 1
+        self._adjacency = None
+        words, dist, edges, index = (self.words, self.dist, self._edges,
+                                     self._index)
+        steps, inverse = self.steps, self._inverse
+        k = len(steps)
         blank = [-1] * k
-        self._edges = edges = list(blank)
-        level = [0]
-        for d in range(1, radius + 1):
-            # a product out of sphere d-1 lies in sphere d-2, d-1 or d
-            near = lambda u, lo=d - 2: dist[u] >= lo
-            nxt = []
-            for v in level:
-                wv = words[v]
-                for i, s in enumerate(letters):
-                    w = concat(wv, (s,))
-                    n = len(words)
-                    u = index.setdefault(w, n, near)
-                    if u == n:
-                        if u >= vertex_cap:
-                            raise WindowError(
-                                "vertex cap %d exceeded at radius %d"
-                                % (vertex_cap, d)
-                            )
-                        words.append(w)
-                        dist.append(d)
-                        edges.extend(blank)
-                        nxt.append(u)
-                    edges[v * k + i] = u
-                    edges[u * k + (i ^ 1)] = v
-            level = nxt
+        # a product out of sphere d-1 lies in sphere d-2, d-1 or d
+        near = lambda u, lo=d - 2: dist[u] >= lo
+        nxt = []
+        for v in self.outer:
+            wv = words[v]
+            for i, s in enumerate(steps):
+                w = concat(wv, s)
+                n = len(words)
+                u = index.setdefault(w, n, near)
+                if u == n:
+                    if n == self.cap:
+                        raise self._cap_error()
+                    words.append(w)
+                    dist.append(d)
+                    edges.extend(blank)
+                    nxt.append(u)
+                edges[v * k + i] = u
+                edges[u * k + inverse[i]] = v
+        self.outer = nxt
+
+    @property
+    def n(self):
+        return len(self.words)
+
+    def vertex_id(self, word):
+        """Id of the element equal to word, or None if not in the ball."""
+        return self._index.find(word)
+
+    def normal_forms(self, start=0):
+        """Normal forms of the elements from id start on, in id order: on
+        a canonical backend, the keys the index stored them under."""
+        backend = self._index.backend
+        if backend.canonical:
+            return self._index.keys()[start:]
+        return [backend.normalize(w) for w in self.words[start:]]
+
+    def adjacency(self):
+        """Neighbour ids of every element, read off its filled slots in
+        step order, with repeats; kept until the next grow()."""
+        if self._adjacency is None:
+            k, edges = len(self.steps), self._edges
+            self._adjacency = [[u for u in edges[v * k:v * k + k] if u >= 0]
+                               for v in range(self.n)]
+        return self._adjacency
+
+
+class CayleyBall(Ball):
+    """Ball of given radius in the Cayley graph of a presentation: a Ball
+    whose steps are the letters in shortlex order a, A, b, B, ..., so
+    that words[v] is the shortlex-least geodesic word found for v.  The
+    spheres' outward products give every edge except those joining two
+    outer-sphere vertices; when some relator has odd length such edges
+    can exist, and a last identify-only pass over the outer sphere
+    records them."""
+
+    def __init__(self, presentation, backend, radius, vertex_cap=2_000_000):
+        n_gens = presentation.n_gens
+        letters = sorted([i for i in range(1, n_gens + 1)]
+                         + [-i for i in range(1, n_gens + 1)], key=letter_key)
+        super().__init__(backend, [(s,) for s in letters], cap=vertex_cap)
+        self.presentation = presentation
+        self.letters = letters
+        for _ in range(radius):
+            self.grow()
         # length parity survives free reduction: with every relator even
         # the graph is bipartite and no edge joins two vertices of a sphere
         if any(len(r) % 2 for r in presentation.relators):
-            outer = lambda u: dist[u] == radius
-            for v in level:
-                for i, s in enumerate(letters):
+            k, edges, words = len(letters), self._edges, self.words
+            outer = lambda u: self.dist[u] == radius
+            for v in self.outer:
+                for i, s in enumerate(self.steps):
                     if edges[v * k + i] < 0:
-                        u = index.find(concat(words[v], (s,)), outer)
+                        u = self._index.find(concat(words[v], s), outer)
                         if u is not None:
                             edges[v * k + i] = u
-                            edges[u * k + (i ^ 1)] = v
+                            edges[u * k + self._inverse[i]] = v
 
-    def vertex_id(self, word):
-        """Vertex id equal to word in the group, or None if not in the ball."""
-        return self._index.find(word)
+    def _cap_error(self):
+        return WindowError("vertex cap %d exceeded at radius %d"
+                           % (self.cap, self.radius))
 
     def label(self, u, v):
         """The least letter slot of u that holds v, or -1.  Letters equal
@@ -119,10 +171,6 @@ class CayleyBall:
         k = len(self.letters)
         slots = self._edges[u * k:u * k + k]
         return slots.index(v) if v in slots else -1
-
-    @property
-    def n(self):
-        return len(self.words)
 
     def neighbors(self, v):
         """List of (letter, neighbor id) pairs, in letter order."""
@@ -147,72 +195,36 @@ PERIPHERAL_CAP = 200_000
 MAX_SPHERES = 4096
 
 
-class PeripheralGraph:
+class PeripheralGraph(Ball):
     """Finite chunk of the Cayley graph of a peripheral subgroup H with
-    respect to its given generating words.  Elements are group elements of
-    the ambient group, identified through an ElementIndex (bucketed by
-    abelian key on a Dehn backend); distances here are the intrinsic H
-    word metric."""
+    respect to its given generating words: a Ball of group elements of
+    the ambient group whose steps are those words, then their inverses.
+    Distances here are the intrinsic H word metric."""
 
     def __init__(self, name, gens, backend):
         self.name = name
         self.gens = [free_reduce(g) for g in gens]
-        self.elems = [()]
-        self._index = ElementIndex(backend)
-        self._index.setdefault((), 0)
-        self.adj = [[]]
-        self._frontier = [0]
-        self._steps = [g for g in self.gens] + [inverse_word(g) for g in self.gens]
+        super().__init__(backend,
+                         self.gens + [inverse_word(g) for g in self.gens],
+                         cap=PERIPHERAL_CAP)
 
-    def grow(self, spheres):
-        """Expand the subgroup BFS by the given number of spheres."""
-        for _ in range(spheres):
-            if not self._frontier:
-                return
-            nxt = []
-            for v in self._frontier:
-                for step in self._steps:
-                    w = concat(self.elems[v], step)
-                    u = self._index.setdefault(w, len(self.elems))
-                    if u == len(self.elems):
-                        if u >= PERIPHERAL_CAP:
-                            raise WindowError(
-                                "peripheral %s exceeded element cap %d"
-                                % (self.name, PERIPHERAL_CAP)
-                            )
-                        self.elems.append(w)
-                        self.adj.append([])
-                        nxt.append(u)
-                    if u != v:
-                        if u not in self.adj[v]:
-                            self.adj[v].append(u)
-                        if v not in self.adj[u]:
-                            self.adj[u].append(v)
-            self._frontier = nxt
+    def _cap_error(self):
+        return WindowError("peripheral %s exceeded element cap %d"
+                           % (self.name, self.cap))
 
     def grow_until_gamma_length(self, needed_len):
         """Grow until the newest sphere only holds elements longer than
         needed_len in the ambient generators (so every H-element at most
         that long has been seen), or the subgroup is exhausted."""
         for _ in range(MAX_SPHERES):
-            if not self._frontier:
+            if not self.outer or min(
+                    len(self.words[v]) for v in self.outer) > needed_len:
                 return
-            if self._frontier and min(
-                len(self.elems[v]) for v in self._frontier
-            ) > needed_len:
-                return
-            self.grow(1)
+            self.grow()
         raise WindowError(
             "peripheral %s did not stabilize within %d spheres"
             % (self.name, MAX_SPHERES)
         )
-
-    def member_id(self, word):
-        return self._index.find(word)
-
-    def adjacency(self):
-        """Neighbour list of every element, in discovery order."""
-        return self.adj
 
     def h_dist(self, i, cutoff):
         """Intrinsic distance from element i to every element at most
@@ -285,7 +297,7 @@ class CuspedSpace:
             bucket = buckets.setdefault(key(wv), [])
             for ci in bucket:
                 coset = cosets[ci]
-                u = pg.member_id(concat(inverse_word(coset["rep_word"]), wv))
+                u = pg.vertex_id(concat(inverse_word(coset["rep_word"]), wv))
                 if u is not None:
                     coset["offsets"].append((u, v))
                     self._thick_memberships[v].append(

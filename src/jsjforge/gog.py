@@ -542,7 +542,10 @@ def internal_surface_edges(g, budget=3, delta=0):
     """Edges both of whose endpoints are hanging Fuchsian with the edge
     group maximal VC there (its image is the root of a one-generator
     overgroup, m = +-1), or extended-Moebius (VC vertex with the edge
-    image of index two).  Unknown verdicts exclude the edge and warn."""
+    image of index two: E trivial, and |m| = 2 with one overgroup
+    generator or |m| = 1 with two, the root and an inverting one).  Both
+    read the edge's own root question; unknown verdicts (no m certified)
+    exclude the edge and warn."""
     warnings = []
     backends = {}
     keep = set()
@@ -557,25 +560,17 @@ def internal_surface_edges(g, budget=3, delta=0):
                 sides.append(False)
                 continue
             try:
-                u, rep, m = _edge_root(g, eid, end, backends, budget, delta)
+                _, rep, m = _edge_root(g, eid, end, backends, budget, delta)
             except ValueError:  # no backend (a BackendError), trivial image
                 sides.append(None)
                 continue
-            if v.marking == "hangingFuchsian":
-                sides.append(None if m is None else
-                              abs(m) == 1 and len(rep.overgroup) == 1)
-                continue
-            # a VC vertex: its own core decides, not the edge's root
-            be = backends[vid]
-            whole = vc_analyze(v.presentation, be, delta,
-                               [(i + 1,) for i in
-                                range(len(v.presentation.generators))],
-                               budget=budget)
-            if whole.verdict == "vc" and whole.core:
-                sq = be.normalize(concat(whole.core, whole.core))
-                sides.append(sq in (u, be.normalize(inverse_word(u))) or None)
-            else:
+            if m is None:
                 sides.append(None)
+            elif v.marking == "hangingFuchsian":
+                sides.append(abs(m) == 1 and len(rep.overgroup) == 1)
+            else:
+                sides.append(rep.E == [()] and (abs(m), len(rep.overgroup))
+                             in ((2, 1), (1, 2)))
         if all(s is True for s in sides):
             keep.add(eid)
         elif None in sides:

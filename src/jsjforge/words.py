@@ -687,6 +687,11 @@ class ElementIndex:
             u = new_id
         return u
 
+    def keys(self):
+        """The keys stored, in the order first stored: on a canonical
+        backend, the normal forms of the stored words."""
+        return list(self._table)
+
     def _scan(self, bucket, word, accept):
         for u, w in bucket:
             if (accept is None or accept(u)) and self.backend.equal(w, word):

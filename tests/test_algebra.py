@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 from jsjforge import algebra as A
-from jsjforge.words import (Presentation, RewritingBackend, conjugate,
-                            default_backend, parse_presentation,
-                            words_shortlex)
+from jsjforge.words import (Presentation, RewritingBackend, concat,
+                            conjugate, default_backend, inverse_word,
+                            parse_presentation, words_shortlex)
 
 
 def _z2xz():
@@ -33,6 +33,67 @@ def test_subgroup_elements_deterministic(free2):
     assert (1, 1) in set(els)
     assert (1,) not in set(els)
     assert list(els) == list(A.subgroup_elements(be, [(1, 1)], 3))
+
+
+def _subgroup_elements_reference(backend, gens, max_syllables):
+    """The BFS over normal forms that subgroup_elements replaced: each
+    generator then its inverse, deduplicated by normal form."""
+    alphabet = []
+    for g in gens:
+        alphabet.append(tuple(g))
+        alphabet.append(inverse_word(g))
+    seen = {()}
+    frontier = [()]
+    order = [()]
+    for _ in range(max_syllables):
+        new_frontier = []
+        for nf in frontier:
+            for a in alphabet:
+                nf2 = backend.normalize(concat(nf, a))
+                if nf2 not in seen:
+                    seen.add(nf2)
+                    new_frontier.append(nf2)
+                    order.append(nf2)
+        frontier = new_frontier
+    return order
+
+
+@pytest.mark.parametrize("text,gens", [
+    ("gen a b\n", [(1,)]),
+    ("gen a b\n", [(1,), (2,)]),
+    ("gen a b\n", [(1, 1), (1, 2, -1)]),
+    ("gen a b c\n", [(1, 2), (2, 3), (3, -1)]),
+    # torsion-rewriting backends
+    ("gen a b\nrel aaa\nrel bb\n", [(1,)]),
+    ("gen a b\nrel aaa\nrel bb\n", [(1,), (2,)]),
+    ("gen a b\nrel aa\nrel bbb\n", [(1, 2), (2, 1, 2)]),
+])
+def test_subgroup_elements_match_reference(text, gens):
+    p = parse_presentation(text)
+    be = default_backend(p)
+    assert be.canonical
+    for n in range(5):
+        got = A.subgroup_elements(be, gens, n)
+        assert got == _subgroup_elements_reference(be, gens, n), n
+
+
+def test_subgroup_elements_finite_subgroup_runs_out():
+    # <a> in Z3 * Z2 has three elements, all within one syllable
+    p = parse_presentation("gen a b\nrel aaa\nrel bb\n")
+    be = default_backend(p)
+    assert [len(A.subgroup_elements(be, [(1,)], n)) for n in range(5)] == \
+        [1, 3, 3, 3, 3]
+
+
+def test_subgroup_elements_distinct_on_dehn_backend():
+    # genus 2: elements are told apart by the bucketed equal check
+    p = parse_presentation("gen a b c d\nrel abABcdCD\n")
+    be = default_backend(p)
+    assert not be.canonical
+    els = A.subgroup_elements(be, [(1, 2), (3,)], 3)
+    assert len(els) == 53
+    for x, y in itertools.combinations(els, 2):
+        assert not be.equal(x, y), (x, y)
 
 
 def test_cyclic_subgroup_contains(free2):
@@ -181,7 +242,7 @@ def test_small_orbifold_match_propagates_backend_faults(monkeypatch):
 
 def _pair_loop_match(p, peripherals, backend, budget):
     """Reference for small_orbifold_match: every homomorphism phi against
-    every homomorphism psi, each pair through _inverse_pair.  Returns
+    every homomorphism psi, each pair through verify_hom_pair.  Returns
     (witness, maps_checked, index of the winning phi in its list)."""
     p_eff, pers = A.effective_kernel_quotient(p, peripherals, backend, 0)
     checked = 0
@@ -205,11 +266,9 @@ def _pair_loop_match(p, peripherals, backend, budget):
             for k, phi in enumerate(phis):
                 for psi in psis:
                     checked += 1
-                    w = A._inverse_pair(model, mbe, p_eff, backend, phi,
-                                        psi, pers, min(L, 2))
-                    if w is not None and A.verify_hom_pair(
-                            model, mbe, p_eff, backend, phi, psi, pers,
-                            budget=min(L, 2)) is not None:
+                    w = A.verify_hom_pair(model, mbe, p_eff, backend, phi,
+                                          psi, pers, budget=min(L, 2))
+                    if w is not None:
                         return w, checked, k
     return None, checked, None
 

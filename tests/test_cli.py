@@ -261,6 +261,38 @@ def test_malformed_window_one_line_diagnostic(tmp_path, source_cli, argv):
     assert lines[0].startswith("jsj-forge: error: --window: ")
 
 
+def test_window_element_cap_one_line_diagnostic(tmp_path, source_cli):
+    # P = <a, b> is the whole free group: its graph passes 200,000
+    # elements before its words outgrow twice the ball radius
+    grp = tmp_path / "f2.grp"
+    grp.write_text("gen a b\nper P = a b\n")
+    const = tmp_path / "ok.const"
+    const.write_text("delta = 0\n")
+    prefix, env = source_cli
+    proc = subprocess.run(prefix + ["split", str(grp), "--window", "6,1",
+                                    "--const", str(const)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "jsj-forge: error: %s: window: peripheral P exceeded element cap "
+        "200000" % grp]
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["split", "{g2}", "--budget", "-1"],
+    ["gog", "trace", "{star}", "--budget", "-3"],
+])
+def test_negative_budget_is_a_usage_error(g2_file, star_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(g2=g2_file, star=star_file) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: jsj-forge %s " % argv[0])
+    assert err[-1].endswith("argument --budget: expected a non-negative "
+                            "integer, got '%s'" % argv[-1])
+
+
 # <a, b | abab>: Dehn's check fails and the relator is no generator power
 NO_BACKEND = "gen a b\nrel abab\n"
 

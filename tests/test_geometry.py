@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from jsjforge.geometry import (CayleyBall, CuspedSpace, HoroVertex,
-                               bfs_distances, distance, gromov_product,
+                               PeripheralGraph, bfs_distances, distance, gromov_product,
                                is_local_geodesic, shortest_path,
                                valence_stats, vertex_label)
 from jsjforge.words import parse_presentation, default_backend
@@ -127,6 +127,9 @@ ADJACENCY_GOLDEN = [
      "f061ef1a60ab9b1b206027e5986876898a8f4abc9591070543629e19a039e1fb"),
     ("gen a b c d\nrel abABcdCD\nper P = a\n", 2, 2, 195,
      "48dbfce70afad68f56319cea2ad9713d8f4490a58aaf5c19f95ebfc2dd5c9122"),
+    # a two-generator peripheral: its graph steps by a, b, A, B
+    ("gen a b c\nper P = a b\n", 3, 2, 561,
+     "69d1737f987a61412a2d51eae86dbef71d92f874229881845905a4fa0faa1e4e"),
 ]
 
 
@@ -166,9 +169,22 @@ def test_thick_adjacency_matches_ball_neighbors(text, R, h):
 
 def _peripheral_nx(pg):
     g = nx.Graph()
-    g.add_nodes_from(range(len(pg.elems)))
-    g.add_edges_from((i, j) for i, ns in enumerate(pg.adj) for j in ns)
+    g.add_nodes_from(range(len(pg.adjacency())))
+    g.add_edges_from((i, j) for i, ns in enumerate(pg.adjacency())
+                     for j in ns)
     return g
+
+
+def test_peripheral_graph_steps_by_generators_then_inverses():
+    p = parse_presentation("gen a b c\nper P = a b\n")
+    pg = PeripheralGraph("P", [(1,), (2,)], default_backend(p))
+    pg.grow()
+    pg.grow()
+    assert pg.words[:8] == [(), (1,), (2,), (-1,), (-2,),
+                            (1, 1), (1, 2), (1, -2)]
+    # a's slots in step order a, b, A, B: aa, ab, the identity, aB
+    assert pg.adjacency()[1] == [5, 6, 0, 7]
+    assert pg.vertex_id((2, 1, -1)) == 2
 
 
 @pytest.mark.parametrize("text,R,h", [

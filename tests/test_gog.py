@@ -221,6 +221,42 @@ def test_internal_surface_edges_unknown_verdict_warns():
     assert warnings == ["edge 0: endpoint verdict unknown, excluded"]
 
 
+def _vc_edge(vc_vertex, image):
+    # <x> (hanging Fuchsian) -(x = image)- a vertex marked vc
+    g = G.GraphOfGroups()
+    x = g.add_vertex(Z, "hangingFuchsian")
+    v = g.add_vertex(vc_vertex, "vc")
+    g.add_edge(x, v, Presentation(("e",), (), ()), ((1,),), (image,))
+    return g
+
+
+DINF = Presentation(("a", "b"), ((1, 1), (2, 2)), ())
+
+
+@pytest.mark.parametrize("vertex,image,keep", [
+    # ab has index two in <a, b | a^2, b^2>: its root is itself (m = 1)
+    # and a inverts it; (ab)^2 has index four (m = 2, two generators)
+    (DINF, (1, 2), {0}),
+    (DINF, (1, 2, 1, 2), set()),
+    # in <r>, r^2 has index two (m = 2, one generator), r index one
+    (Presentation(("r",), (), ()), (1, 1), {0}),
+    (Presentation(("r",), (), ()), (1,), set()),
+])
+def test_internal_surface_edges_vc_end_reads_edge_root(vertex, image, keep,
+                                                      monkeypatch):
+    calls = []
+    real = G.vc_analyze
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(G, "vc_analyze", counted)
+    assert G.internal_surface_edges(_vc_edge(vertex, image)) == (keep, [])
+    # one root question per end, none of the whole vertex
+    assert len(calls) == 2 and all(len(S) == 1 for S in calls)
+
+
 # -- linear algebra helpers ---------------------------------------------------
 
 @pytest.mark.parametrize("rows,expected", [
