@@ -1,6 +1,5 @@
 """Subgroup algebra: virtually cyclic analysis, finite normal subgroups,
-effective-kernel quotients, small-orbifold recognition, and mirrors
-splittings.
+effective-kernel quotients and small-orbifold recognition.
 
 Everything here is a bounded, certificate-producing search.  A "vc"
 verdict comes with the infinite-order core element, its coset system,
@@ -14,7 +13,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .annulus import UnionFind
 from .geometry import Ball, CayleyBall
 from .words import BackendError, Presentation, concat, conjugate, \
     free_reduce, inverse_word, parse_word, substitute, words_shortlex
@@ -227,7 +225,7 @@ def vc_analyze(p, backend, delta, S, budget=6):
                 continue
             vc_type = "Dinf" if rep == "flip" else "Z"
             E = _finite_normal_in(backend, S, candidates, order_bound)
-            over = _max_overgroup(p, backend, u, S, E, order_bound, budget)
+            over = _max_overgroup(p, backend, u, E, order_bound, budget)
             qc = max((len(c) for c in cosets), default=0)
             return VCReport("vc", E=E, vc_type=vc_type, overgroup=over,
                             core=u, quasiconvexity=qc,
@@ -292,7 +290,7 @@ def _finite_normal_in(backend, S, candidates, order_bound):
     return sorted(stable | {()}, key=len)
 
 
-def _max_overgroup(p, backend, u, S, E, order_bound, budget):
+def _max_overgroup(p, backend, u, E, order_bound, budget):
     """Bounded root extraction: shortest w with w^m = u (m >= 2), plus an
     inverting generator when one exists, plus the finite part."""
     root = tuple(u)
@@ -601,50 +599,3 @@ def _match_model(model, mbe, p, backend, pers, pools, L, stats):
         stats["maps_checked"] += len(psis)
     return None
 
-
-# ---------------------------------------------------------------------------
-# mirrors splitting
-
-
-def mirrors_splitting(p, peripherals, backend, budget=3, delta=0):
-    """Star-shaped splitting along a neighbourhood of the mirrors.
-    Generators of order two are mirror candidates; they are clustered by
-    dihedral relators ((xy)^p), each cluster becomes a leaf, and the
-    remaining generators span the central vertex.  The reassembled
-    presentation is replayed against the input as a hom-pair.  No
-    2-torsion means no mirrors and a trivial splitting."""
-    from .features import SearchOutcome
-    from .gog import GraphOfGroups, _sub_presentation
-    if budget <= 0:
-        return SearchOutcome("none-in-budget")
-    order_bound = max(4, 4 * delta + 2)
-    mirror_gens = [i for i in range(len(p.generators))
-                   if order_of(backend, (i + 1,), order_bound) == 2]
-    if not mirror_gens:
-        return SearchOutcome("found", {"kind": "trivial",
-                                       "reason": "no order-2 generators"})
-    # cluster mirror generators linked through a common relator
-    uf = UnionFind(mirror_gens)
-    for rel in p.relators:
-        touched = sorted({abs(x) - 1 for x in rel} & set(mirror_gens))
-        for i in touched[1:]:
-            uf.union(touched[0], i)
-    clusters = {}
-    for i in mirror_gens:
-        clusters.setdefault(uf.find(i), set()).add(i)
-    leaves = sorted((frozenset(c) for c in clusters.values()), key=sorted)
-    center_gens = [i for i in range(len(p.generators))
-                   if i not in set(mirror_gens)]
-    if not center_gens and len(leaves) <= 1:
-        return SearchOutcome("found", {"kind": "trivial",
-                                       "reason": "single mirror cluster"})
-    g = GraphOfGroups()
-    cid = g.add_vertex(_sub_presentation(p, [i + 1 for i in center_gens])[0],
-                       marking="rigid")
-    for leaf in leaves:
-        lid = g.add_vertex(_sub_presentation(p, [i + 1 for i in leaf])[0],
-                           marking="rigid")
-        g.add_edge(cid, lid, Presentation((), (), ()), (), ())
-    return SearchOutcome("found", g,
-                         {"leaves": len(leaves),
-                          "center_rank": len(center_gens)})

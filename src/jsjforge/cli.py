@@ -13,8 +13,9 @@ Exit codes:
   backend under `--window` or at a `gog cylinders` edge end, a window
   past an element cap (`window: ...`), `gog cylinders` on a non-cyclic
   edge group or a trivial edge image (`gog fold` warns and skips it),
-  and `gog collapse --edges` naming no edge.  A `--budget` that is not
-  an integer >= 0 prints argparse's usage line.
+  and `gog collapse --edges` naming no edge.  A `--budget` or `--n-cap`
+  that is not an integer >= 0, and a `gog` option that only the
+  pipelines take, print argparse's usage line.
 - 3 exhausted: the budget ran out, or no word-problem backend for
   `split`, `maximal` and `jsj` without a window; `gog cylinders` whose
   root extraction spends its budget prints `jsj-forge: exhausted: FILE:
@@ -114,7 +115,7 @@ def _emit_dot(args, graph):
 
 
 def _budget(text):
-    """argparse type of --budget: an integer >= 0."""
+    """argparse type of --budget and --n-cap: an integer >= 0."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             "expected a non-negative integer, got %r" % text)
@@ -123,6 +124,10 @@ def _budget(text):
 
 def _common(sub):
     sub.add_argument("--budget", type=_budget, default=24)
+    sub.add_argument("--dot", metavar="FILE", help="write Graphviz output")
+
+
+def _pipeline_options(sub):
     sub.add_argument("--window", metavar="R,h",
                      help="cusped-space window: ball radius, horoball height")
     sub.add_argument("--const", metavar="FILE",
@@ -131,8 +136,7 @@ def _common(sub):
     sub.add_argument("--seed-markings", metavar="FILE",
                      help="JSON seed file; every entry is re-verified and "
                           "labelled in the trace")
-    sub.add_argument("--n-cap", type=int, default=None)
-    sub.add_argument("--dot", metavar="FILE", help="write Graphviz output")
+    sub.add_argument("--n-cap", type=_budget, default=None)
 
 
 def main(argv=None):
@@ -146,6 +150,7 @@ def main(argv=None):
             sub.add_argument("--flavor", choices=("vc", "z", "zmax"),
                              default="vc")
         _common(sub)
+        _pipeline_options(sub)
 
     gog = subs.add_parser("gog")
     gog.add_argument("action",

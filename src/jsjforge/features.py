@@ -215,9 +215,8 @@ def _verify_cutpair_horseshoe(space, f, table):
 
 def build_periodic_path(space, f, m_range):
     """gamma'((b-a)m + t) = g^m gamma(a+t) over the given m values
-    (a consecutive integer range).  Verified (8*delta+1)-local-geodesic
-    is the caller's job via is_local_geodesic; translates leaving the
-    window raise."""
+    (a consecutive integer range).  The (8*delta+1)-local-geodesic check
+    is left to the caller; translates leaving the window raise."""
     ms = sorted(m_range)
     if ms != list(range(ms[0], ms[-1] + 1)):
         raise ValueError("m_range must be consecutive")

@@ -24,7 +24,6 @@ double-dagger check.
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .words import (
     ElementIndex,
@@ -33,7 +32,6 @@ from .words import (
     free_reduce,
     inverse_word,
     letter_key,
-    word_to_str,
 )
 
 
@@ -579,34 +577,6 @@ def _slack(space, vid):
     return max(1, min(radial + vertical, radial + space.h_max))
 
 
-def is_local_geodesic(space, path, scale):
-    """Every subpath of length <= scale is a geodesic in the window."""
-    n = len(path) - 1
-    if n <= 0:
-        return True
-    # consecutive vertices must be adjacent
-    for i in range(n):
-        if path[i + 1] not in space.neighbors(path[i]):
-            return False
-    L = min(scale, n)
-    for i in range(0, n - L + 1):
-        sub = path[i:i + L + 1]
-        sp = shortest_path(space, sub[0], sub[-1], cutoff=L)
-        if sp is None or len(sp) - 1 < L:
-            return False
-    return True
-
-
-def gromov_product(space, v, x, y):
-    """(x|y)_v = (d(v,x) + d(v,y) - d(x,y)) / 2 as an exact Fraction."""
-    dvx = distance(space, v, x)
-    dvy = distance(space, v, y)
-    dxy = distance(space, x, y)
-    if None in (dvx.dist, dvy.dist, dxy.dist):
-        return None
-    return Fraction(dvx.dist + dvy.dist - dxy.dist, 2)
-
-
 @dataclass(frozen=True)
 class ValenceStats:
     max_valence: int
@@ -632,31 +602,4 @@ def valence_stats(space, height_bound, ball_radius):
         if _slack(space, v) <= ball_radius:
             caveat = True
     return ValenceStats(B, V, caveat)
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def vertex_label(space, vid):
-    kind, data = space.describe(vid)
-    if kind == "thick":
-        return word_to_str(data, space.presentation.generators)
-    hv = data
-    name = space.presentation.peripherals[hv.peripheral][0]
-    return "%s[%d.%d]@%d" % (name, hv.coset, hv.offset, hv.height)
-
-
-def to_dot(space, highlight=()):
-    lines = ["graph window {"]
-    hi = set(highlight)
-    for v in space.vertices():
-        style = ' color="red"' if v in hi else ""
-        lines.append('  n%d [label="%s"%s];' % (v, vertex_label(space, v), style))
-    for v in space.vertices():
-        for u in space.neighbors(v):
-            if u > v:
-                lines.append("  n%d -- n%d;" % (v, u))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 

@@ -260,10 +260,6 @@ def canonical_key(g):
                  sorted(map(repr, ekeys))))
 
 
-def gog_equal(g1, g2):
-    return canonical_key(g1) == canonical_key(g2)
-
-
 # ---------------------------------------------------------------------------
 # collapse
 
@@ -707,7 +703,7 @@ def verify_split_witness(p, backend, w, peripherals=(), budget=4, delta=0):
         imgs = [translate(word) for word in iota]
         inside = None not in imgs
         okv = inside and all(
-            order_of(bev, im, _order_bound(pv, bev, delta)) is None
+            order_of(bev, im, _order_bound(pv, delta)) is None
             for im in imgs)
         add("2-injective", okv,
             "side %d edge images have infinite order" % (idx + 1))
@@ -730,7 +726,7 @@ def verify_split_witness(p, backend, w, peripherals=(), budget=4, delta=0):
     return all(okc for _, okc, _ in report), report
 
 
-def _order_bound(p, backend, delta):
+def _order_bound(p, delta):
     """Upper bound for torsion orders: the free ball is at least as large
     as the group ball of radius 4*delta+2 (capped for sanity)."""
     n = len(p.generators)
@@ -769,7 +765,7 @@ def split_search(p, peripherals, backend, budget=50, planted=()):
         if isinstance(item, SplitWitness):
             candidates = (item,)
         else:
-            candidates = _pattern_matches(item, p, backend, peripherals)
+            candidates = _pattern_matches(item, peripherals)
         for w in candidates:
             ok, report = verify_split_witness(p, backend, w, peripherals)
             if ok:
@@ -777,7 +773,7 @@ def split_search(p, peripherals, backend, budget=50, planted=()):
     return SearchOutcome("none-in-budget", stats=stats)
 
 
-def _pattern_matches(item, p, backend, peripherals):
+def _pattern_matches(item, peripherals):
     q = item.presentation
     n = len(q.generators)
     rel_ix = list(enumerate(q.relators))
@@ -807,7 +803,7 @@ def _pattern_matches(item, p, backend, peripherals):
             if not all({abs(x) for x in r} <= s1
                        or {abs(x) for x in r} <= s2 for r in others):
                 continue
-            per_sides = _peripheral_sides(item, p, peripherals,
+            per_sides = _peripheral_sides(item, peripherals,
                                           (sorted(s1), sorted(s2)), {z})
             if per_sides is None:
                 continue
@@ -839,7 +835,7 @@ def _pattern_matches(item, p, backend, peripherals):
             continue
         if ({abs(x) for x in w1} | {abs(x) for x in w2}) - set(s1):
             continue
-        per_sides = _peripheral_sides(item, p, peripherals, (s1, s1), set())
+        per_sides = _peripheral_sides(item, peripherals, (s1, s1), set())
         if per_sides is None:
             continue
         yield SplitWitness("hnn", q, tuple(s1), (), (t,), t,
@@ -848,7 +844,7 @@ def _pattern_matches(item, p, backend, peripherals):
                            per_sides)
 
 
-def _peripheral_sides(item, p, peripherals, side_sets, s3):
+def _peripheral_sides(item, peripherals, side_sets, s3):
     """Transport each peripheral through the Tietze maps and find a side
     whose symbols contain it (after free reduction)."""
     out = []

@@ -278,12 +278,10 @@ def _all_geodesics(space, x, y, dist):
 # constant table
 
 
-MORSE_FORMULA = "D = 4*lam^2*(lam + eps + delta + 1)^2"
-
-
 def _morse_constant(lam, eps, delta):
     # explicit quantitative stability bound for (lam,eps)-quasi-geodesics;
-    # deliberately conservative, overridable, and recorded in provenance
+    # deliberately conservative and overridable (provenance records only
+    # which of the two gave D)
     return 4 * lam ** 2 * (lam + eps + delta + 1) ** 2
 
 
@@ -484,7 +482,7 @@ def derive_constants(delta, delta_per=0, n=None, B=None, V=None,
         values[name] = v
         prov[name] = "override"
 
-    _audit(values, prov, warnings, shadow_term, hollow_term)
+    _audit(values, warnings, shadow_term, hollow_term)
     return ConstantTable(values, prov, warnings, pending)
 
 
@@ -497,9 +495,9 @@ def _whole(name, value, least):
     return int(value)
 
 
-def _audit(values, prov, warnings, shadow_term, hollow_term):
-    """Check non-overridden constraints; overrides may violate them, which
-    is reported as a warning rather than an error."""
+def _audit(values, warnings, shadow_term, hollow_term):
+    """Check the constraints between the entries; only an override can
+    violate one, which is reported as a warning rather than an error."""
     delta = values["delta"]
     checks = [
         ("r", Fraction(values["r"]) > values["D"], "r > D"),

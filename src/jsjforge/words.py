@@ -733,7 +733,7 @@ def _fresh_gen_name(used):
     return "g%d" % i
 
 
-def _single_moves(item, base, backend, length_budget):
+def _single_moves(item, backend, length_budget):
     """Depth-1 moves from item.presentation, in the spec'd deterministic
     order: add-relator, remove-relator, add-generator, remove-generator.
 
@@ -857,7 +857,7 @@ def enumerate_tietze(presentation, backend, depth=1, length_budget=2):
         nxt = []
         for item in frontier:
             for child, fwd_step, bwd_step in _single_moves(
-                item, presentation, backend, length_budget
+                item, backend, length_budget
             ):
                 forward = tuple(
                     substitute(w, fwd_step) for w in item.forward

@@ -310,21 +310,3 @@ def test_orbifold_match_matches_pair_loop_reference(text, budget, checked):
     bad_psi = ((),) + got.psi[1:]
     assert A.verify_hom_pair(got.model, mbe, p, be, got.phi, bad_psi,
                              pers) is None
-
-
-def test_mirrors_splitting_hexagon():
-    p = parse_presentation("gen a b c\nrel aa\nrel bb\nrel cc\n")
-    be = default_backend(p)
-    out = A.mirrors_splitting(p, [], be, budget=3)
-    assert out.verdict == "found"
-    g = out.feature
-    # star: leaves carry the order-two generators
-    assert len(g.edges) >= 1
-    assert len(g.vertices) == len(g.edges) + 1
-
-
-def test_mirrors_splitting_trivial_without_two_torsion(free2):
-    p, be = free2
-    out = A.mirrors_splitting(p, [], be, budget=3)
-    assert out.verdict == "found"
-    assert out.feature["kind"] == "trivial"

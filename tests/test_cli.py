@@ -282,6 +282,7 @@ def test_window_element_cap_one_line_diagnostic(tmp_path, source_cli):
 @pytest.mark.parametrize("argv", [
     ["split", "{g2}", "--budget", "-1"],
     ["gog", "trace", "{star}", "--budget", "-3"],
+    ["split", "{g2}", "--window", "3,1", "--budget", "0", "--n-cap", "-5"],
 ])
 def test_negative_budget_is_a_usage_error(g2_file, star_file, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -289,8 +290,23 @@ def test_negative_budget_is_a_usage_error(g2_file, star_file, capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("usage: jsj-forge %s " % argv[0])
-    assert err[-1].endswith("argument --budget: expected a non-negative "
-                            "integer, got '%s'" % argv[-1])
+    assert err[-1].endswith("argument %s: expected a non-negative "
+                            "integer, got '%s'" % (argv[-2], argv[-1]))
+
+
+@pytest.mark.parametrize("option", [
+    ["--window", "3,1"], ["--const", "/nonexistent.const"],
+    ["--seed-markings", "/nonexistent.json"], ["--n-cap", "-7"],
+])
+def test_gog_rejects_pipeline_options(star_file, capsys, option):
+    # gog reads only --budget and --dot; the pipeline options are unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["gog", "trace", star_file] + option)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: jsj-forge ")
+    assert err[-1].endswith("unrecognized arguments: %s" % " ".join(option))
+    assert capsys.readouterr().out == ""
 
 
 # <a, b | abab>: Dehn's check fails and the relator is no generator power
