@@ -9,13 +9,14 @@ Exit codes:
 - 0 decided.
 - 2 usage error or malformed input: one line `jsj-forge: error: WHERE:
   message` on standard error, WHERE being `--window` for a bad or
-  unpaired `--window` and FILE otherwise: also for no word-problem
-  backend under `--window` or at a `gog cylinders` edge end, a window
-  past an element cap (`window: ...`), `gog cylinders` on a non-cyclic
-  edge group or a trivial edge image (`gog fold` warns and skips it),
-  and `gog collapse --edges` naming no edge.  A `--budget` or `--n-cap`
-  that is not an integer >= 0, and a `gog` option that only the
-  pipelines take, print argparse's usage line.
+  unpaired `--window`, `--n-cap` for an `--n-cap` below the constant
+  table's Kd (no n would be checked), and FILE otherwise: also for no
+  word-problem backend under `--window` or at a `gog cylinders` edge
+  end, a window past an element cap (`window: ...`), `gog cylinders` on
+  a non-cyclic edge group or a trivial edge image (`gog fold` warns and
+  skips it), and `gog collapse --edges` naming no edge.  A `--budget`
+  or `--n-cap` that is not an integer >= 0, and a `gog` option that only
+  the pipelines take, print argparse's usage line.
 - 3 exhausted: the budget ran out, or no word-problem backend for
   `split`, `maximal` and `jsj` without a window; `gog cylinders` whose
   root extraction spends its budget prints `jsj-forge: exhausted: FILE:
@@ -98,6 +99,9 @@ def _geometry(args, presentation):
                      "got %r" % args.window)
     r_max, h_max = (int(x) for x in window)
     table = _read(_load_table, args.const)
+    if args.n_cap is not None and args.n_cap < int(table["Kd"]):
+        _usage_error("--n-cap", "%d is below Kd, a %d-bit number: no n to "
+                     "check" % (args.n_cap, int(table["Kd"]).bit_length()))
     try:
         space = CuspedSpace(presentation, default_backend(presentation),
                             r_max, h_max)

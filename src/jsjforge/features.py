@@ -16,13 +16,21 @@ each span total once, when the first triple of span lengths with that
 total comes up, and judges every triple of that total on each path: the
 first streams as the walk goes, and each later one keeps only the
 features it built, by path ordinal, plus the path count, and replays
-them in its turn.
+them in its turn.  The walk judges the first segments of a total at the
+depth of the longest: a prefix on which every one of them fails builds
+nothing below it, so its paths are counted by a sweep over the later
+distance layers, not walked, and stream as one run of n rejected
+candidates, which the loop spends against the budget exactly.  A built
+triple is screened by condition (f) of its verifier, judged once per
+(middle segment, thick parameter) in a search: a triple that fails it
+streams as rejected, one that passes is replayed in full.  The N
+bounds are read only as far as the window clips them.
 """
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 
 from .annulus import UnionFind, _components, annulus_decompose, \
     horseshoe_decompose, hot_set, shells
@@ -66,6 +74,12 @@ class SearchOutcome:
                               # | window-insufficient
     feature: object = None
     stats: dict = field(default_factory=dict)
+
+
+def _within(table, name, x, shift=0):
+    """x <= table[name] + shift for an integer x, the N bound read only
+    as far as x (ConstantTable.floor_min)."""
+    return table.floor_min(name, x, shift) == x
 
 
 def _params(table):
@@ -127,7 +141,7 @@ def verify_cut_pair_feature(space, f, table):
     ok_dom = ok_dom and dans.dist == len(f.path) - 1
     report.append(("domain", ok_dom,
                    "segment geodesic in X_(k+R), margins %d" % f.eta))
-    ok_a = Fraction(table["N_min"]) <= span <= Fraction(table["N_max"])
+    ok_a = Fraction(table["N_min"]) <= span and _within(table, "N_max", span)
     report.append(("a", ok_a, "N_min <= b-a <= N_max, b-a=%d" % span))
     ga = space.translate(f.g, f.path[a])
     ok_b = (space.height(f.path[a]) == space.height(f.path[b])
@@ -189,8 +203,8 @@ def _verify_cutpair_horseshoe(space, f, table):
     r, K, R = _params(table)
     k = ceil_frac(table["k"])
     span = len(f.path) - 1
-    bound = Fraction(table["N_max"]) - 2 * Fraction(R) + 2 * Fraction(table["eta"])
-    report.append(("a", Fraction(span) <= bound,
+    shift = 2 * Fraction(table["eta"]) - 2 * Fraction(R)
+    report.append(("a", _within(table, "N_max", span, shift),
                    "b-a <= N_max - 2R + 2eta"))
     ha = space.height(f.path[0])
     hb = space.height(f.path[-1])
@@ -245,17 +259,24 @@ def build_periodic_path(space, f, m_range):
 
 def _first_verified(space, table, verify, candidates, budget, window_cut,
                     stats):
-    """Spend the budget on a stream of (stats key, feature or None)
-    pairs, one candidate each.  Every built feature is replayed through
-    verify and the first one it accepts is returned.  Otherwise the stop
-    reason: the budget once it is spent (even if the stream also ended),
-    the window when it cut the stream short, or else the full bound."""
+    """Spend the budget on a stream of (stats key, feature or None, n)
+    items: a built feature comes with n = 1, and n > 1 stands for a run
+    of n candidates that built nothing.  Each candidate counts once, a
+    run that outlasts the budget only as far as the budget goes.  Every
+    built feature is replayed through verify and the first one it
+    accepts is returned.  Otherwise the stop reason: the budget once it
+    is spent (even if the stream also ended), the window when it cut
+    the stream short, or else the full bound."""
     spent = 0
-    for key, f in islice(candidates, max(budget, 0)):
-        spent += 1
-        stats[key] += 1
-        if f is not None and verify(space, f, table)[0]:
-            return SearchOutcome("found", f, stats)
+    if budget > 0:
+        for key, f, n in candidates:
+            n = min(n, budget - spent)
+            spent += n
+            stats[key] += n
+            if f is not None and verify(space, f, table)[0]:
+                return SearchOutcome("found", f, stats)
+            if spent >= budget:
+                break
     if spent >= budget:
         return SearchOutcome("none-in-budget", stats=stats)
     if window_cut:
@@ -263,25 +284,52 @@ def _first_verified(space, table, verify, candidates, budget, window_cut,
     return SearchOutcome("none-at-full-bound", stats=stats)
 
 
-def _geodesic_paths(space, length, depth_bound, dist_base):
+def _geodesic_paths(space, length, depth_bound, dist_base, cut_depth=-1,
+                    cut=None):
     """All geodesic paths from the base vertex 0 of the exact length
     inside the depth-bounded part, in deterministic order (extensions by
-    sorted neighbor id, which follows the shortlex vertex layout).
-    dist_base is a distance map from 0 exact up to at least length: one
-    BFS cut off at the largest length serves every walk."""
+    sorted neighbor id, which follows the shortlex vertex layout), each
+    as (path, 1).  dist_base is a distance map from 0 exact up to at
+    least length: one BFS cut off at the largest length serves every
+    walk.  A prefix of cut_depth edges that cut rules out is not walked:
+    it comes as (prefix, the number of its completions) in their place,
+    unless it has none."""
     adj, heights = space.adjacency(), space.heights
     stack = [(0,)]
     while stack:
         path = stack.pop()
-        if len(path) == length + 1:
-            yield path
+        depth = len(path) - 1
+        if depth == length:
+            yield path, 1
+            continue
+        if depth == cut_depth and cut(path):
+            n = _completions(adj, heights, dist_base, path[-1], depth, length,
+                             depth_bound)
+            if n:
+                yield path, n
             continue
         for u in reversed(adj[path[-1]]):
             if heights[u] > depth_bound:
                 continue
-            if dist_base.get(u, -1) != len(path):
+            if dist_base.get(u, -1) != depth + 1:
                 continue
             stack.append(path + (u,))
+
+
+def _completions(adj, heights, dist_base, v, depth, length, depth_bound):
+    """How many of the paths _geodesic_paths yields pass through v at the
+    given depth: a sweep over the later distance layers, forward
+    neighbors only, that carries path counts and keeps repeated
+    adjacency entries, as the walk does.  One layer is held at a time."""
+    layer = {v: 1}
+    for d in range(depth + 1, length + 1):
+        nxt = {}
+        for u, c in layer.items():
+            for w in adj[u]:
+                if heights[w] <= depth_bound and dist_base.get(w, -1) == d:
+                    nxt[w] = nxt.get(w, 0) + c
+        layer = nxt
+    return sum(layer.values())
 
 
 def _horseshoe_paths(space, starts, length_bound):
@@ -315,27 +363,33 @@ def search_cut_pair(space, table, budget=2000):
     """Enumerate candidate periodic features (geodesic segments from the
     base, by length then discovery order, all walked over one BFS from
     the base), then horseshoe segments whose endpoints sit at height >=
-    max(1, k); return the first candidate the verifier accepts."""
+    max(1, k); return the first candidate the verifier accepts.  N_max
+    is read only as far as the window clips it."""
     r, K, R = _params(table)
     eta = ceil_frac(table["eta"])
     need = ceil_frac(table["N_min"]) + 2 * eta
-    n_hi = floor_frac(table["N_max"]) + 2 * eta
     if need > space.R_max:
         return SearchOutcome("window-insufficient", stats={
             "required_radius": need, "window": space.R_max})
+    # floor(N_max) + 2 eta, clipped just past the window
+    n_hi = table.floor_min("N_max", space.R_max - 2 * eta + 1) + 2 * eta
     k = ceil_frac(table["k"])
     depth_bound = ceil_frac(Fraction(table["k"]) + Fraction(R))
     totals = range(need, min(n_hi, space.R_max) + 1)
     dist_base = bfs_distances(space, [0], cutoff=max(totals, default=0))
     periodic = (("periodic_candidates",
-                 _periodic_candidate(space, path, eta, table, r, K, R))
+                 _periodic_candidate(space, path, eta, table, r, K, R), 1)
                 for total in totals
-                for path in _geodesic_paths(space, total, depth_bound,
-                                            dist_base))
-    starts = (v for v in space.vertices() if space.height(v) >= max(1, k))
-    length_bound = floor_frac(Fraction(table["N_max"]) - 2 * Fraction(R)
-                              + 2 * Fraction(table["eta"]))
-    horseshoes = (("horseshoe_candidates", CutPairFeature("horseshoe", path))
+                for path, _ in _geodesic_paths(space, total, depth_bound,
+                                               dist_base))
+    # a horseshoe's vertices are distinct, so a length bound past the
+    # window's vertex count bounds nothing
+    length_bound = table.floor_min(
+        "N_max", space.n, 2 * Fraction(table["eta"]) - 2 * Fraction(R))
+    starts = (v for v in space.vertices() if space.height(v) >= max(1, k)) \
+        if max(1, k) <= space.h_max else ()
+    horseshoes = (("horseshoe_candidates", CutPairFeature("horseshoe", path),
+                   1)
                   for path in _horseshoe_paths(space, starts, length_bound))
     out = _first_verified(
         space, table, verify_cut_pair_feature, chain(periodic, horseshoes),
@@ -411,10 +465,10 @@ def verify_noncut_feature(space, f, table):
     if len(segs) != 3 or len(etas) != 3:
         return False, [("structure", False, "need three segments")]
     spans = [len(s) - 1 - 2 * e for s, e in zip(segs, etas)]
-    ok = 1 <= spans[0] <= Fraction(table["N1"]) and \
-        1 <= spans[2] <= Fraction(table["N1"])
+    ok = all(1 <= spans[i] and _within(table, "N1", spans[i])
+             for i in (0, 2))
     report.append(("a", ok, "outer spans within N1: %r" % (spans,)))
-    report.append(("b", 1 <= spans[1] <= Fraction(table["N2"]),
+    report.append(("b", 1 <= spans[1] and _within(table, "N2", spans[1]),
                    "middle span within N2"))
     # (c) overlap agreement: end margin of segment i equals the start
     # margin of segment i+1
@@ -469,7 +523,7 @@ def _verify_noncut_horseshoe(space, f, table):
     r, K, R = _params(table)
     k = ceil_frac(table["k"])
     span = len(f.path) - 1
-    report.append(("a", Fraction(span) <= Fraction(table["N3"]),
+    report.append(("a", _within(table, "N3", span),
                    "b-a <= N3"))
     ha = space.height(f.path[0])
     hb = space.height(f.path[-1])
@@ -498,25 +552,36 @@ def search_noncut_pair(space, table, budget=2000):
     _triple_stream): one walk per span total judges every lengths of
     that total.  Cayley edge labels screen the outer segments of a
     triple, the exact translate check decides (see
-    _segment_translation), and each first segment is judged once per
-    search; every candidate still counts once against the budget."""
+    _segment_translation), each first segment is judged once per search
+    and so is condition (f) of each middle segment and thick parameter
+    (see _condition_f_screen); every candidate still counts once against
+    the budget.  The N bounds are read only as far as the window clips
+    them."""
     _params(table)
     eta = ceil_frac(table["eta"])
-    n1 = min(floor_frac(table["N1"]), space.R_max)
-    n2 = min(floor_frac(table["N2"]), space.R_max)
+    R_max = space.R_max
+    n1 = table.floor_min("N1", R_max)
+    n2 = table.floor_min("N2", R_max)
     k = ceil_frac(table["k"])  # also the depth bound of the triples
     totals = [((l1, l2, l3), l1 + l2 + l3 + 2 * eta)
               for l1 in range(1, n1 + 1) for l2 in range(1, n2 + 1)
               for l3 in range(1, n1 + 1)]
-    window_cut = (floor_frac(table["N1"]) + floor_frac(table["N2"]) + 2 * eta
-                  > space.R_max or k > space.h_max
-                  or any(total > space.R_max for _, total in totals))
-    triples = _triple_stream(
-        space, [(m, t) for m, t in totals if t <= space.R_max], eta, k)
-    starts = (v for v in space.vertices() if space.height(v) == k > 0)
-    length_bound = min(floor_frac(table["N3"]), 4 * space.R_max)
-    horseshoes = (("horseshoe_candidates", NonCutFeature("horseshoe",
-                                                         path=path))
+    # floor(N1) + floor(N2) + 2 eta > R_max: n1 and n2 are lower bounds,
+    # exact unless one reached the cap
+    bounds_cut = n1 + n2 + 2 * eta > R_max or (
+        R_max in (n1, n2) and floor_frac(table["N1"])
+        + floor_frac(table["N2"]) + 2 * eta > R_max)
+    window_cut = (bounds_cut or k > space.h_max
+                  or any(total > R_max for _, total in totals))
+    passes_f = _condition_f_screen(space, table)
+    triples = ((key, f if f is None or passes_f(f) else None, n)
+               for key, f, n in _triple_stream(
+                   space, [(m, t) for m, t in totals if t <= R_max], eta, k))
+    starts = (v for v in space.vertices() if space.height(v) == k) \
+        if 0 < k <= space.h_max else ()
+    length_bound = table.floor_min("N3", 4 * R_max)
+    horseshoes = (("horseshoe_candidates",
+                   NonCutFeature("horseshoe", path=path), 1)
                   for path in _horseshoe_paths(space, starts, length_bound))
     return _first_verified(
         space, table, verify_noncut_feature, chain(triples, horseshoes),
@@ -524,15 +589,38 @@ def search_noncut_pair(space, table, budget=2000):
                              "horseshoe_candidates": 0})
 
 
+def _condition_f_screen(space, table):
+    """A test of condition (f) of the non-cut verifier, remembered per
+    (middle segment, thick parameter): (f) reads nothing else of a
+    triple, and many triples of one search share both.  A triple that
+    fails it fails the verifier, so it need not be replayed; one that
+    passes is still replayed in full."""
+    r, K, R = _params(table)
+    seen = {}
+
+    def passes(f):
+        key = (f.segments[1], f.c_index)
+        ok = seen.get(key)
+        if ok is None:
+            ok = seen[key] = _noncut_condition_f(space, f, table, r, K, R)[0]
+        return ok
+    return passes
+
+
 def _triple_stream(space, totals, eta, depth_bound):
-    """("triple_candidates", feature or None) for each (lengths, total)
-    in turn and each geodesic path of that total in walk order.  One BFS
-    from the base, cut off at the largest total, serves every walk, and
-    the paths of a total are walked once, when its first lengths comes
-    up: each path is judged for every lengths of that total.  The first
-    lengths streams as the walk goes; each later one keeps only the
-    features it built, by path ordinal, plus the path count, and replays
-    from that record when its turn comes."""
+    """("triple_candidates", feature or None, n) for each (lengths,
+    total) in turn and each geodesic path of that total in walk order,
+    n = 1 for a built feature and n paths in a run that built nothing.
+    One BFS from the base, cut off at the largest total, serves every
+    walk, and the paths of a total are walked once, when its first
+    lengths comes up: each path is judged for every lengths of that
+    total.  The first lengths streams as the walk goes; each later one
+    keeps only the features it built, by path ordinal, plus the path
+    count, and replays from that record when its turn comes.  A prefix
+    whose first segments fail for every lengths of the total builds
+    nothing below it, so the walk counts its completions instead of
+    walking them."""
+    key = "triple_candidates"
     dist_base = bfs_distances(
         space, [0], cutoff=max((total for _, total in totals), default=0))
     same_total = {}
@@ -543,21 +631,56 @@ def _triple_stream(space, totals, eta, depth_bound):
     for lengths, total in totals:
         if lengths in records:
             n, built = records.pop(lengths)
-            for i in range(n):
-                yield "triple_candidates", built.get(i)
+            i = 0
+            for j, f in built.items():  # by ordinal
+                if j > i:
+                    yield key, None, j - i
+                yield key, f, 1
+                i = j + 1
+            if n > i:
+                yield key, None, n - i
             continue
         later = [(m, {}) for m in same_total[total][1:]]
-        n = 0
-        for path in _geodesic_paths(space, total, depth_bound, dist_base):
-            yield "triple_candidates", _triple_candidate(
-                space, path, lengths, eta, first)
+        # the first segments' vertex counts, l1 + 2 eta + 1
+        cuts = sorted({m[0] + 2 * eta + 1 for m in same_total[total]})
+
+        def ruled_out(prefix):
+            return all(_first_translation(space, prefix[:c], eta, first)
+                       is None for c in cuts)
+        n = run = 0
+        for path, count in _geodesic_paths(space, total, depth_bound,
+                                           dist_base, cuts[-1] - 1,
+                                           ruled_out):
+            if len(path) <= total:  # a ruled-out prefix
+                run += count
+                n += count
+                continue
+            f = _triple_candidate(space, path, lengths, eta, first)
+            if f is None:
+                run += 1
+            else:
+                if run:
+                    yield key, None, run
+                run = 0
+                yield key, f, 1
             for m, built in later:
                 f = _triple_candidate(space, path, m, eta, first)
                 if f is not None:
                     built[n] = f
             n += 1
+        if run:
+            yield key, None, run
         for m, built in later:
             records[m] = (n, built)
+
+
+def _first_translation(space, seg, eta, first):
+    """_segment_translation of a first segment, through the search's
+    record first of those already judged."""
+    g = first.get(seg, False)
+    if g is False:
+        g = first[seg] = _segment_translation(space, seg, eta)
+    return g
 
 
 def _triple_candidate(space, path, lengths, eta, first):
@@ -570,9 +693,7 @@ def _triple_candidate(space, path, lengths, eta, first):
     b1 = eta + l1
     b2 = b1 + l2
     seg1 = path[:b1 + eta + 1]
-    g1 = first.get(seg1, False)
-    if g1 is False:
-        g1 = first[seg1] = _segment_translation(space, seg1, eta)
+    g1 = _first_translation(space, seg1, eta, first)
     if g1 is None:
         return None
     seg3 = path[b2 - eta:]

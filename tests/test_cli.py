@@ -294,6 +294,23 @@ def test_negative_budget_is_a_usage_error(g2_file, star_file, capsys, argv):
                             "integer, got '%s'" % (argv[-2], argv[-1]))
 
 
+@pytest.mark.parametrize("n_cap", ["0", "3"])
+def test_n_cap_below_kd_is_a_usage_error(g2_file, tmp_path, capsys, n_cap):
+    # delta = 1 gives Kd = 3 * 2**589 + 296, a 591-bit number: no n in
+    # [Kd, n_cap] is left to check, which is not an exhausted search
+    const = tmp_path / "paper.const"
+    const.write_text("delta = 1\nB = 3\nV = 5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["split", g2_file, "--const", str(const), "--window", "3,1",
+              "--budget", "0", "--n-cap", n_cap])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "jsj-forge: error: --n-cap: %s is below Kd, a 591-bit number: no n "
+        "to check" % n_cap]
+
+
 @pytest.mark.parametrize("option", [
     ["--window", "3,1"], ["--const", "/nonexistent.const"],
     ["--seed-markings", "/nonexistent.json"], ["--n-cap", "-7"],

@@ -313,10 +313,11 @@ STREAM_WINDOWS = dict(SCREEN_WINDOWS, **{"f2-r7": ("gen a b\n", 7, 0, 0)})
 
 
 def test_triple_stream_matches_per_lengths_reference():
-    """The one-walk-per-total triple stream yields the same (key,
-    feature) sequence as one BFS and one walk per lengths, on each
-    stream window under three tables.  Built features, Nones, features
-    replayed from a shared walk and lengths cut by the window all occur."""
+    """The one-walk-per-total triple stream, its runs of n Nones
+    expanded, yields the same (key, feature) sequence as one BFS and one
+    walk per lengths, on each stream window under three tables.  Built
+    features, Nones, features replayed from a shared walk and lengths cut
+    by the window all occur."""
     seen = {"feature": 0, "none": 0, "replayed": 0, "window_cut": 0}
     for window in sorted(STREAM_WINDOWS):
         text, R, h, _ = STREAM_WINDOWS[window]
@@ -334,12 +335,167 @@ def test_triple_stream_matches_per_lengths_reference():
                     seen["replayed"] += sum(f is not None for _, f in block)
                 walked.add(t)
                 want += block
-            got = list(F._triple_stream(space, kept, eta, k))
+            got = [(key, f) for key, f, n
+                   in F._triple_stream(space, kept, eta, k)
+                   for _ in range(n)]
             assert got == want, (window, table)
             seen["feature"] += sum(f is not None for _, f in got)
             seen["none"] += sum(f is None for _, f in got)
             seen["window_cut"] += len(totals) > len(kept)
     assert all(seen.values()), seen
+
+
+def _built_triples(space, tab):
+    """Every feature the triple stream builds under a table."""
+    eta, k, totals = _noncut_totals(space, tab)
+    kept = [(m, t) for m, t in totals if t <= space.R_max]
+    return [f for _, f, _ in F._triple_stream(space, kept, eta, k)
+            if f is not None]
+
+
+def test_condition_f_screen_rejects_only_what_the_verifier_rejects(
+        free2_space, line_space):
+    """The (f) screen is exact: on F2 R=8, the line and the torsion
+    window, a built triple it rejects also fails verify_noncut_feature,
+    and one it passes gets its (f) verdict from the verifier's report."""
+    text, R, h, _ = SCREEN_WINDOWS["torsion"]
+    p = parse_presentation(text)
+    torsion = CuspedSpace(p, default_backend(p), R, h)
+    passed = rejected = 0
+    for space in (free2_space, line_space, torsion):
+        for table in ("F2", "LINE"):
+            tab = _table(**TABLES[table])
+            screen = F._condition_f_screen(space, tab)
+            for f in _built_triples(space, tab):
+                ok, report = F.verify_noncut_feature(space, f, tab)
+                assert screen(f) == dict((c, o) for c, o, _ in report)["f"]
+                if screen(f):
+                    passed += 1
+                else:
+                    assert not ok, f
+                    rejected += 1
+    assert passed and rejected, (passed, rejected)
+
+
+def test_condition_f_judged_once_per_middle_segment(free2_space,
+                                                    monkeypatch):
+    """On F2 R=8 the 256 built triples hold 192 distinct (middle segment,
+    thick parameter) pairs: (f) is judged 192 times, and since every
+    triple fails it, the verifier replays none."""
+    calls = {"f": 0, "verify": 0}
+    real_f, real_verify = F._noncut_condition_f, F.verify_noncut_feature
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(F, "_noncut_condition_f", count("f", real_f))
+    monkeypatch.setattr(F, "verify_noncut_feature",
+                        count("verify", real_verify))
+    tab = _table(**F2_OV)
+    assert len(_built_triples(free2_space, tab)) == 256
+    out = F.search_noncut_pair(free2_space, tab, budget=500000)
+    assert out.verdict == "none-at-full-bound"
+    assert out.stats["triple_candidates"] == 20736
+    assert calls == {"f": 192, "verify": 0}
+
+
+def test_inverted_condition_f_screen_loses_the_line_find(line_space,
+                                                        monkeypatch):
+    """Negative control: with the screen's answer inverted, the LINE
+    table's triple, found as candidate 1, is no longer found."""
+    tab = _table(**LINE_OV)
+    out = F.search_noncut_pair(line_space, tab, budget=500000)
+    assert (out.verdict, out.stats["triple_candidates"],
+            out.feature.kind) == ("found", 1, "triple")
+    real = F._condition_f_screen
+
+    def inverted(space, table):
+        passes = real(space, table)
+        return lambda f: not passes(f)
+
+    monkeypatch.setattr(F, "_condition_f_screen", inverted)
+    lost = F.search_noncut_pair(line_space, tab, budget=500000)
+    assert lost.feature != out.feature
+    assert lost.stats["triple_candidates"] > 1
+
+
+def test_runs_spend_the_budget_exactly(free2_space):
+    """The F2 stream comes mostly as runs of Nones, and a run that
+    outlasts the budget counts only up to it."""
+    tab = _table(**F2_OV)
+    eta, k, totals = _noncut_totals(free2_space, tab)
+    items = list(F._triple_stream(free2_space, totals, eta, k))
+    assert sum(n for _, _, n in items) == 20736
+    assert len(items) < 20736 // 10
+    for budget in (2, 100, 12345):
+        out = F.search_noncut_pair(free2_space, tab, budget=budget)
+        assert (out.verdict, out.stats["triple_candidates"]) == \
+            ("none-in-budget", budget)
+
+
+def test_start_scans_skipped_when_no_start_can_exist(free2_space,
+                                                     monkeypatch):
+    """F2 R=8 has no horoballs: the non-cut search at k = 0 and the
+    cut-pair search at any k scan no vertex for horseshoe starts."""
+    def no_scan():
+        raise AssertionError("scanned the window for horseshoe starts")
+
+    monkeypatch.setattr(free2_space, "vertices", no_scan)
+    # N_max below N_min leaves the cut-pair search no periodic candidate
+    for search, table in ((F.search_noncut_pair, F2_OV),
+                          (F.search_cut_pair, dict(F2_OV, N_max=1))):
+        out = search(free2_space, _table(**table), budget=500000)
+        assert out.verdict == "none-at-full-bound", search
+
+
+@pytest.mark.parametrize("n1,n2,verdict", [
+    (0, 7, "window-insufficient"),     # 0 + 7 + 2 eta > R = 8
+    (0, 6, "none-at-full-bound"),
+    (-2, 8, "none-at-full-bound"),     # N2 = R exactly: the sum is 8
+    (-2, None, "window-insufficient"),  # N2 by formula, far past R
+])
+def test_noncut_window_cut_by_the_n_bounds(free2_space, n1, n2, verdict):
+    """floor(N1) + floor(N2) + 2 eta > R cuts the search even when no
+    span lengths are left; a bound clipped at R is read exactly when the
+    clipped sum cannot tell."""
+    ov = dict(F2_OV, N1=n1, N2=n2)
+    if n2 is None:
+        del ov["N2"]
+    out = F.search_noncut_pair(free2_space, _table(**ov), budget=10**6)
+    assert (out.verdict, out.stats["triple_candidates"]) == (verdict, 0)
+
+
+def test_searches_and_verifiers_never_build_the_n_bound_bulk(
+        free2_space, line_space, monkeypatch):
+    """At the paper's constants (delta = 1) every N bound is past
+    3**356576: the searches read them only as far as the window clips
+    them, and the verifiers only as far as a feature's spans, so none is
+    evaluated."""
+    from jsjforge import hyperbolicity as hyp
+    paper = derive_constants(1, 0, B=3, V=5)
+    # the line's finds, with the conditions that read an N bound: a
+    # triple's spans within N1 and N2, a horseshoe's within N3 or N_max
+    finds = [(F.verify_noncut_feature, F.search_noncut_pair, "LINE", "ab"),
+             (F.verify_noncut_feature, F.search_noncut_pair, "HS", "a"),
+             (F.verify_cut_pair_feature, F.search_cut_pair, "CUT_HS", "a")]
+    finds = [(verify, search(line_space, _table(**TABLES[table]),
+                             budget=5000).feature, conditions)
+             for verify, search, table, conditions in finds]
+    calls = []
+    real = hyp._n_bound
+    monkeypatch.setattr(hyp, "_n_bound",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    for space in (free2_space, line_space):
+        for search in (F.search_cut_pair, F.search_noncut_pair):
+            out = search(space, paper, budget=5000)
+            assert out.verdict == "window-insufficient", (space, search)
+    for verify, f, conditions in finds:
+        report = dict((c, ok) for c, ok, _ in verify(line_space, f, paper)[1])
+        assert all(report[c] for c in conditions), (f, report)
+    assert calls == []
 
 
 def _ground_set_reference(space, path, a, b, r, K, R):
