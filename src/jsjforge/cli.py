@@ -31,7 +31,7 @@ import sys
 from .algebra import BudgetError
 from .words import BackendError, default_backend, parse_presentation
 from .geometry import CuspedSpace, WindowError
-from .hyperbolicity import derive_constants, parse_const_file
+from .hyperbolicity import check_n_cap, derive_constants, parse_const_file
 from .gog import (GraphOfGroups, assemble_jsj, collapse_edges,
                   decide_split_relative, internal_surface_edges,
                   maximal_splitting, tree_of_cylinders, validate_gog,
@@ -99,9 +99,11 @@ def _geometry(args, presentation):
                      "got %r" % args.window)
     r_max, h_max = (int(x) for x in window)
     table = _read(_load_table, args.const)
-    if args.n_cap is not None and args.n_cap < int(table["Kd"]):
-        _usage_error("--n-cap", "%d is below Kd, a %d-bit number: no n to "
-                     "check" % (args.n_cap, int(table["Kd"]).bit_length()))
+    if args.n_cap is not None:
+        try:
+            check_n_cap(table, args.n_cap)
+        except ValueError as exc:
+            _usage_error("--n-cap", str(exc))
     try:
         space = CuspedSpace(presentation, default_backend(presentation),
                             r_max, h_max)

@@ -20,11 +20,11 @@ them in its turn.  The walk judges the first segments of a total at the
 depth of the longest: a prefix on which every one of them fails builds
 nothing below it, so its paths are counted by a sweep over the later
 distance layers, not walked, and stream as one run of n rejected
-candidates, which the loop spends against the budget exactly.  A built
-triple is screened by condition (f) of its verifier, judged once per
-(middle segment, thick parameter) in a search: a triple that fails it
-streams as rejected, one that passes is replayed in full.  The N
-bounds are read only as far as the window clips them.
+candidates, which the loop spends against the budget exactly; a walked
+path counts as one candidate.  A built triple is screened by condition
+(f) of its verifier, judged once per (middle segment, thick parameter)
+in a search: a triple that fails it streams as rejected, one that
+passes is replayed in full.
 """
 
 import json
@@ -74,12 +74,6 @@ class SearchOutcome:
                               # | window-insufficient
     feature: object = None
     stats: dict = field(default_factory=dict)
-
-
-def _within(table, name, x, shift=0):
-    """x <= table[name] + shift for an integer x, the N bound read only
-    as far as x (ConstantTable.floor_min)."""
-    return table.floor_min(name, x, shift) == x
 
 
 def _params(table):
@@ -141,7 +135,7 @@ def verify_cut_pair_feature(space, f, table):
     ok_dom = ok_dom and dans.dist == len(f.path) - 1
     report.append(("domain", ok_dom,
                    "segment geodesic in X_(k+R), margins %d" % f.eta))
-    ok_a = Fraction(table["N_min"]) <= span and _within(table, "N_max", span)
+    ok_a = Fraction(table["N_min"]) <= span <= Fraction(table["N_max"])
     report.append(("a", ok_a, "N_min <= b-a <= N_max, b-a=%d" % span))
     ga = space.translate(f.g, f.path[a])
     ok_b = (space.height(f.path[a]) == space.height(f.path[b])
@@ -203,8 +197,8 @@ def _verify_cutpair_horseshoe(space, f, table):
     r, K, R = _params(table)
     k = ceil_frac(table["k"])
     span = len(f.path) - 1
-    shift = 2 * Fraction(table["eta"]) - 2 * Fraction(R)
-    report.append(("a", _within(table, "N_max", span, shift),
+    bound = Fraction(table["N_max"]) - 2 * Fraction(R) + 2 * Fraction(table["eta"])
+    report.append(("a", Fraction(span) <= bound,
                    "b-a <= N_max - 2R + 2eta"))
     ha = space.height(f.path[0])
     hb = space.height(f.path[-1])
@@ -260,7 +254,7 @@ def build_periodic_path(space, f, m_range):
 def _first_verified(space, table, verify, candidates, budget, window_cut,
                     stats):
     """Spend the budget on a stream of (stats key, feature or None, n)
-    items: a built feature comes with n = 1, and n > 1 stands for a run
+    items: a built feature comes with n = 1, and None with n for a run
     of n candidates that built nothing.  Each candidate counts once, a
     run that outlasts the budget only as far as the budget goes.  Every
     built feature is replayed through verify and the first one it
@@ -363,16 +357,14 @@ def search_cut_pair(space, table, budget=2000):
     """Enumerate candidate periodic features (geodesic segments from the
     base, by length then discovery order, all walked over one BFS from
     the base), then horseshoe segments whose endpoints sit at height >=
-    max(1, k); return the first candidate the verifier accepts.  N_max
-    is read only as far as the window clips it."""
+    max(1, k); return the first candidate the verifier accepts."""
     r, K, R = _params(table)
     eta = ceil_frac(table["eta"])
     need = ceil_frac(table["N_min"]) + 2 * eta
+    n_hi = floor_frac(table["N_max"]) + 2 * eta
     if need > space.R_max:
         return SearchOutcome("window-insufficient", stats={
             "required_radius": need, "window": space.R_max})
-    # floor(N_max) + 2 eta, clipped just past the window
-    n_hi = table.floor_min("N_max", space.R_max - 2 * eta + 1) + 2 * eta
     k = ceil_frac(table["k"])
     depth_bound = ceil_frac(Fraction(table["k"]) + Fraction(R))
     totals = range(need, min(n_hi, space.R_max) + 1)
@@ -382,12 +374,10 @@ def search_cut_pair(space, table, budget=2000):
                 for total in totals
                 for path, _ in _geodesic_paths(space, total, depth_bound,
                                                dist_base))
-    # a horseshoe's vertices are distinct, so a length bound past the
-    # window's vertex count bounds nothing
-    length_bound = table.floor_min(
-        "N_max", space.n, 2 * Fraction(table["eta"]) - 2 * Fraction(R))
     starts = (v for v in space.vertices() if space.height(v) >= max(1, k)) \
         if max(1, k) <= space.h_max else ()
+    length_bound = floor_frac(Fraction(table["N_max"]) - 2 * Fraction(R)
+                              + 2 * Fraction(table["eta"]))
     horseshoes = (("horseshoe_candidates", CutPairFeature("horseshoe", path),
                    1)
                   for path in _horseshoe_paths(space, starts, length_bound))
@@ -465,10 +455,10 @@ def verify_noncut_feature(space, f, table):
     if len(segs) != 3 or len(etas) != 3:
         return False, [("structure", False, "need three segments")]
     spans = [len(s) - 1 - 2 * e for s, e in zip(segs, etas)]
-    ok = all(1 <= spans[i] and _within(table, "N1", spans[i])
-             for i in (0, 2))
+    ok = 1 <= spans[0] <= Fraction(table["N1"]) and \
+        1 <= spans[2] <= Fraction(table["N1"])
     report.append(("a", ok, "outer spans within N1: %r" % (spans,)))
-    report.append(("b", 1 <= spans[1] and _within(table, "N2", spans[1]),
+    report.append(("b", 1 <= spans[1] <= Fraction(table["N2"]),
                    "middle span within N2"))
     # (c) overlap agreement: end margin of segment i equals the start
     # margin of segment i+1
@@ -523,7 +513,7 @@ def _verify_noncut_horseshoe(space, f, table):
     r, K, R = _params(table)
     k = ceil_frac(table["k"])
     span = len(f.path) - 1
-    report.append(("a", _within(table, "N3", span),
+    report.append(("a", Fraction(span) <= Fraction(table["N3"]),
                    "b-a <= N3"))
     ha = space.height(f.path[0])
     hb = space.height(f.path[-1])
@@ -555,31 +545,26 @@ def search_noncut_pair(space, table, budget=2000):
     _segment_translation), each first segment is judged once per search
     and so is condition (f) of each middle segment and thick parameter
     (see _condition_f_screen); every candidate still counts once against
-    the budget.  The N bounds are read only as far as the window clips
-    them."""
+    the budget."""
     _params(table)
     eta = ceil_frac(table["eta"])
-    R_max = space.R_max
-    n1 = table.floor_min("N1", R_max)
-    n2 = table.floor_min("N2", R_max)
+    n1 = min(floor_frac(table["N1"]), space.R_max)
+    n2 = min(floor_frac(table["N2"]), space.R_max)
     k = ceil_frac(table["k"])  # also the depth bound of the triples
     totals = [((l1, l2, l3), l1 + l2 + l3 + 2 * eta)
               for l1 in range(1, n1 + 1) for l2 in range(1, n2 + 1)
               for l3 in range(1, n1 + 1)]
-    # floor(N1) + floor(N2) + 2 eta > R_max: n1 and n2 are lower bounds,
-    # exact unless one reached the cap
-    bounds_cut = n1 + n2 + 2 * eta > R_max or (
-        R_max in (n1, n2) and floor_frac(table["N1"])
-        + floor_frac(table["N2"]) + 2 * eta > R_max)
-    window_cut = (bounds_cut or k > space.h_max
-                  or any(total > R_max for _, total in totals))
+    window_cut = (floor_frac(table["N1"]) + floor_frac(table["N2"]) + 2 * eta
+                  > space.R_max or k > space.h_max
+                  or any(total > space.R_max for _, total in totals))
     passes_f = _condition_f_screen(space, table)
     triples = ((key, f if f is None or passes_f(f) else None, n)
                for key, f, n in _triple_stream(
-                   space, [(m, t) for m, t in totals if t <= R_max], eta, k))
+                   space, [(m, t) for m, t in totals if t <= space.R_max],
+                   eta, k))
     starts = (v for v in space.vertices() if space.height(v) == k) \
         if 0 < k <= space.h_max else ()
-    length_bound = table.floor_min("N3", 4 * R_max)
+    length_bound = min(floor_frac(table["N3"]), 4 * space.R_max)
     horseshoes = (("horseshoe_candidates",
                    NonCutFeature("horseshoe", path=path), 1)
                   for path in _horseshoe_paths(space, starts, length_bound))
@@ -609,8 +594,9 @@ def _condition_f_screen(space, table):
 
 def _triple_stream(space, totals, eta, depth_bound):
     """("triple_candidates", feature or None, n) for each (lengths,
-    total) in turn and each geodesic path of that total in walk order,
-    n = 1 for a built feature and n paths in a run that built nothing.
+    total) in turn and each geodesic path of that total in walk order:
+    n = 1 for a walked path, and n for a run of paths that built
+    nothing, counted or replayed.
     One BFS from the base, cut off at the largest total, serves every
     walk, and the paths of a total are walked once, when its first
     lengths comes up: each path is judged for every lengths of that
@@ -647,29 +633,20 @@ def _triple_stream(space, totals, eta, depth_bound):
         def ruled_out(prefix):
             return all(_first_translation(space, prefix[:c], eta, first)
                        is None for c in cuts)
-        n = run = 0
+        n = 0
         for path, count in _geodesic_paths(space, total, depth_bound,
                                            dist_base, cuts[-1] - 1,
                                            ruled_out):
             if len(path) <= total:  # a ruled-out prefix
-                run += count
+                yield key, None, count
                 n += count
                 continue
-            f = _triple_candidate(space, path, lengths, eta, first)
-            if f is None:
-                run += 1
-            else:
-                if run:
-                    yield key, None, run
-                run = 0
-                yield key, f, 1
+            yield key, _triple_candidate(space, path, lengths, eta, first), 1
             for m, built in later:
                 f = _triple_candidate(space, path, m, eta, first)
                 if f is not None:
                     built[n] = f
             n += 1
-        if run:
-            yield key, None, run
         for m, built in later:
             records[m] = (n, built)
 

@@ -12,9 +12,7 @@ m-th root, fixed-point log2 by repeated squaring), with no floating
 point and no dependency beyond the standard library.  The four N bounds,
 numbers of hundreds of thousands of bits at the paper's constants, are
 evaluated on first read, so a caller that reads none of them pays for
-none; ConstantTable.floor_min reads one clipped at a cap, and answers
-the cap without evaluating the bound when a lower bound by bit length
-already passes it.
+none.
 
 The star/double-dagger machinery: star-pairs are window vertex pairs
 nearly equidistant from a base vertex and uniformly close to each other;
@@ -343,24 +341,6 @@ class ConstantTable:
         self._pending.remove(name)
         return v[name]
 
-    def floor_min(self, name, cap, shift=0):
-        """min(floor(self[name] + shift), cap) for an integer cap, without
-        evaluating an N bound that is surely past the cap.  With N_min >=
-        1, V >= 1, eta >= 0 and k + R >= 0 every N bound is at least
-        B**ceil(2*eta) (see _n_bound), and that power is at least
-        2**((bits of B - 1) * ceil(2*eta)): when this settles the
-        comparison, cap is the answer.  Otherwise, and for a value
-        already known, the bound is read exactly."""
-        v = self._values
-        if name in self._pending and v["N_min"] >= 1 and v["V"] >= 1 \
-                and v["eta"] >= 0 and v["k"] + v["R"] >= 0:
-            need = ceil_frac(cap - Fraction(shift))  # N >= need suffices
-            power_bits = ((int(v["B"]).bit_length() - 1)
-                          * ceil_frac(2 * v["eta"]))
-            if need < 1 or power_bits >= need.bit_length():
-                return cap
-        return min(floor_frac(Fraction(self[name]) + shift), cap)
-
     def Rd(self, n):
         return 4 * (n + self["M"]) + 3 * self["kd"] + 50 * self["delta"] + 3
 
@@ -642,6 +622,14 @@ class DdagReport:
     pairs_checked: int = 0
 
 
+def check_n_cap(table, n_cap):
+    """Raise ValueError if n_cap leaves ddag_search no n to check."""
+    kd = int(table["Kd"])
+    if int(n_cap) < kd:
+        raise ValueError("%d is below Kd, a %d-bit number: no n to check"
+                         % (n_cap, kd.bit_length()))
+
+
 def ddag_search(space, v, table, n_cap, eps=None):
     """The proof-driven search loop: for each n from Kd to n_cap check the
     double-dagger condition at eps = 10*delta over all star pairs in the
@@ -656,11 +644,10 @@ def ddag_search(space, v, table, n_cap, eps=None):
     the window is smaller than Rd(n), stops with window-insufficient and
     the radius that would be needed.  Failures are refutations and are
     sound regardless of window size.  An n_cap below Kd leaves no n to
-    check, which is a ValueError rather than an exhausted search.
+    check, which is a ValueError (check_n_cap) rather than an exhausted
+    search.
     """
-    if int(n_cap) < int(table["Kd"]):
-        raise ValueError("n_cap %d is below Kd, a %d-bit number: no n to "
-                         "check" % (n_cap, int(table["Kd"]).bit_length()))
+    check_n_cap(table, n_cap)
     if eps is None:
         eps = 10 * table["delta"]
     dist_v = space.distances(v)

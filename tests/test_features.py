@@ -423,17 +423,50 @@ def test_inverted_condition_f_screen_loses_the_line_find(line_space,
 
 
 def test_runs_spend_the_budget_exactly(free2_space):
-    """The F2 stream comes mostly as runs of Nones, and a run that
-    outlasts the budget counts only up to it."""
+    """The F2 stream comes mostly as counted runs of Nones, and a run
+    that outlasts the budget counts only up to it."""
     tab = _table(**F2_OV)
     eta, k, totals = _noncut_totals(free2_space, tab)
     items = list(F._triple_stream(free2_space, totals, eta, k))
     assert sum(n for _, _, n in items) == 20736
-    assert len(items) < 20736 // 10
+    assert len(items) < 20736 // 8
     for budget in (2, 100, 12345):
         out = F.search_noncut_pair(free2_space, tab, budget=budget)
         assert (out.verdict, out.stats["triple_candidates"]) == \
             ("none-in-budget", budget)
+
+
+def test_small_budget_judges_only_the_paths_it_spends(monkeypatch):
+    """The torsion window builds no triple under F2's table: of its 448
+    candidates most are counted, and the walked ones are judged 192
+    times in all.  A budget that ends among walked paths judges only
+    those it spent, each for the at most 3 lengths of its total, not the
+    rest of the total."""
+    text, R, h, _ = SCREEN_WINDOWS["torsion"]
+    p = parse_presentation(text)
+    space = CuspedSpace(p, default_backend(p), R, h)
+    tab = _table(**F2_OV)
+    eta, k, totals = _noncut_totals(space, tab)
+    items = list(F._triple_stream(
+        space, [(m, t) for m, t in totals if t <= R], eta, k))
+    assert all(f is None for _, f, _ in items)
+    calls = []
+    real = F._triple_candidate
+    monkeypatch.setattr(F, "_triple_candidate",
+                        lambda *args: calls.append(1) or real(*args))
+    for budget in (65, 70, 100, 449):
+        walked = spent = 0
+        for _, _, n in items:
+            if spent >= budget:
+                break
+            walked += n == 1
+            spent += n
+        del calls[:]
+        out = F.search_noncut_pair(space, tab, budget=budget)
+        assert out.stats["triple_candidates"] == min(budget, 448)
+        assert 0 < len(calls) <= 3 * walked < 192 or budget == 449, \
+            (budget, len(calls), walked)
+    assert len(calls) == 192
 
 
 def test_start_scans_skipped_when_no_start_can_exist(free2_space,
@@ -459,43 +492,12 @@ def test_start_scans_skipped_when_no_start_can_exist(free2_space,
 ])
 def test_noncut_window_cut_by_the_n_bounds(free2_space, n1, n2, verdict):
     """floor(N1) + floor(N2) + 2 eta > R cuts the search even when no
-    span lengths are left; a bound clipped at R is read exactly when the
-    clipped sum cannot tell."""
+    span lengths are left, and a sum of exactly R does not."""
     ov = dict(F2_OV, N1=n1, N2=n2)
     if n2 is None:
         del ov["N2"]
     out = F.search_noncut_pair(free2_space, _table(**ov), budget=10**6)
     assert (out.verdict, out.stats["triple_candidates"]) == (verdict, 0)
-
-
-def test_searches_and_verifiers_never_build_the_n_bound_bulk(
-        free2_space, line_space, monkeypatch):
-    """At the paper's constants (delta = 1) every N bound is past
-    3**356576: the searches read them only as far as the window clips
-    them, and the verifiers only as far as a feature's spans, so none is
-    evaluated."""
-    from jsjforge import hyperbolicity as hyp
-    paper = derive_constants(1, 0, B=3, V=5)
-    # the line's finds, with the conditions that read an N bound: a
-    # triple's spans within N1 and N2, a horseshoe's within N3 or N_max
-    finds = [(F.verify_noncut_feature, F.search_noncut_pair, "LINE", "ab"),
-             (F.verify_noncut_feature, F.search_noncut_pair, "HS", "a"),
-             (F.verify_cut_pair_feature, F.search_cut_pair, "CUT_HS", "a")]
-    finds = [(verify, search(line_space, _table(**TABLES[table]),
-                             budget=5000).feature, conditions)
-             for verify, search, table, conditions in finds]
-    calls = []
-    real = hyp._n_bound
-    monkeypatch.setattr(hyp, "_n_bound",
-                        lambda *args: calls.append(args[0]) or real(*args))
-    for space in (free2_space, line_space):
-        for search in (F.search_cut_pair, F.search_noncut_pair):
-            out = search(space, paper, budget=5000)
-            assert out.verdict == "window-insufficient", (space, search)
-    for verify, f, conditions in finds:
-        report = dict((c, ok) for c, ok, _ in verify(line_space, f, paper)[1])
-        assert all(report[c] for c in conditions), (f, report)
-    assert calls == []
 
 
 def _ground_set_reference(space, path, a, b, r, K, R):

@@ -252,65 +252,6 @@ def test_overridden_n_bound_is_never_computed(monkeypatch):
     assert "N2" not in [c[0] for c in calls]
 
 
-@pytest.mark.parametrize("shift", [0, Fraction(-7, 2), Fraction(5, 3)])
-def test_floor_min_answers_the_cap_without_the_bulk(monkeypatch, shift):
-    """At the paper's constants each N bound is at least 3**ceil(2*eta),
-    hundreds of thousands of bits: a cap far below it is the answer, and
-    no bound is evaluated for it."""
-    calls = _spy_n_bounds(monkeypatch)
-    t = derive_constants(1, 0, B=3, V=5)
-    caps = (-4, 0, 1, 16, 2 ** 4000)
-    got = {(name, cap): t.floor_min(name, cap, shift)
-           for name in hyp.N_BOUNDS for cap in caps}
-    assert calls == []
-    assert got == {(name, cap): min(floor_frac(t[name] + shift), cap)
-                   for name in hyp.N_BOUNDS for cap in caps}
-    assert all(got[name, cap] == cap for name, cap in got)
-
-
-def test_floor_min_reads_the_bound_when_the_power_cannot_tell(monkeypatch):
-    """A cap past the power 3**ceil(2*eta) is settled by the bound
-    itself, evaluated exactly."""
-    calls = _spy_n_bounds(monkeypatch)
-    t = derive_constants(0, 0, n=4, B=3, V=4)
-    e = ceil_frac(2 * t["eta"])
-    for name in hyp.N_BOUNDS:
-        for cap in (3 ** e * 2, 3 ** e * 10 ** 9):
-            want = min(floor_frac(t[name]), cap)
-            assert t.floor_min(name, cap) == want, (name, cap)
-    assert sorted(c[0] for c in calls) == sorted(hyp.N_BOUNDS)
-
-
-def test_floor_min_power_bound_is_tight_at_b_2(monkeypatch):
-    """With B = 2 and k + R + 1 = 1, N2 = 2**e + 1 for e = ceil(2*eta):
-    a cap of e bits is answered from the power, one of e + 1 bits reads
-    N2, which lies below it."""
-    calls = _spy_n_bounds(monkeypatch)
-    t = derive_constants(0, 0, n=4, B=2, V=4, overrides={"k": 0, "R": 0})
-    e = ceil_frac(2 * t["eta"])
-    assert t.floor_min("N2", 2 ** e - 1) == 2 ** e - 1
-    assert calls == []
-    assert t.floor_min("N2", 2 ** e + 5) == 2 ** e + 1
-    assert [c[0] for c in calls] == ["N2"]
-
-
-@pytest.mark.parametrize("overrides,name,want", [
-    # N_max = N_min * bulk * 2**V + 1 is 1 with N_min = 0
-    ({"N_min": 0}, "N_max", 1),
-    # with k + R + 1 = -4 the bulk is negative: N2 = bulk + 1
-    ({"k": -5, "R": 0}, "N2", None),
-])
-def test_floor_min_reads_the_bound_when_a_precondition_fails(
-        monkeypatch, overrides, name, want):
-    calls = _spy_n_bounds(monkeypatch)
-    t = derive_constants(1, 0, B=3, V=5, overrides=overrides)
-    got = t.floor_min(name, 16)
-    assert [c[0] for c in calls] == [name]
-    exact = floor_frac(t[name])
-    assert got == min(exact, 16) < 16
-    assert want is None or exact == want
-
-
 def test_ddag_search_rejects_an_empty_n_range(free2_space):
     t = derive_constants(0, 0, n=4, B=3, V=4, overrides={"kd": 0, "Kd": 3})
     with pytest.raises(ValueError, match="below Kd, a 2-bit number"):
