@@ -88,7 +88,10 @@ def _load_table(path):
         V=values.pop("V", None), overrides=values)
 
 
-def _geometry(args, presentation):
+def _geometry(args, presentation, source="--window"):
+    """The window, constant table and n cap that args name, or None with
+    no --window.  The no-backend and window-cap diagnostics name source;
+    the pipelines pass their input file."""
     if args.window is None:
         return None
     if args.const is None:
@@ -108,9 +111,9 @@ def _geometry(args, presentation):
         space = CuspedSpace(presentation, default_backend(presentation),
                             r_max, h_max)
     except BackendError as exc:
-        _usage_error(args.input, "no word-problem backend: %s" % exc)
+        _usage_error(source, "no word-problem backend: %s" % exc)
     except WindowError as exc:
-        _usage_error(args.input, "window: %s" % exc)
+        _usage_error(source, "window: %s" % exc)
     return space, table, args.n_cap
 
 
@@ -176,7 +179,7 @@ def _run_pipeline(args):
     p = _read(_load_presentation, args.input)
     peripherals = tuple(p.peripherals)
     seeds = _read(_load_seeds, args.seed_markings)
-    geometry = _geometry(args, p)
+    geometry = _geometry(args, p, args.input)
 
     if args.command == "split":
         dec = decide_split_relative(p, peripherals, budget=args.budget,

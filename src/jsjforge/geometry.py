@@ -31,6 +31,7 @@ from .words import (
     concat,
     free_reduce,
     inverse_word,
+    join,
     letter_key,
 )
 
@@ -48,17 +49,21 @@ class Ball:
     step's inverse word, grown one sphere per grow() call.  Elements are
     integers, 0 the identity; words[v] is the first product of steps
     found for v, dist[v] its number of steps, and outer the last sphere.
-    Words are identified through an ElementIndex: by normal form on a
-    canonical backend, by Dehn's algorithm within an abelian-key bucket
-    otherwise.  Each edge is stored when its product is identified, in a
-    slot per (element, step) holding the neighbour id or -1; the reverse
-    edge fills the slot of the first step spelling the inverse, so the
-    outer sphere's outward slots stay empty.  Past cap elements grow()
-    raises the WindowError of _cap_error()."""
+    Steps are freely reduced once, when the ball is made, so every word
+    is freely reduced: () or the join of a word and a step, which cancels
+    only across the junction.  Words are identified through an
+    ElementIndex: by normal form on a canonical backend (on the free
+    backend a reduced word is its own), by Dehn's algorithm within an
+    abelian-key bucket otherwise.  Each edge is stored when its product
+    is identified, in a slot per (element, step) holding the neighbour id
+    or -1; the reverse edge fills the slot of the first given step
+    spelling the inverse, so the outer sphere's outward slots stay
+    empty.  Past cap elements grow() raises the WindowError of
+    _cap_error()."""
 
     def __init__(self, backend, steps, cap=None):
-        self.steps = steps
         self._inverse = [steps.index(inverse_word(s)) for s in steps]
+        self.steps = [free_reduce(s) for s in steps]
         self.cap = cap
         self.radius = 0
         self.words = [()]
@@ -87,7 +92,7 @@ class Ball:
         for v in self.outer:
             wv = words[v]
             for i, s in enumerate(steps):
-                w = concat(wv, s)
+                w = join(wv, s)
                 n = len(words)
                 u = index.setdefault(w, n, near)
                 if u == n:
@@ -153,7 +158,7 @@ class CayleyBall(Ball):
             for v in self.outer:
                 for i, s in enumerate(self.steps):
                     if edges[v * k + i] < 0:
-                        u = self._index.find(concat(words[v], s), outer)
+                        u = self._index.find(join(words[v], s), outer)
                         if u is not None:
                             edges[v * k + i] = u
                             edges[u * k + self._inverse[i]] = v
@@ -255,7 +260,9 @@ class CuspedSpace:
         self.ball = CayleyBall(presentation, backend, R_max)
         self.pgraphs = []
         self.cosets = []  # per peripheral: list of dicts
-        self._thick_memberships = [[] for _ in range(self.ball.n)]
+        # per ball vertex, a tuple of (peripheral, coset, offset) triples:
+        # a window without peripherals shares one empty tuple
+        self._thick_memberships = [()] * self.ball.n
         for pi, (name, gens) in enumerate(presentation.peripherals):
             pg = PeripheralGraph(name, gens, backend)
             pg.grow_until_gamma_length(2 * R_max)
@@ -298,12 +305,12 @@ class CuspedSpace:
                 u = pg.vertex_id(concat(inverse_word(coset["rep_word"]), wv))
                 if u is not None:
                     coset["offsets"].append((u, v))
-                    self._thick_memberships[v].append(
-                        (pi, ci, len(coset["offsets"]) - 1))
+                    self._thick_memberships[v] += (
+                        (pi, ci, len(coset["offsets"]) - 1),)
                     break
             else:
                 bucket.append(len(cosets))
-                self._thick_memberships[v].append((pi, len(cosets), 0))
+                self._thick_memberships[v] += ((pi, len(cosets), 0),)
                 cosets.append({"rep_word": wv, "offsets": [(0, v)]})
 
     # -- structure queries ------------------------------------------------

@@ -391,8 +391,9 @@ def derive_constants(delta, delta_per=0, n=None, B=None, V=None,
     valence and ball-size stats of the thick part (needed for the N
     bounds; may be None, leaving those entries unset); overrides: name ->
     value applied atomically with provenance 'override'.  A delta or
-    delta_per that is not an integer >= 0, or an n, B or V that is not
-    an integer >= 1, is a ValueError that names the entry.
+    delta_per that is not an integer >= 0, an n, B or V that is not an
+    integer >= 1, or an eta below 0, is a ValueError that names the
+    entry.
     """
     delta = _whole("delta", delta, 0)
     delta_per = _whole("delta_per", delta_per, 0)
@@ -457,6 +458,9 @@ def derive_constants(delta, delta_per=0, n=None, B=None, V=None,
                          lam * (T + K) + lam * eps,
                          lam * (R + r) + lam * eps,
                          lam * (R + rho) + lam * eps))
+    if eta < 0:
+        # the N bounds raise B to the power ceil(2 * eta)
+        raise ValueError("eta: expected a value >= 0, got %s" % eta)
     N_min = put("N_min", max(Fraction(8 * delta + 1),
                              lam * (2 * R + 1) + lam * eps + 1))
     values["B"] = B

@@ -53,6 +53,15 @@ def inverse_word(word):
     return tuple(-x for x in reversed(word))
 
 
+def join(u, v):
+    """The product of the freely reduced words u and v, freely reduced:
+    cancellation happens only across the junction."""
+    i, n = 0, min(len(u), len(v))
+    while i < n and u[-1 - i] == -v[i]:
+        i += 1
+    return u[:len(u) - i] + v[i:]
+
+
 def concat(*words):
     out = []
     for w in words:
@@ -657,13 +666,17 @@ class ElementIndex:
     group.  A canonical backend keys each word by its normal form.  Any
     other backend buckets it by its abelian key modulo the relators, so a
     lookup confirms a match with backend.equal against the few stored
-    words that share the key, not against all of them."""
+    words that share the key, not against all of them.  setdefault()
+    takes freely reduced words, and on the free backend such a word is
+    its own key."""
 
     def __init__(self, backend):
         self.backend = backend
         p = backend.presentation
         self._key = (backend.normalize if backend.canonical
                      else abelian_key(p.n_gens, p.relators))
+        self._reduced_key = (_same if isinstance(backend, FreeBackend)
+                             else self._key)
         self._table = {}
 
     def find(self, word, accept=None):
@@ -675,9 +688,9 @@ class ElementIndex:
         return self._scan(found, word, accept)
 
     def setdefault(self, word, new_id, accept=None):
-        """find(word, accept), storing word under new_id when it finds
-        nothing; returns the id found or new_id."""
-        key = self._key(word)
+        """find(word, accept) for a freely reduced word, storing word under
+        new_id when it finds nothing; returns the id found or new_id."""
+        key = self._reduced_key(word)
         if self.backend.canonical:
             return self._table.setdefault(key, new_id)
         bucket = self._table.setdefault(key, [])
@@ -697,6 +710,10 @@ class ElementIndex:
             if (accept is None or accept(u)) and self.backend.equal(w, word):
                 return u
         return None
+
+
+def _same(word):
+    return word
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from jsjforge import gog as G
-from jsjforge.cli import main
+from jsjforge.cli import _geometry, main
 from jsjforge.words import Presentation, parse_presentation
 
 from test_gog import _g2_seeds, _star
@@ -192,6 +193,7 @@ def test_malformed_input_one_line_diagnostic(tmp_path, source_cli, name,
     ("delta = 0\nn = 0\n", "n"),
     ("delta = 0\nB = 0\nV = 4\n", "B"),
     ("delta = 0\nB = 3\nV = 0\n", "V"),
+    ("delta = 1\nB = 3\nV = 5\neta = -1\n", "eta"),
 ])
 def test_malformed_constant_entry_one_line_diagnostic(tmp_path, source_cli,
                                                       text, entry):
@@ -277,6 +279,23 @@ def test_window_element_cap_one_line_diagnostic(tmp_path, source_cli):
         "jsj-forge: error: %s: window: peripheral P exceeded element cap "
         "200000" % grp]
     assert proc.stdout == ""
+
+
+def test_geometry_window_cap_without_an_input_file(tmp_path, capsys):
+    # a caller such as a benchmark passes only const, window and n_cap;
+    # the diagnostic then names --window
+    const = tmp_path / "ok.const"
+    const.write_text("delta = 0\n")
+    args = argparse.Namespace(const=str(const), window="6,1", n_cap=None)
+    p = parse_presentation("gen a b\nper P = a b\n")
+    with pytest.raises(SystemExit) as exc:
+        _geometry(args, p)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "jsj-forge: error: --window: window: peripheral P exceeded element "
+        "cap 200000"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,10 +5,12 @@ from collections import deque
 import networkx as nx
 import pytest
 
-from jsjforge.geometry import (CayleyBall, CuspedSpace, HoroVertex,
+from jsjforge.algebra import _subgroup_ball
+from jsjforge.geometry import (Ball, CayleyBall, CuspedSpace, HoroVertex,
                                PeripheralGraph, bfs_distances, distance,
                                shortest_path, valence_stats)
-from jsjforge.words import parse_presentation, default_backend
+from jsjforge.words import (concat, default_backend, free_reduce,
+                            parse_presentation)
 
 
 def test_cayley_ball_free_group_sphere_sizes(free2_space):
@@ -184,6 +186,59 @@ def test_peripheral_graph_steps_by_generators_then_inverses():
     # a's slots in step order a, b, A, B: aa, ab, the identity, aB
     assert pg.adjacency()[1] == [5, 6, 0, 7]
     assert pg.vertex_id((2, 1, -1)) == 2
+
+
+def _balls():
+    """Balls of each kind, on the free, Dehn and rewriting backends, some
+    with unreduced steps."""
+    free = default_backend(parse_presentation("gen a b\n"))
+    g2 = default_backend(parse_presentation("gen a b c d\nrel abABcdCD\n"))
+    z3 = default_backend(parse_presentation("gen a b\nrel aaa\n"))
+    balls = [CayleyBall(free.presentation, free, 4),
+             CayleyBall(g2.presentation, g2, 2),
+             CayleyBall(z3.presentation, z3, 3),
+             PeripheralGraph("P", [(1, 2, -2), (2, 1, -1, 2)], free),
+             # a, then the same a spelled unreduced: two slots of one step
+             _subgroup_ball(free, [(1,), (1, 2, -2)]),
+             _subgroup_ball(g2, [(1, 2, -2, 3), (4,)])]
+    for ball in balls[3:]:
+        for _ in range(3):
+            ball.grow()
+    return balls
+
+
+def test_ball_words_and_steps_are_freely_reduced():
+    for ball in _balls():
+        assert all(free_reduce(s) == s for s in ball.steps)
+        assert all(free_reduce(w) == w for w in ball.words)
+
+
+def test_ball_edges_are_products_and_inverse_slots_are_kept():
+    # _inverse names the first given step that spells the inverse word,
+    # before reduction: A's slot for a, not the unreduced a's
+    ball = _subgroup_ball(default_backend(parse_presentation("gen a b\n")),
+                          [(1,), (1, 2, -2)])
+    assert ball.steps == [(1,), (-1,), (1,), (-1,)]
+    assert ball._inverse == [1, 0, 3, 2]
+    for ball in _balls():
+        backend, k = ball._index.backend, len(ball.steps)
+        for v, wv in enumerate(ball.words):
+            for i, s in enumerate(ball.steps):
+                u = ball._edges[v * k + i]
+                if u >= 0:
+                    assert backend.equal(concat(wv, s), ball.words[u])
+
+
+def test_free_ball_normal_forms_are_its_words():
+    # on the free backend a reduced word is its own key: one tuple per
+    # element
+    free = default_backend(parse_presentation("gen a b\n"))
+    for ball in (CayleyBall(free.presentation, free, 3),
+                 _subgroup_ball(free, [(1, 2), (2, -1, -1)])):
+        ball.grow()
+        assert ball.normal_forms() == ball.words
+        assert all(nf is w for nf, w in zip(ball.normal_forms(),
+                                            ball.words))
 
 
 @pytest.mark.parametrize("text,R,h", [

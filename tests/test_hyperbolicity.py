@@ -276,6 +276,8 @@ def test_n_bounds_unset_without_b_and_v():
     ({"delta": 1, "B": 0, "V": 5}, "B"),
     ({"delta": 1, "B": 3, "V": 0}, "V"),
     ({"delta": 1, "B": 3, "V": Fraction(3, 2)}, "V"),
+    # a negative eta would make B**ceil(2*eta) in the N bounds a float
+    ({"delta": 1, "B": 3, "V": 5, "overrides": {"eta": -1}}, "eta"),
 ])
 def test_derive_constants_rejects_malformed_entries(kwargs, entry):
     with pytest.raises(ValueError, match="^%s: " % entry):

@@ -12,7 +12,7 @@ from jsjforge.words import (BackendError, DehnBackend, ElementIndex,
                             default_backend, enumerate_tietze,
                             free_reduce, hermite_normal_form,
                             images_generate_abelianization, inverse_word,
-                            parse_presentation, parse_word, substitute,
+                            join, parse_presentation, parse_word, substitute,
                             symmetrized_relators, word_to_str,
                             words_shortlex)
 
@@ -30,6 +30,44 @@ def test_free_reduce_involution_properties():
         assert free_reduce(w) == w            # already reduced
         assert free_reduce(concat(w, inverse_word(w))) == ()
         assert inverse_word(inverse_word(w)) == w
+
+
+def _random_reduced(rng, n_gens, length):
+    word = []
+    while len(word) < length:
+        x = rng.choice([1, -1]) * rng.randint(1, n_gens)
+        if not word or word[-1] != -x:
+            word.append(x)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("n_gens", [2, 3])
+def test_join_is_the_reduced_product_of_reduced_words(n_gens):
+    rng = random.Random(n_gens)
+    cancelled = 0
+    for _ in range(500):
+        u = _random_reduced(rng, n_gens, rng.randint(0, 8))
+        # half the time v starts by undoing a suffix of u
+        k = rng.randint(0, len(u)) if rng.random() < 0.5 else 0
+        v = free_reduce(inverse_word(u[len(u) - k:])
+                        + _random_reduced(rng, n_gens, rng.randint(0, 8)))
+        assert join(u, v) == concat(u, v), (u, v)
+        cancelled += len(join(u, v)) < len(u) + len(v)
+    assert cancelled > 100
+    # negative control: on an unreduced u, cancellation does not stop at
+    # the junction, and join leaves the inner pair standing
+    assert concat((1, 2, -2), (-1,)) == ()
+    assert join((1, 2, -2), (-1,)) == (1, 2, -2, -1)
+
+
+def test_element_index_keys_a_reduced_word_by_itself_on_the_free_backend():
+    index = ElementIndex(FreeBackend(parse_presentation("gen a b\n")))
+    w = (1, 2, -1)
+    assert index.setdefault(w, 0) == 0
+    assert index.keys()[0] is w
+    # lookups still normalise their argument
+    assert index.find((1, 2, 2, -2, -1)) == 0
+    assert index.setdefault((1, 2, -1), 1) == 0
 
 
 def test_conjugate_and_cyclic_reduce():
