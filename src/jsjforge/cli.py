@@ -16,12 +16,13 @@ Exit codes:
   a non-cyclic edge group or a trivial edge image (`gog fold` warns and
   skips it), and `gog collapse --edges` naming no edge.  A `--budget`
   or `--n-cap` that is not an integer >= 0, and a `gog` option that only
-  the pipelines take, print argparse's usage line.
+  the pipelines take (`--budget` too), print argparse's usage line.
 - 3 exhausted: the budget ran out, or no word-problem backend for
   `split`, `maximal` and `jsj` without a window; `gog cylinders` whose
-  root extraction spends its budget prints `jsj-forge: exhausted: FILE:
-  message`.
+  root question stays unanswered within the fixed bound prints
+  `jsj-forge: exhausted: FILE: message`.
 - 4 window insufficient: the window provably cannot certify an answer.
+- 5 invalid: `gog trace` found a diagnostic in the document.
 """
 
 import argparse
@@ -35,12 +36,13 @@ from .hyperbolicity import check_n_cap, derive_constants, parse_const_file
 from .gog import (GraphOfGroups, assemble_jsj, collapse_edges,
                   decide_split_relative, internal_surface_edges,
                   maximal_splitting, tree_of_cylinders, validate_gog,
-                  zmax_fold)
+                  witness_to_gog, zmax_fold)
 
 EXIT_DECIDED = 0
 EXIT_USAGE = 2  # argparse's code for usage errors
 EXIT_EXHAUSTED = 3
 EXIT_WINDOW = 4
+EXIT_INVALID = 5
 
 
 def _read(load, path):
@@ -131,12 +133,11 @@ def _budget(text):
     return int(text)
 
 
-def _common(sub):
-    sub.add_argument("--budget", type=_budget, default=24)
-    sub.add_argument("--dot", metavar="FILE", help="write Graphviz output")
-
-
 def _pipeline_options(sub):
+    sub.add_argument("--budget", type=_budget, default=24,
+                     help="candidates to try: split-search items and "
+                          "feature-search candidates; the default n cap "
+                          "is Kd + budget")
     sub.add_argument("--window", metavar="R,h",
                      help="cusped-space window: ball radius, horoball height")
     sub.add_argument("--const", metavar="FILE",
@@ -158,7 +159,6 @@ def main(argv=None):
         if name == "jsj":
             sub.add_argument("--flavor", choices=("vc", "z", "zmax"),
                              default="vc")
-        _common(sub)
         _pipeline_options(sub)
 
     gog = subs.add_parser("gog")
@@ -167,7 +167,8 @@ def main(argv=None):
     gog.add_argument("input", help=".gog document")
     gog.add_argument("--edges", help="comma-separated edge ids to collapse "
                      "(default: internal surface edges)")
-    _common(gog)
+    for sub in subs.choices.values():
+        sub.add_argument("--dot", metavar="FILE", help="write Graphviz output")
 
     args = parser.parse_args(argv)
     if args.command == "gog":
@@ -188,7 +189,6 @@ def _run_pipeline(args):
         print("reason: %s" % dec.reason)
         print("trace: %s" % " -> ".join(dec.trace))
         if dec.answer == "splits" and args.dot:
-            from .gog import witness_to_gog
             _emit_dot(args, witness_to_gog(dec.witness)[0])
         if dec.window_insufficient:
             return EXIT_WINDOW
@@ -197,24 +197,18 @@ def _run_pipeline(args):
     if args.command == "maximal":
         g, report = maximal_splitting(p, peripherals, budget=args.budget,
                                       seeds=seeds, geometry=geometry)
-        print(g.to_json())
-        for vid, answer, reason, trace in report["log"]:
-            print("# v%d: %s (%s) %s"
-                  % (vid, answer, reason, " -> ".join(trace)),
-                  file=sys.stderr)
-        _emit_dot(args, g)
-        if report.get("window_insufficient"):
-            return EXIT_WINDOW
-        return EXIT_EXHAUSTED if report["partial"] else EXIT_DECIDED
-
-    g, artifacts = assemble_jsj(p, flavor=args.flavor,
-                                peripherals=peripherals, budget=args.budget,
-                                seeds=seeds, geometry=geometry)
+        notes = ["v%d: %s (%s) %s" % (vid, answer, reason, " -> ".join(trace))
+                 for vid, answer, reason, trace in report["log"]]
+    else:
+        g, artifacts = assemble_jsj(p, flavor=args.flavor,
+                                    peripherals=peripherals,
+                                    budget=args.budget, seeds=seeds,
+                                    geometry=geometry)
+        notes, report = artifacts["warnings"], artifacts["report"]
     print(g.to_json())
-    for warning in artifacts["warnings"]:
-        print("# %s" % warning, file=sys.stderr)
+    for note in notes:
+        print("# %s" % note, file=sys.stderr)
     _emit_dot(args, g)
-    report = artifacts["report"]
     if report.get("window_insufficient"):
         return EXIT_WINDOW
     return EXIT_EXHAUSTED if report["partial"] else EXIT_DECIDED
@@ -225,11 +219,8 @@ def _run_gog(args):
     warnings = []
     if args.action == "trace":
         diagnostics = validate_gog(g)
-        for line in diagnostics:
-            print(line)
-        if not diagnostics:
-            print("ok")
-        return EXIT_DECIDED if not diagnostics else EXIT_EXHAUSTED
+        print("\n".join(diagnostics) or "ok")
+        return EXIT_INVALID if diagnostics else EXIT_DECIDED
     if args.action == "collapse":
         if args.edges:
             try:
@@ -242,11 +233,11 @@ def _run_gog(args):
                 _usage_error(args.input, "--edges: no edge %s"
                              % ",".join(map(str, unknown)))
         else:
-            edges, warnings = internal_surface_edges(g, budget=args.budget)
+            edges, warnings = internal_surface_edges(g)
         out = collapse_edges(g, edges)
     elif args.action == "cylinders":
         try:
-            out = tree_of_cylinders(g, budget=args.budget)
+            out = tree_of_cylinders(g)
         except BackendError as exc:
             _usage_error(args.input, "no word-problem backend: %s" % exc)
         except ValueError as exc:
@@ -256,7 +247,7 @@ def _run_gog(args):
                   file=sys.stderr)
             return EXIT_EXHAUSTED
     else:
-        out, warnings = zmax_fold(g, budget=args.budget)
+        out, warnings = zmax_fold(g)
     print(out.to_json())
     for warning in warnings:
         print("# %s" % warning, file=sys.stderr)

@@ -339,15 +339,13 @@ class CuspedSpace:
                     + k - 1)
         return None
 
-    def vertical_ray(self, thick_vid, pi=0, top=None):
+    def vertical_ray(self, thick_vid, pi=0):
         """Vertex ids of the vertical ray over a thick vertex in the
-        horoball of peripheral pi, from height 0 up to top (or h_max)."""
-        if top is None:
-            top = self.h_max
+        horoball of peripheral pi, from height 0 up to h_max."""
         for p, ci, oi in self._thick_memberships[thick_vid]:
             if p == pi:
                 ray = [thick_vid]
-                for k in range(1, top + 1):
+                for k in range(1, self.h_max + 1):
                     hid = self.horo_id(pi, ci, oi, k)
                     if hid is None:
                         break
@@ -541,14 +539,13 @@ def path_to(parent, y):
     return path
 
 
-def shortest_path(space, x, y, cutoff=None):
-    """BFS geodesic from x to y of length at most cutoff, or None.  Each
-    vertex's parent is the first vertex to reach it in a FIFO BFS from x
-    over the sorted neighbour lists, so the path is reproducible."""
+def shortest_path(space, x, y):
+    """BFS geodesic from x to y, or None.  Each vertex's parent is the
+    first vertex to reach it in a FIFO BFS from x over the sorted
+    neighbour lists, so the path is reproducible."""
     if x == y:
         return [x]
-    parent = bfs_parents(space.adjacency(), x,
-                         space.n if cutoff is None else cutoff, stop=y)
+    parent = bfs_parents(space.adjacency(), x, space.n, stop=y)
     return path_to(parent, y) if y in parent else None
 
 

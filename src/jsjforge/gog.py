@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 from .words import BackendError, Presentation, abelianization_rank, \
     concat, conjugate, default_backend, enumerate_tietze, free_reduce, \
-    images_generate_abelianization, inverse_word, substitute, words_shortlex
-from .algebra import BudgetError, order_of, vc_analyze
+    images_generate_abelianization, inverse_word, substitute, \
+    words_shortlex, _subst_images
+from .algebra import BudgetError, order_of, small_orbifold_match, vc_analyze
 from .annulus import UnionFind
 
 MARKINGS = ("vc", "hangingFuchsian", "rigid", "unknown")
@@ -25,6 +26,11 @@ MARKINGS = ("vc", "hangingFuchsian", "rigid", "unknown")
 # its vertices
 MAX_FREE_ASSIGN = 6
 MAX_PASSES = 8
+# fixed bounds of the algebraic questions, apart from any candidate
+# budget: vc_analyze rounds and conjugator or inverting word length (a
+# root's powers to 4 * ALGEBRA_BOUND), and small-orbifold rounds
+ALGEBRA_BOUND = 4
+ORBIFOLD_ROUNDS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +315,16 @@ def collapse_edges(g, edge_ids):
             e = g.edges[eid]
             if uf.find(e.source) != root:
                 continue
+            t = ()  # a merge identifies w1 with w2, an HNN conjugates
             if eid in loops:
                 # HNN: fresh stable letter named by the original edge id
-                t_name = "e%d.t" % eid
-                gens.append(t_name)
-                index[t_name] = len(gens)
-                t = index[t_name]
-                for i in range(len(e.presentation.generators)):
-                    w1 = reindex(e.source, e.inj_source[i])
-                    w2 = reindex(e.target, e.inj_target[i])
-                    rels.append(free_reduce(
-                        (t,) + w1 + (-t,) + inverse_word(w2)))
-            else:
-                for i in range(len(e.presentation.generators)):
-                    w1 = reindex(e.source, e.inj_source[i])
-                    w2 = reindex(e.target, e.inj_target[i])
-                    rels.append(free_reduce(w1 + inverse_word(w2)))
+                gens.append("e%d.t" % eid)
+                index[gens[-1]] = len(gens)
+                t = (len(gens),)
+            for w1, w2 in zip(e.inj_source, e.inj_target):
+                rels.append(free_reduce(
+                    t + reindex(e.source, w1) + inverse_word(t)
+                    + inverse_word(reindex(e.target, w2))))
         marking = markings.pop() if len(markings) == 1 else "unknown"
         pres = Presentation(tuple(gens), tuple(rels), ())
         out.add_vertex(pres, marking, namespace=False, vid=root)
@@ -352,13 +352,13 @@ def collapse_edges(g, edge_ids):
 # tree of cylinders
 
 
-def _conjugate_powers(backend, u, w, budget):
+def _conjugate_powers(backend, u, w):
     """Bounded commensurability test: c u^p c^-1 = w^(+-q)."""
     n = len(backend.presentation.generators)
-    conjs = list(words_shortlex(n, budget))
-    for p_ in range(1, budget + 1):
+    conjs = list(words_shortlex(n, ALGEBRA_BOUND))
+    for p_ in range(1, ALGEBRA_BOUND + 1):
         up = backend.normalize(tuple(u) * p_)
-        for q in range(1, budget + 1):
+        for q in range(1, ALGEBRA_BOUND + 1):
             for sgn in (1, -1):
                 wq = backend.normalize(
                     (tuple(w) if sgn > 0 else inverse_word(w)) * q)
@@ -373,12 +373,12 @@ def _ends(e):
     return (e.source, e.inj_source), (e.target, e.inj_target)
 
 
-def _edge_root(g, eid, end, backends, budget, delta):
+def _edge_root(g, eid, end, backends, delta):
     """The root question at one end (0 source, 1 target) of the cyclic
     edge eid: (u, report, m), with u the image of the edge generator in
     normal form, report the vc_analyze of <u>, whose overgroup's first
     generator is the root r, and r^m = u (m is None unless the verdict
-    is vc and a power up to 4*budget matches).  Builds the vertex
+    is vc and a power up to 4*ALGEBRA_BOUND matches).  Builds the vertex
     backend into `backends` on first use; raises BackendError when there
     is none, and ValueError when u is trivial."""
     vid, inj = _ends(g.edges[eid])[end]
@@ -389,10 +389,10 @@ def _edge_root(g, eid, end, backends, budget, delta):
     if not u:
         raise ValueError("edge %d: trivial image at vertex %d" % (eid, vid))
     rep = vc_analyze(g.vertices[vid].presentation, be, delta, [u],
-                     budget=budget)
+                     budget=ALGEBRA_BOUND)
     m = None
     if rep.verdict == "vc":
-        m = _power_of(be, rep.overgroup[0], u, 4 * budget)
+        m = _power_of(be, rep.overgroup[0], u, 4 * ALGEBRA_BOUND)
     return u, rep, m
 
 
@@ -406,21 +406,21 @@ def _power_of(backend, base, target, bound):
     return None
 
 
-def tree_of_cylinders(g, budget=3, delta=0):
+def tree_of_cylinders(g, delta=0):
     """Bipartite quotient: original vertices on one side, one cylinder
     vertex per commensurability class of cyclic edge groups on the
     other; the cylinder group is the maximal VC overgroup of the class
     representative, and each end maps into it by its own root power m.
     Raises ValueError on a non-cyclic edge group or a trivial image,
     BackendError on an end with no backend, and BudgetError when root
-    extraction does not certify an overgroup within the budget."""
+    extraction does not certify an overgroup within ALGEBRA_BOUND."""
     backends = {}
     roots = {}
     images = {}
     for eid, e in sorted(g.edges.items()):
         if len(e.presentation.generators) != 1:
             raise ValueError("edge %d: non-cyclic edge group" % eid)
-        roots[eid] = [_edge_root(g, eid, end, backends, budget, delta)
+        roots[eid] = [_edge_root(g, eid, end, backends, delta)
                       for end in (0, 1)]
         (u_source, _, _), (u_target, _, _) = roots[eid]
         # the image at each endpoint; a loop keeps its source image
@@ -429,8 +429,7 @@ def tree_of_cylinders(g, budget=3, delta=0):
     eids = sorted(roots)
     for a, b in itertools.combinations(eids, 2):
         for v in sorted(images[a].keys() & images[b].keys()):
-            if _conjugate_powers(backends[v], images[a][v], images[b][v],
-                                 budget):
+            if _conjugate_powers(backends[v], images[a][v], images[b][v]):
                 uf.union(a, b)
                 break
     classes = {}
@@ -467,7 +466,7 @@ def tree_of_cylinders(g, budget=3, delta=0):
 # Z_max fold
 
 
-def zmax_fold(g, budget=4, delta=0):
+def zmax_fold(g, delta=0):
     """Replace each cyclic edge group by its maximal VC overgroup at an
     end where its image is r^m, |m| >= 2: the edge map there becomes the
     root r, and the opposite endpoint absorbs a fresh root generator.
@@ -476,19 +475,15 @@ def zmax_fold(g, budget=4, delta=0):
     g = g.copy()
     warnings = []
     backends = {}
-    changed = True
-    rounds = 0
-    while changed and rounds < budget * (len(g.edges) + 1):
+    for _ in range(ALGEBRA_BOUND * (len(g.edges) + 1)):
         changed = False
-        rounds += 1
         for eid in sorted(g.edges):
             if len(g.edges[eid].presentation.generators) != 1:
                 warnings.append("edge %d: non-cyclic, skipped" % eid)
                 continue
             for end, (vid, _) in enumerate(_ends(g.edges[eid])):
                 try:
-                    _, rep, m = _edge_root(g, eid, end, backends, budget,
-                                           delta)
+                    _, rep, m = _edge_root(g, eid, end, backends, delta)
                 except BackendError as exc:
                     warnings.append("vertex %d: %s" % (vid, exc))
                     continue
@@ -507,23 +502,46 @@ def zmax_fold(g, budget=4, delta=0):
                     break
             if changed:
                 break
+        if not changed:
+            break
     return g, list(dict.fromkeys(warnings))
 
 
 def _apply_fold(g, eid, end, root, m):
     """Send the edge generator to the root at end `end` of edge eid; the
     opposite vertex gains a generator e<eid>.r with e<eid>.r^m equal to
-    its old image.  Returns the opposite vertex id."""
+    its old image u: in x's slot when u is one letter x^+-1, with x =
+    e<eid>.r^+-m substituted in the vertex and its edge maps (so a free
+    vertex stays free), else by the relator e<eid>.r^m u^-1.  Returns
+    the opposite vertex id."""
     e = g.edges[eid]
     other_vid, other_inj = _ends(e)[1 - end]
     ov = g.vertices[other_vid]
-    gens = ov.presentation.generators + ("e%d.r" % eid,)
-    t = len(gens)
-    rel = free_reduce(tuple([t if m >= 0 else -t] * abs(m))
-                      + inverse_word(tuple(other_inj[0])))
-    rels = ov.presentation.relators + (rel,)
-    g.vertices[other_vid] = GoGVertex(
-        Presentation(gens, rels, ov.presentation.peripherals), ov.marking)
+    p, u, name = ov.presentation, tuple(other_inj[0]), "e%d.r" % eid
+    if len(u) == 1:
+        t = abs(u[0])
+        images = _subst_images(len(p.generators), t,
+                               (t if u[0] * m > 0 else -t,) * abs(m))
+
+        def sub(words):
+            return tuple(substitute(w, images) for w in words)
+
+        p = Presentation(p.generators[:t - 1] + (name,) + p.generators[t:],
+                         sub(p.relators),
+                         tuple((n, sub(ws)) for n, ws in p.peripherals))
+        for f in g.edges.values():
+            if f.source == other_vid:
+                f.inj_source = sub(f.inj_source)
+            if f.target == other_vid:
+                f.inj_target = sub(f.inj_target)
+        if _ends(e)[end][0] == other_vid:  # a loop: the root is there too
+            (root,) = sub((root,))
+    else:
+        t = len(p.generators) + 1
+        rel = free_reduce((t if m >= 0 else -t,) * abs(m) + inverse_word(u))
+        p = Presentation(p.generators + (name,), p.relators + (rel,),
+                         p.peripherals)
+    g.vertices[other_vid] = GoGVertex(p, ov.marking)
     maps = ((tuple(root),), ((t,),))
     g.edges[eid] = GoGEdge(e.source, e.target, e.presentation,
                            *(maps[::-1] if end else maps))
@@ -534,7 +552,7 @@ def _apply_fold(g, eid, end, root, m):
 # internal surface edges
 
 
-def internal_surface_edges(g, budget=3, delta=0):
+def internal_surface_edges(g, delta=0):
     """Edges both of whose endpoints are hanging Fuchsian with the edge
     group maximal VC there (its image is the root of a one-generator
     overgroup, m = +-1), or extended-Moebius (VC vertex with the edge
@@ -556,10 +574,9 @@ def internal_surface_edges(g, budget=3, delta=0):
                 sides.append(False)
                 continue
             try:
-                _, rep, m = _edge_root(g, eid, end, backends, budget, delta)
+                _, rep, m = _edge_root(g, eid, end, backends, delta)
             except ValueError:  # no backend (a BackendError), trivial image
-                sides.append(None)
-                continue
+                m = None
             if m is None:
                 sides.append(None)
             elif v.marking == "hangingFuchsian":
@@ -659,7 +676,7 @@ def _add_fragment(g, w, sides):
     return v1, v2
 
 
-def verify_split_witness(p, backend, w, peripherals=(), budget=4, delta=0):
+def verify_split_witness(p, backend, w, peripherals=(), delta=0):
     """The four conditions of the splitting criterion plus the Tietze
     consistency of the presentation q, all replayed from scratch.
     Returns (ok, report)."""
@@ -689,7 +706,7 @@ def verify_split_witness(p, backend, w, peripherals=(), budget=4, delta=0):
         be3 = default_backend(p3)
         vc3 = vc_analyze(p3, be3, delta,
                          [(i + 1,) for i in range(len(p3.generators))],
-                         budget=budget)
+                         budget=ALGEBRA_BOUND)
         add("1-edge-vc", vc3.verdict == "vc", "edge group virtually cyclic")
     except (BackendError, BudgetError) as exc:
         add("1-edge-vc", False, str(exc))
@@ -884,7 +901,7 @@ def seed_key(p, peripherals=()):
     return repr((gens, tuple(p.relators), pers))
 
 
-def _vc_screen(p, backend, delta, budget, trace):
+def _vc_screen(p, backend, delta, trace):
     """Cheap certificate first (abelianized rank >= 2 rules out virtually
     cyclic), then the interleaved search."""
     if abelianization_rank(p) >= 2:
@@ -893,24 +910,19 @@ def _vc_screen(p, backend, delta, budget, trace):
     try:
         rep = vc_analyze(p, backend, delta,
                          [(i + 1,) for i in range(len(p.generators))],
-                         budget=budget)
+                         budget=ALGEBRA_BOUND)
     except (BackendError, BudgetError):
         trace.append("VC?unknown")
         return "unknown", None
-    if rep.verdict == "vc":
-        trace.append("VC?yes")
-    elif rep.verdict == "not-vc":
-        trace.append("VC?no")
-    else:
-        trace.append("VC?unknown")
+    trace.append("VC?%s" % {"vc": "yes", "not-vc": "no"}.get(rep.verdict,
+                                                            "unknown"))
     return rep.verdict, rep
 
 
-def _small_orbifold_step(p, peripherals, backend, budget, delta, trace):
-    from .algebra import small_orbifold_match
+def _small_orbifold_step(p, peripherals, backend, delta, trace):
     out = small_orbifold_match(p, [(name, tuple(ws))
                                    for name, ws in peripherals],
-                               backend, budget=max(2, budget // 8),
+                               backend, budget=ORBIFOLD_ROUNDS,
                                delta=delta)
     if out.verdict == "found":
         trace.append("SmallOrbifold?yes")
@@ -928,6 +940,7 @@ def decide_split_relative(p, peripherals=(), budget=24, seeds=None,
     virtually-cyclic gate, seeded facts (verified and labelled), the
     splitting search, and the geometric boundary leg when a cusped space
     and constant table are supplied as geometry=(space, table, n_cap).
+    budget counts split-search and feature-search candidates only.
     Every non-answer is an explicit exhaustion, including a presentation
     that no word-problem backend accepts."""
     trace = ["Start"]
@@ -936,7 +949,7 @@ def decide_split_relative(p, peripherals=(), budget=24, seeds=None,
     except BackendError as exc:
         return SplitDecision("exhausted", "no word-problem backend: %s" % exc,
                              None, "unknown", tuple(trace))
-    vc, vc_rep = _vc_screen(p, backend, delta, max(2, budget // 6), trace)
+    vc, vc_rep = _vc_screen(p, backend, delta, trace)
     if vc == "vc":
         return SplitDecision("no-splits", "virtually cyclic", vc_rep,
                              "vc", tuple(trace))
@@ -946,7 +959,6 @@ def decide_split_relative(p, peripherals=(), budget=24, seeds=None,
         if "witness" in entry:
             w = SplitWitness.from_json(entry["witness"])
             ok, report = verify_split_witness(p, backend, w, peripherals,
-                                              budget=max(2, budget // 6),
                                               delta=delta)
             if ok:
                 trace.append("seed:witness-verified")
@@ -955,8 +967,8 @@ def decide_split_relative(p, peripherals=(), budget=24, seeds=None,
             trace.append("seed:witness-rejected")
         elif entry.get("circle"):
             trace.append("seed:circle")
-            return _small_orbifold_step(p, peripherals, backend, budget,
-                                        delta, trace)
+            return _small_orbifold_step(p, peripherals, backend, delta,
+                                        trace)
         elif entry.get("answer") == "no-splits":
             trace.append("seed:no-splits")
             return SplitDecision("no-splits",
@@ -978,8 +990,8 @@ def decide_split_relative(p, peripherals=(), budget=24, seeds=None,
                                 vc_report=vc_rep)
         trace.append("Circle?%s" % verdict.answer)
         if verdict.answer == "yes":
-            return _small_orbifold_step(p, peripherals, backend, budget,
-                                        delta, trace)
+            return _small_orbifold_step(p, peripherals, backend, delta,
+                                        trace)
         if verdict.answer == "no":
             return SplitDecision("no-splits", "boundary is not a circle",
                                  verdict, "rigid", tuple(trace))
@@ -1116,8 +1128,7 @@ def assemble_jsj(p, flavor="vc", peripherals=(), budget=24, seeds=None,
     artifacts = {"maximal": g.copy(), "report": report, "warnings": []}
     g.flavor = flavor
     if flavor == "vc":
-        edges, warns = internal_surface_edges(g, budget=max(2, budget // 6),
-                                              delta=delta)
+        edges, warns = internal_surface_edges(g, delta=delta)
         artifacts["warnings"] += warns
         artifacts["internal_surface_edges"] = sorted(edges)
         if edges:
@@ -1129,12 +1140,12 @@ def assemble_jsj(p, flavor="vc", peripherals=(), budget=24, seeds=None,
         artifacts["result"] = g
         return g, artifacts
     try:
-        g = tree_of_cylinders(g, budget=max(2, budget // 6), delta=delta)
+        g = tree_of_cylinders(g, delta=delta)
     except (BudgetError, ValueError) as exc:  # BackendError is a ValueError
         artifacts["warnings"].append("tree of cylinders skipped: %s" % exc)
     g.flavor = flavor
     if flavor == "zmax":
-        g, warns = zmax_fold(g, budget=max(2, budget // 6), delta=delta)
+        g, warns = zmax_fold(g, delta=delta)
         artifacts["warnings"] += warns
         g.flavor = flavor
     artifacts["result"] = g

@@ -305,7 +305,11 @@ def test_criterion_09_graph_of_groups_algebra():
         f1, _ = G.zmax_fold(g)
         (e,) = f1.edges.values()
         assert e.inj_target == ((2,),)
-        assert (3, 3, 3, -1) in f1.vertices[e.source].presentation.relators
+        # g = e0.r^3 with e0.r in g's slot: the k-th root replaces g
+        assert e.inj_source == ((1,),)
+        assert f1.vertices[e.source].presentation.generators == (
+            "e0.r", "v0.r")
+        assert f1.vertices[e.source].presentation.relators == ()
         star = _star(2)
         fa, _ = G.zmax_fold(star)
         rev = G.GraphOfGroups()

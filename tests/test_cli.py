@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from jsjforge import gog as G
-from jsjforge.cli import _geometry, main
+from jsjforge.cli import EXIT_INVALID, _geometry, main
 from jsjforge.words import Presentation, parse_presentation
 
 from test_gog import _g2_seeds, _star
@@ -95,7 +95,7 @@ def test_gog_trace_diagnoses(tmp_path, capsys):
     path = tmp_path / "bad.gog"
     path.write_text(g.to_json())
     rc = main(["gog", "trace", str(path)])
-    assert rc == 3
+    assert rc == EXIT_INVALID == 5
     assert "edge 0" in capsys.readouterr().out
 
 
@@ -119,11 +119,32 @@ def test_gog_fold(tmp_path, capsys):
     g.add_edge(v, v, Presentation(("e",), (), ()), ((1,),), ((2, 2, 2),))
     path = tmp_path / "loop.gog"
     path.write_text(g.to_json())
-    rc = main(["gog", "fold", str(path), "--budget", "4"])
+    rc = main(["gog", "fold", str(path)])
     assert rc == 0
     out = G.GraphOfGroups.from_json(capsys.readouterr().out)
+    # g = e0.r^3 takes g's slot: the vertex stays free
     (p,) = [v.presentation for v in out.vertices.values()]
-    assert (3, 3, 3, -1) in p.relators
+    assert p == Presentation(("e0.r", "v0.r"), (), ())
+    (e,) = out.edges.values()
+    assert (e.inj_source, e.inj_target) == (((1,),), ((2,),))
+
+
+def test_gog_fold_star_keeps_the_centre_free(tmp_path, capsys):
+    # the first fold makes the centre <e0.r> with x = e0.r^2, which the free
+    # backend takes, so the other two edges fold too; each leaf absorbs a
+    # root of y^2 by a relator, which no backend takes
+    path = tmp_path / "star3.gog"
+    path.write_text(_star(3).to_json())
+    assert main(["gog", "fold", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert not any(line.startswith("# vertex 0:")
+                   for line in err.splitlines())
+    f = G.GraphOfGroups.from_json(out)
+    assert f.vertices[0].presentation == Presentation(("e0.r",), (), ())
+    assert [e.inj_source for _, e in sorted(f.edges.items())] == [
+        ((1,),)] * 3
+    assert [line[:10] for line in err.splitlines()] == [
+        "# vertex 2", "# vertex 3"]
 
 
 @pytest.mark.skipif(
@@ -300,12 +321,12 @@ def test_geometry_window_cap_without_an_input_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["split", "{g2}", "--budget", "-1"],
-    ["gog", "trace", "{star}", "--budget", "-3"],
+    ["jsj", "{g2}", "--budget", "-3"],
     ["split", "{g2}", "--window", "3,1", "--budget", "0", "--n-cap", "-5"],
 ])
-def test_negative_budget_is_a_usage_error(g2_file, star_file, capsys, argv):
+def test_negative_budget_is_a_usage_error(g2_file, capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main([a.format(g2=g2_file, star=star_file) for a in argv])
+        main([a.format(g2=g2_file) for a in argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("usage: jsj-forge %s " % argv[0])
@@ -333,9 +354,11 @@ def test_n_cap_below_kd_is_a_usage_error(g2_file, tmp_path, capsys, n_cap):
 @pytest.mark.parametrize("option", [
     ["--window", "3,1"], ["--const", "/nonexistent.const"],
     ["--seed-markings", "/nonexistent.json"], ["--n-cap", "-7"],
+    ["--budget", "4"],
 ])
 def test_gog_rejects_pipeline_options(star_file, capsys, option):
-    # gog reads only --budget and --dot; the pipeline options are unknown
+    # gog reads only --edges and --dot; the pipeline options are unknown,
+    # --budget too: the root questions have fixed bounds
     with pytest.raises(SystemExit) as exc:
         main(["gog", "trace", star_file] + option)
     assert exc.value.code == 2
@@ -391,7 +414,7 @@ def test_gog_trace_edge_group_without_backend(tmp_path, capsys):
     path.write_text(g.to_json())
     rc = main(["gog", "trace", str(path)])
     out = capsys.readouterr().out.splitlines()
-    assert rc == 3
+    assert rc == EXIT_INVALID
     assert len(out) == 1
     assert out[0].startswith("edge 0: no validated backend (no backend "
                              "validates for this presentation; tried dehn")
@@ -453,13 +476,43 @@ def test_gog_malformed_input_one_line_diagnostic(tmp_path, source_cli, doc,
     assert line == "jsj-forge: error: %s: %s" % (path, message)
 
 
-def test_gog_cylinders_spent_budget_is_exhausted(star_file, source_cli):
-    # with no rounds of root extraction no overgroup is certified
-    rc, line = _run_gog_subprocess(
-        source_cli, ["cylinders", star_file, "--budget", "0"])
+def test_gog_cylinders_spent_budget_is_exhausted(tmp_path, source_cli):
+    # x has finite order in <x | x^2>: no round certifies an infinite
+    # cyclic overgroup of <x>, so the root question stays unanswered
+    g = G.GraphOfGroups()
+    u = g.add_vertex(parse_presentation("gen x\nrel xx\n"))
+    v = g.add_vertex(parse_presentation("gen y\n"))
+    g.add_edge(u, v, parse_presentation("gen e\n"), ((1,),), ((1,),))
+    path = tmp_path / "torsion.gog"
+    path.write_text(g.to_json())
+    rc, line = _run_gog_subprocess(source_cli, ["cylinders", str(path)])
     assert rc == 3
     assert line == ("jsj-forge: exhausted: %s: edge 0: overgroup not "
-                    "certified vc" % star_file)
+                    "certified vc" % path)
+
+
+@pytest.mark.parametrize("action", ["cylinders", "fold"])
+def test_gog_root_questions_have_a_fixed_bound(tmp_path, source_cli,
+                                               action):
+    # <a, b> joined to <y> along ab: a length bound of 24 would list
+    # 2 * 3^24 - 1 words looking for an element that inverts ab
+    g = G.GraphOfGroups()
+    u = g.add_vertex(parse_presentation("gen a b\n"))
+    v = g.add_vertex(parse_presentation("gen y\n"))
+    g.add_edge(u, v, parse_presentation("gen e\n"), ((1, 2),), ((1,),))
+    path = tmp_path / "ab.gog"
+    path.write_text(g.to_json())
+    prefix, env = source_cli
+    proc = subprocess.run(prefix + ["gog", action, str(path)],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    out = G.GraphOfGroups.from_json(proc.stdout)
+    if action == "fold":  # ab and y are roots at their ends: no fold
+        assert G.canonical_key(out) == G.canonical_key(g)
+    else:
+        assert sorted(v.marking for v in out.vertices.values()) == [
+            "unknown", "unknown", "vc"]
 
 
 def _trivial_image_edge():

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -114,22 +115,68 @@ def test_collapse_loop_makes_hnn_relator():
 
 # -- zmax fold ----------------------------------------------------------------
 
-def test_zmax_fold_kth_root():
-    # loop on <g> whose injections differ by a cube: the fold absorbs the
-    # stable letter and leaves the k-th root relation
+def _loop(gens, source, target):
     g = G.GraphOfGroups()
-    v = g.add_vertex(Presentation(("g", "r"), (), ()))
-    g.add_edge(v, v, Presentation(("e",), (), ()), ((1,),), ((2, 2, 2),))
-    f, _ = G.zmax_fold(g)
+    v = g.add_vertex(Presentation(gens, (), ()))
+    g.add_edge(v, v, Presentation(("e",), (), ()), (source,), (target,))
+    return g
+
+
+def test_zmax_fold_kth_root():
+    # loop on <g, r> whose injections are gr and a cube: the fold absorbs
+    # the stable letter and leaves the k-th root relation
+    f, _ = G.zmax_fold(_loop(("g", "r"), (1, 2), (2, 2, 2)))
     assert len(f.edges) == 1
     (e,) = f.edges.values()
     # the cube side is retargeted to the root r, the other side to a fresh
-    # generator identified with the old image by a k-th root relator
+    # generator identified with the old image gr, not one letter, by a
+    # k-th root relator
     assert e.inj_target == ((2,),)
     assert e.inj_source == ((3,),)
     p = f.vertices[e.source].presentation
     assert p.generators[-1] == "e0.r"
-    assert (3, 3, 3, -1) in p.relators
+    assert p.relators == ((3, 3, 3, -2, -1),)
+
+
+def _edge_to_y(vertex, image_at_vertex):
+    # vertex -(image_at_vertex = y^2)- <y>: the fold is at the y end
+    g = G.GraphOfGroups()
+    a = g.add_vertex(vertex)
+    b = g.add_vertex(Presentation(("y",), (), ()))
+    g.add_edge(a, b, Presentation(("e",), (), ()), (image_at_vertex,),
+               ((1, 1),))
+    return g
+
+
+@pytest.mark.parametrize("g,folded,inj_source,inj_target", [
+    # g = e0.r^3: the new generator takes g's slot
+    (_loop(("g", "r"), (1,), (2, 2, 2)),
+     Presentation(("e0.r", "v0.r"), (), ()), (1,), (2,)),
+    # x = e0.r^2, read into the root xy of the loop's other end too
+    (_loop(("x", "y"), (1,), (1, 2, 1, 2)),
+     Presentation(("e0.r", "v0.y"), (), ()), (1,), (1, 1, 2)),
+    # an inverse letter: x^-1 = e0.r^2, so x = e0.r^-2 in the peripheral
+    (_edge_to_y(parse_presentation("gen x c\nper P = xc\n"), (-1,)),
+     Presentation(("e0.r", "v0.c"), (), (("P", ((-1, -1, 2),)),)), (1,),
+     (1,)),
+])
+def test_zmax_fold_single_letter_image_takes_its_slot(g, folded, inj_source,
+                                                      inj_target):
+    f, warnings = G.zmax_fold(g)
+    assert warnings == [] and G.validate_gog(f) == []
+    assert f.vertices[0].presentation == folded
+    assert (f.edges[0].inj_source, f.edges[0].inj_target) == (
+        (inj_source,), (inj_target,))
+
+
+def test_zmax_fold_substitutes_the_letter_in_relators():
+    # the surface relator [x, c][d, e] with x = e0.r^-2; no backend takes
+    # the result, which zmax_fold reports for the vertex's own end
+    g = _edge_to_y(parse_presentation("gen x c d e\nrel xcXCdeDE\n"),
+                   (-1,))
+    f, _ = G.zmax_fold(g)
+    assert f.vertices[0].presentation.relators == (
+        (-1, -1, 2, 1, 1, -2, 3, 4, -3, -4),)
 
 
 def test_zmax_fold_idempotent_and_confluent():
@@ -151,21 +198,24 @@ def test_zmax_fold_idempotent_and_confluent():
 
 
 def test_zmax_fold_warns_once():
-    # a two-generator edge is skipped in every round, and vertex 0 has no
-    # backend once the cube loop is folded; each warning is given once
+    # a two-generator edge is skipped in every round, and vertex 2 has no
+    # backend in any round; each warning is given once
     g = G.GraphOfGroups()
     a = g.add_vertex(parse_presentation("gen g r\n"))
     b = g.add_vertex(parse_presentation("gen s t\n"))
+    c = g.add_vertex(parse_presentation("gen a b\nrel abab\n"))
     g.add_edge(a, b, parse_presentation("gen e f\n"), ((1,), (2,)),
                ((1,), (2,)))
     g.add_edge(a, a, Presentation(("e",), (), ()), ((1,),), ((2, 2, 2),))
     g.add_edge(b, b, Presentation(("e",), (), ()), ((1,),), ((2, 2),))
+    g.add_edge(c, c, Presentation(("e",), (), ()), ((1,),), ((2,),))
     f, warnings = G.zmax_fold(g)
-    assert len(warnings) == len(set(warnings)) == 3
+    assert len(warnings) == len(set(warnings)) == 2
     assert warnings[0] == "edge 0: non-cyclic, skipped"
-    assert [w[:10] for w in warnings[1:]] == ["vertex 0: ", "vertex 1: "]
-    assert f.vertices[a].presentation.generators[-1] == "e1.r"
-    assert f.vertices[b].presentation.generators[-1] == "e2.r"
+    assert warnings[1].startswith("vertex 2: no backend")
+    # both loops folded: g and s gave their slots to the new roots
+    assert f.vertices[a].presentation.generators == ("e1.r", "v0.r")
+    assert f.vertices[b].presentation.generators == ("e2.r", "v1.t")
 
 
 # -- tree of cylinders --------------------------------------------------------
@@ -194,6 +244,16 @@ def test_tree_of_cylinders_bipartite():
         assert (e.source in cyl) != (e.target in cyl)
 
 
+@pytest.mark.parametrize("k,m", [(16, 16), (17, None)])
+def test_edge_root_tries_powers_to_four_times_the_bound(k, m):
+    # a fixed bound, not a candidate budget: x^k = r^m is certified for
+    # k up to 4 * ALGEBRA_BOUND = 16
+    g = _surface_edge((1,))
+    g.edges[0].inj_source = ((1,) * k,)
+    u, rep, got = G._edge_root(g, 0, 0, {}, 0)
+    assert rep.verdict == "vc" and rep.overgroup == [(1,)] and got == m
+
+
 # -- internal surface edges ---------------------------------------------------
 
 def _surface_edge(image_at_y):
@@ -213,9 +273,10 @@ def test_internal_surface_edges_certified_root(image_at_y, keep):
 
 
 def test_internal_surface_edges_unknown_verdict_warns():
-    # with no rounds of root extraction neither end is certified
-    keep, warnings = G.internal_surface_edges(_surface_edge((1, 1)),
-                                              budget=0)
+    # x has finite order in <x | x^2>: no round certifies its root
+    g = _surface_edge((1, 1))
+    g.vertices[0].presentation = parse_presentation("gen x\nrel xx\n")
+    keep, warnings = G.internal_surface_edges(g)
     assert keep == set()
     assert warnings == ["edge 0: endpoint verdict unknown, excluded"]
 
@@ -432,6 +493,19 @@ def test_assemble_jsj_vc_collapses_surface_edges():
     p = next(iter(g.vertices.values())).presentation
     assert p.generators == ("v3.u", "v3.v", "v4.u", "v4.v", "e1.t", "e2.t")
     assert p.relators == ((1, -2, 3, -4), (5, 1, -5, -2), (6, 3, -6, -4))
+
+
+def test_assemble_jsj_z_flavor_is_the_same_at_every_budget():
+    # the budget counts split-search candidates only; the root and
+    # conjugator bounds are fixed, so a larger budget searches no longer
+    # words
+    keys = []
+    for budget in (24, 48):
+        start = time.perf_counter()
+        g, art = G.assemble_jsj(G2, flavor="z", budget=budget)
+        assert time.perf_counter() - start < 1.0, budget
+        keys.append((g.to_json(), art["warnings"]))
+    assert keys[0] == keys[1]
 
 
 def test_assemble_jsj_z_flavor_runs():
