@@ -540,12 +540,12 @@ def search_noncut_pair(space, table, budget=2000):
     exactly k (type 2), the only ones its verifier can accept.  The
     triples come lengths-major, in walk order within (see
     _triple_stream): one walk per span total judges every lengths of
-    that total.  Cayley edge labels screen the outer segments of a
-    triple, the exact translate check decides (see
-    _segment_translation), each first segment is judged once per search
-    and so is condition (f) of each middle segment and thick parameter
-    (see _condition_f_screen); every candidate still counts once against
-    the budget."""
+    that total.  Cayley edge labels decide an all-thick outer segment of
+    a triple and screen the rest, which the exact translate check
+    decides (see _segment_translation), each first segment is judged
+    once per search and so is condition (f) of each middle segment and
+    thick parameter (see _condition_f_screen); every candidate still
+    counts once against the budget."""
     _params(table)
     eta = ceil_frac(table["eta"])
     n1 = min(floor_frac(table["N1"]), space.R_max)
@@ -692,20 +692,28 @@ def _segment_translation(space, seg, eta):
     eta, if g.gamma(a+t) = gamma(b+t) for every t in [-eta, eta], else
     None.  Left translation keeps Cayley edge labels, so a thick step
     gamma(a+t) -> gamma(a+t+1) whose label differs from that of
-    gamma(b+t) -> gamma(b+t+1) rules the segment out before g is built;
-    the labels only screen, and the exact translate check at every t
-    decides."""
+    gamma(b+t) -> gamma(b+t+1) rules the segment out before g is built.
+    A label names the group element u^-1 v of its edge, so when both
+    windows are all thick, equal labels give g.gamma(a+t) = gamma(b+t)
+    by induction from t = 0 and decide; a segment that touches a
+    horoball vertex is decided by the exact translate check at every
+    t."""
     a, b = eta, len(seg) - 1 - eta
     va, vb = seg[a], seg[b]
     if space.height(va) != space.height(vb):
         return None
     ball, shift = space.ball, b - a
+    # at eta = 0 no step is read, and the equal heights say both are thick
+    thick = va < ball.n
     for t in range(2 * eta):  # the steps out of gamma(a-eta+t)
         p, q, p2, q2 = seg[t], seg[t + 1], seg[t + shift], seg[t + shift + 1]
-        if (max(p, q, p2, q2) < ball.n
-                and ball.label(p, q) != ball.label(p2, q2)):
+        if max(p, q, p2, q2) >= ball.n:
+            thick = False
+        elif ball.label(p, q) != ball.label(p2, q2):
             return None
     g = concat(space.group_word(vb), inverse_word(space.group_word(va)))
+    if thick:
+        return g
     for t in range(-eta, eta + 1):
         if space.translate(g, seg[a + t]) != seg[b + t]:
             return None

@@ -17,12 +17,14 @@ its inverse.
 All queries are BFS-based and deterministic; distance answers carry a
 caveat flag when the window cannot certify them.  The window answers
 d(v, .) itself: CuspedSpace.distances(v) is one whole-window BFS per
-source, built on first use and kept.  One parent-map BFS, bfs_parents,
-serves every path query: shortest paths and the avoiding searches of the
-double-dagger check.
+source, built on first use and kept.  One parent-map BFS, ParentBFS,
+serves every path query: bfs_parents grows one to a depth at once for
+shortest paths and check_ddag, and ddag_search keeps the maps of the x
+whose pair failed at n and grows them one level at n + 1 instead of
+rebuilding them.  Every BFS here, bfs_distances included, expands one
+level list at a time.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 from .words import (
@@ -382,12 +384,16 @@ class CuspedSpace:
         edges, n_letters = ball._edges, len(ball.letters)
         adj = []
         for v in range(ball.n):
-            out = [u for u in edges[v * n_letters:(v + 1) * n_letters]
-                   if u >= 0]
+            out = edges[v * n_letters:(v + 1) * n_letters]
             if ids:
                 out.extend(ids[self.horo_id(pi, ci, oi, 1)]
                            for pi, ci, oi in self._thick_memberships[v])
-            adj.append(sorted(out))
+            # the empty slots, -1, sort first; a slice past them is a
+            # list of its own size, where deleting them in place would
+            # keep the slots' capacity
+            out.sort()
+            empty = out.count(-1)
+            adj.append(out[empty:] if empty else out)
         self._adjacency = adj
         self._boundary_height = boundary_height = []
         if ids is None:
@@ -423,7 +429,8 @@ class CuspedSpace:
                         out.append(v if k == 1 else ids[col + k - 2])
                         if k < h:
                             out.append(ids[col + k])
-                        adj.append(sorted(out))
+                        out.sort()
+                        adj.append(out)
 
     def distances(self, v):
         """Window distance from v to every vertex it reaches, as a dict in
@@ -482,52 +489,70 @@ class CuspedSpace:
 def bfs_distances(space, sources, cutoff=None):
     """Distance map from a set of sources over space.adjacency(), to
     depth cutoff (whole window when None), in the order vertices are
-    reached."""
+    reached: one level list at a time."""
     adj = space.adjacency()
-    dist = {}
-    q = deque()
-    for s in sources:
-        if s not in dist:
-            dist[s] = 0
-            q.append(s)
-    while q:
-        v = q.popleft()
-        d = dist[v]
-        if cutoff is not None and d >= cutoff:
-            continue
-        for u in adj[v]:
-            if u in dist:
-                continue
-            dist[u] = d + 1
-            q.append(u)
+    dist = dict.fromkeys(sources, 0)
+    level, d = list(dist), 0
+    while level and (cutoff is None or d < cutoff):
+        d += 1
+        nxt = []
+        for v in level:
+            for u in adj[v]:
+                if u not in dist:
+                    dist[u] = d
+                    nxt.append(u)
+        level = nxt
     return dist
 
 
+class ParentBFS:
+    """Parent map of a BFS from x over the neighbour lists adj, grown one
+    level at a time: parent holds the vertices reached, in the order
+    reached (x maps to None), each mapped to the first vertex to reach
+    it; frontier is the last level reached and level its depth.  A
+    vertex u other than x with dist[u] <= cutoff is reached but never
+    expanded.  A map grown to depth n in several steps is the same dict,
+    in the same order, as one grown to n at once, so a caller may keep
+    it and resume."""
+
+    __slots__ = ("parent", "frontier", "level", "_adj", "_dget", "_cutoff")
+
+    def __init__(self, adj, x, dist=None, cutoff=-1):
+        self.parent = {x: None}
+        self.frontier = [x]
+        self.level = 0
+        self._adj = adj
+        self._dget = {}.get if dist is None else dist.get
+        self._cutoff = cutoff
+
+    def grow(self, depth, stop=None):
+        """Expand level by level until depth or an empty frontier, and
+        return the parent map.  Reaching stop returns at once, mid-level:
+        such a map must not be grown again."""
+        parent, frontier, level = self.parent, self.frontier, self.level
+        adj, dget, cutoff = self._adj, self._dget, self._cutoff
+        while frontier and level < depth:
+            level += 1
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w in parent:
+                        continue
+                    parent[w] = u
+                    if w == stop:
+                        return parent
+                    dw = dget(w)
+                    if dw is None or dw > cutoff:
+                        nxt.append(w)
+            frontier = nxt
+        self.frontier, self.level = frontier, level
+        return parent
+
+
 def bfs_parents(adj, x, depth, dist=None, cutoff=-1, stop=None):
-    """Parent map of a BFS from x to the given depth over the neighbour
-    lists adj, in the order vertices are reached (x maps to None).  Each
-    vertex's parent is the first vertex to reach it.  A vertex u other
-    than x with dist[u] <= cutoff is reached but never expanded; the BFS
-    returns as soon as it reaches stop."""
-    parent = {x: None}
-    dget = {}.get if dist is None else dist.get
-    frontier = [x]
-    level = 0
-    while frontier and level < depth:
-        level += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w in parent:
-                    continue
-                parent[w] = u
-                if w == stop:
-                    return parent
-                dw = dget(w)
-                if dw is None or dw > cutoff:
-                    nxt.append(w)
-        frontier = nxt
-    return parent
+    """The parent map of a ParentBFS from x grown to depth at once; the
+    BFS returns as soon as it reaches stop."""
+    return ParentBFS(adj, x, dist, cutoff).grow(depth, stop)
 
 
 def path_to(parent, y):

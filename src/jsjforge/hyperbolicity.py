@@ -24,12 +24,13 @@ ball).
 
 Distances from the base come from the window (space.distances(v)), so
 no caller computes or passes them.  Both check_ddag and ddag_search
-answer from one avoiding BFS, geometry.bfs_parents: a BFS from x to depth
+answer from one avoiding BFS, geometry.ParentBFS: a BFS from x to depth
 n in which the avoided ball's vertices are reached but never expanded,
 so a pair (x, y) passes iff the BFS reaches y.  The avoided radius
 depends on the pair only through m, and |d(v,x) - d(v,y)| <= eps leaves
 at most eps + 1 values of m for one x, so ddag_search builds at most
-eps + 1 maps per x and answers every star pair of x from them.
+eps + 1 maps per x and answers every star pair of x from them.  The maps
+of the x whose pair fails at n are kept, and grown one level at n + 1.
 """
 
 import functools
@@ -38,7 +39,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .geometry import bfs_distances, bfs_parents, path_to, shortest_path
+from .geometry import (ParentBFS, bfs_distances, bfs_parents, path_to,
+                       shortest_path)
 
 ROUND_DEN = 2 ** 20
 # fraction bits log2_upper starts from; it doubles them on a tie
@@ -640,8 +642,11 @@ def ddag_search(space, v, table, n_cap, eps=None):
     ball of radius Rd(n) around v within the thick part of depth kd.
 
     Every pair of one x is answered from a shared avoiding-BFS map per
-    avoided-ball cutoff (at most eps + 1 of them), built on first use and
-    dropped when x changes; the answers are check_ddag's.
+    avoided-ball cutoff (at most eps + 1 of them), built on first use;
+    the answers are check_ddag's.  The maps of the x whose pair fails at
+    n are kept across n: when the star pairs reach that x again at n + 1
+    they are grown one level, not rebuilt.  Any other x starts fresh, and
+    its maps are dropped when x changes.
 
     Returns the first n at which every in-window pair passes, provided the
     window actually covers radius Rd(n); if all in-window pairs pass but
@@ -659,6 +664,8 @@ def ddag_search(space, v, table, n_cap, eps=None):
     offset = _ball_offset(eps, table)
     avail = space.R_max - (space.distances(0).get(v) or 0)
     report = DdagReport(v=v, eps=eps, status="exhausted")
+    # the maps of the x whose pair failed at the last n, by cutoff
+    kept_x, kept = None, {}
     for n in range(int(table["Kd"]), int(n_cap) + 1):
         Rn = table.Rd(n)
         map_x, maps = None, {}
@@ -668,16 +675,19 @@ def ddag_search(space, v, table, n_cap, eps=None):
             if x == y:  # passes with no search, as in check_ddag
                 continue
             if x != map_x:
-                map_x, maps = x, {}
+                map_x, maps = x, kept if x == kept_x else {}
+                for bfs in maps.values():  # kept maps stand at n - 1
+                    bfs.grow(n)
             # every negative cutoff avoids nothing, so they share a map
             cutoff = max(m + offset, -1)
-            reached = maps.get(cutoff)
-            if reached is None:
-                reached = maps[cutoff] = bfs_parents(adj, x, n, dist_v,
-                                                     cutoff)
-            if y not in reached:
+            bfs = maps.get(cutoff)
+            if bfs is None:
+                bfs = maps[cutoff] = ParentBFS(adj, x, dist_v, cutoff)
+                bfs.grow(n)
+            if y not in bfs.parent:
                 if len(report.failures) < MAX_FAILURES:
                     report.failures.append((n, (x, y), m))
+                kept_x, kept = x, maps
                 break
         else:
             report.n = n

@@ -241,34 +241,76 @@ def _translation_reference(space, seg, eta):
     return None
 
 
+def _unguarded_translation(space, seg, eta):
+    """_segment_translation with its label decision unguarded at eta = 0:
+    a segment whose steps are all thick is decided by its labels even
+    when its endpoints are horoball vertices (the negative control)."""
+    a, b = eta, len(seg) - 1 - eta
+    if space.height(seg[a]) != space.height(seg[b]):
+        return None
+    ball, shift = space.ball, b - a
+    steps = [(seg[t], seg[t + 1], seg[t + shift], seg[t + shift + 1])
+             for t in range(2 * eta)]
+    if all(max(step) < ball.n for step in steps):
+        if any(ball.label(p, q) != ball.label(p2, q2)
+               for p, q, p2, q2 in steps):
+            return None
+        return concat(space.group_word(seg[b]),
+                      inverse_word(space.group_word(seg[a])))
+    return F._segment_translation(space, seg, eta)
+
+
 # (presentation, R, h, depth bound): F2; genus 2 on its Dehn backend; the
-# torsion group <a, b | a^3, b^2>, where the b and B slots coincide; and
-# the line's cusped space, whose segments cross horoball vertices
+# torsion group <a, b | a^3, b^2>, where the b and B slots coincide; the
+# line's cusped space, whose segments cross horoball vertices; and F2
+# cusped along both generators, where two horoball endpoints over
+# translated bases can sit in the horoballs of different peripherals
 SCREEN_WINDOWS = {
     "f2": ("gen a b\n", 5, 0, 0),
     "genus2": ("gen a b c d\nrel abABcdCD\n", 3, 0, 0),
     "torsion": ("gen a b\nrel aaa\nrel bb\n", 6, 0, 0),
     "line": ("gen a\nper P = a\n", 16, 4, 2),
+    "two-cusps": ("gen a b\nper P = a\nper Q = b\n", 4, 2, 2),
 }
+
+
+def _sub_segments(space, depth):
+    """Every sub-segment, of two or more vertices, of the geodesic paths
+    of lengths 3 to 6 from the base.  The paths all start at the thick
+    base; their sub-segments may start, as well as end, at a horoball
+    vertex."""
+    segs = set()
+    for length in range(3, 7):
+        for path in _geodesic_paths_reference(space, length, depth):
+            segs.update(path[i:j] for i in range(len(path) - 1)
+                        for j in range(i + 2, len(path) + 1))
+    return sorted(segs)
 
 
 @pytest.mark.parametrize("window", sorted(SCREEN_WINDOWS))
 def test_segment_translation_matches_translate_reference(window):
+    """On every sub-segment of the walked paths and eta = 0, 1, the
+    label-screened and label-decided translation equals translate
+    alone; the label decision unguarded at horoball endpoints differs
+    from it on the two-cusp window only."""
     text, R, h, depth = SCREEN_WINDOWS[window]
     p = parse_presentation(text)
     space = CuspedSpace(p, default_backend(p), R, h)
-    accepted = rejected = horo = 0
-    for length in range(3, 7):
-        for seg in _geodesic_paths_reference(space, length, depth):
-            horo += max(seg) >= space.ball.n
-            for eta in (0, 1):
-                want = _translation_reference(space, seg, eta)
-                assert F._segment_translation(space, seg, eta) == want, \
-                    (seg, eta)
-                accepted += want is not None
-                rejected += want is None
+    accepted = rejected = horo = unguarded_wrong = 0
+    for seg in _sub_segments(space, depth):
+        horo += max(seg) >= space.ball.n
+        for eta in (0, 1):
+            if len(seg) < 2 * eta + 2:
+                continue
+            want = _translation_reference(space, seg, eta)
+            assert F._segment_translation(space, seg, eta) == want, \
+                (seg, eta)
+            accepted += want is not None
+            rejected += want is None
+            unguarded_wrong += _unguarded_translation(space, seg, eta) != want
     assert accepted and rejected
-    assert (horo > 0) == (window == "line")
+    assert (horo > 0) == (window in ("line", "two-cusps"))
+    assert (unguarded_wrong > 0) == (window == "two-cusps")
 
 
 def _triple_candidate_reference(space, path, lengths, eta, first):

@@ -151,10 +151,12 @@ def test_window_adjacency_golden(text, R, h, n, digest):
     ("gen a b\nrel aaa\nrel bb\n", 6, 0),
     ("gen a b\nrel aaa\nrel bb\nper B = b\n", 4, 2),
     ("gen a b c\nrel aBCCbcB\n", 3, 0),
+    ("gen a b\nper A = a\nper B = b\n", 3, 2),
 ])
 def test_thick_adjacency_matches_ball_neighbors(text, R, h):
-    """Each thick vertex's window neighbours inside the ball are its
-    Cayley neighbours, read off the edge slots, with repeats: where two
+    """Each thick vertex's window neighbours are, sorted, its Cayley
+    neighbours read off the filled edge slots, with repeats, and its
+    vertical edge into the horoball of each peripheral: where two
     letters are equal in the group (b = B when b^2 = 1) both slots hold
     the same neighbour."""
     p = parse_presentation(text)
@@ -162,9 +164,11 @@ def test_thick_adjacency_matches_ball_neighbors(text, R, h):
     ball = space.ball
     repeats = 0
     for v in range(ball.n):
-        want = sorted(u for _, u in ball.neighbors(v))
-        assert [u for u in space.neighbors(v) if u < ball.n] == want
-        repeats += len(set(want)) < len(want)
+        cayley = [u for _, u in ball.neighbors(v)]
+        vertical = [space.vertical_ray(v, pi)[1]
+                    for pi in range(len(space.pgraphs))]
+        assert space.neighbors(v) == sorted(cayley + vertical)
+        repeats += len(set(cayley)) < len(cayley)
     assert (repeats > 0) == ("bb" in text)
 
 
@@ -332,6 +336,40 @@ F2_CUSPED = "gen a b\nper A = a\n"
 def _window(text, R, h):
     p = parse_presentation(text)
     return CuspedSpace(p, default_backend(p), R, h)
+
+
+def _bfs_distances_reference(space, sources, cutoff=None):
+    """One FIFO queue, one vertex popped at a time."""
+    dist = {}
+    queue = deque()
+    for s in sources:
+        if s not in dist:
+            dist[s] = 0
+            queue.append(s)
+    while queue:
+        v = queue.popleft()
+        if cutoff is not None and dist[v] >= cutoff:
+            continue
+        for u in space.neighbors(v):
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+@pytest.mark.parametrize("text,R,h", [(F2, 5, 0), (LINE, 16, 6),
+                                      (GENUS2, 3, 0)])
+def test_bfs_distances_matches_queue_reference(text, R, h):
+    """The level-list BFS gives the queue BFS's dict, insertion order
+    included, from one source and from several with repeats, at
+    cutoffs None, 0, 1 and 2."""
+    space = _window(text, R, h)
+    last = space.n - 1
+    for sources in ([0], [last], [3, 0, 3, last, 1, 0]):
+        for cutoff in (None, 0, 1, 2):
+            got = bfs_distances(space, sources, cutoff)
+            want = _bfs_distances_reference(space, sources, cutoff)
+            assert list(got.items()) == list(want.items()), (sources, cutoff)
 
 
 def _nx_window(space):

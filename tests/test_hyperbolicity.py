@@ -8,7 +8,8 @@ import networkx as nx
 import pytest
 
 from jsjforge import hyperbolicity as hyp
-from jsjforge.geometry import CuspedSpace, shortest_path
+from jsjforge.geometry import (CuspedSpace, ParentBFS, bfs_parents,
+                               shortest_path)
 from jsjforge.hyperbolicity import (ceil_frac, certify_delta, check_ddag,
                                     ddag_search, derive_constants, floor_frac,
                                     log2_upper, parse_const_file, round_up,
@@ -409,6 +410,9 @@ DDAG_CASES = [
      {"kd": 0, "Kd": 1, "M": 2, "C": 55}, 3),
     ((G2, 2, 0), 0, 1, 10, {}, None),
     ((G2, 2, 0), 0, 0, 0, {"kd": 0, "Kd": 1, "M": 2}, 3),
+    # (x, y) = (1, 2) fails at every n, and x's avoiding BFS closes at
+    # depth 6, below the n cap: the kept map is grown past its close
+    (("gen a b\n", 6, 0), 0, 0, 0, {"kd": 0, "Kd": 1}, 8),
 ]
 
 
@@ -452,6 +456,78 @@ def test_ddag_reference_negative_control(shift):
                rep.pairs_checked)
         changed += got != _ddag_reference(space, v, table, n_cap, eps,
                                           shift=shift)
+    assert changed > 0
+
+
+def test_ddag_search_resumes_the_failing_maps(monkeypatch):
+    """In the F2 case at R=6 the pair (1, 2) fails at every n from 1 to
+    8: x = 1's one avoiding map is built once and grown one level per n,
+    never rebuilt, and its BFS closes before the n cap."""
+    space, v, table, n_cap, eps = _ddag_case(DDAG_CASES[-1])
+    built, grown = [], []
+
+    class Counted(ParentBFS):
+        __slots__ = ()
+
+        def __init__(self, adj, x, dist=None, cutoff=-1):
+            super().__init__(adj, x, dist, cutoff)
+            built.append((x, cutoff))
+
+        def grow(self, depth, stop=None):
+            grown.append((self.level, depth))
+            return super().grow(depth, stop)
+
+    monkeypatch.setattr(hyp, "ParentBFS", Counted)
+    rep = ddag_search(space, v, table, n_cap, eps=eps)
+    assert rep.status == "exhausted"
+    assert [pair for _, pair, _ in rep.failures] == [(1, 2)] * 3
+    assert built == [(1, 1)]
+    assert grown == [(min(n - 1, 6), n) for n in range(1, n_cap + 1)]
+
+
+@pytest.mark.parametrize("window", [("gen a b\n", 6, 0), (LINE, 24, 5),
+                                    ("gen a b\nper A = a\n", 3, 2)])
+def test_parent_bfs_grown_level_by_level_equals_one_shot(window):
+    """A ParentBFS grown one level at a time is, at every depth, the dict
+    a fresh bfs_parents builds to that depth, order included, for a
+    spread of x and cutoffs; the map one level deeper differs at some
+    depth, so the comparison can see a level too many."""
+    space = _window(*window)
+    adj, dist_v = space.adjacency(), space.distances(0)
+    deeper_differs = 0
+    for x in range(0, space.n, max(1, space.n // 8)):
+        for cutoff in (-1, 0, 1, 2):
+            bfs = ParentBFS(adj, x, dist_v, cutoff)
+            for depth in range(12):
+                got = list(bfs.grow(depth).items())
+                assert got == list(
+                    bfs_parents(adj, x, depth, dist_v, cutoff).items()), \
+                    (x, cutoff, depth)
+                deeper = bfs_parents(adj, x, depth + 1, dist_v, cutoff)
+                deeper_differs += list(deeper.items()) != got
+    assert deeper_differs
+
+
+def test_ddag_search_resumed_one_level_too_far_changes_a_report(
+        monkeypatch):
+    """Negative control of the resume: a kept map grown one level past
+    the n the search stands at must change some report, or the networkx
+    reference could not tell a wrong resume from a right one."""
+
+    class TooFar(ParentBFS):
+        __slots__ = ()
+
+        def grow(self, depth, stop=None):
+            return super().grow(depth + (self.level > 0), stop)
+
+    monkeypatch.setattr(hyp, "ParentBFS", TooFar)
+    changed = 0
+    for case in DDAG_CASES:
+        space, v, table, n_cap, eps = _ddag_case(case)
+        rep = ddag_search(space, v, table, n_cap, eps=eps)
+        changed += (rep.status, rep.n, rep.required_radius, rep.failures,
+                    rep.pairs_checked) != _ddag_reference(space, v, table,
+                                                          n_cap, eps)
     assert changed > 0
 
 
