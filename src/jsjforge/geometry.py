@@ -12,7 +12,8 @@ One grower, Ball, builds every ball of group elements, one sphere at a
 time over a list of step words: the Cayley ball steps by the letters,
 each peripheral graph by its generating words and their inverses, and
 subgroup enumeration (algebra.subgroup_elements) by each generator and
-its inverse.
+its inverse.  Only the Cayley ball of the free backend, a tree, keeps
+no element index: there each letter that does not cancel is new.
 
 All queries are BFS-based and deterministic; distance answers carry a
 caveat flag when the window cannot certify them.  The window answers
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 from .words import (
     ElementIndex,
+    FreeBackend,
     abelian_key,
     concat,
     free_reduce,
@@ -56,24 +58,27 @@ class Ball:
     only across the junction.  Words are identified through an
     ElementIndex: by normal form on a canonical backend (on the free
     backend a reduced word is its own), by Dehn's algorithm within an
-    abelian-key bucket otherwise.  Each edge is stored when its product
-    is identified, in a slot per (element, step) holding the neighbour id
-    or -1; the reverse edge fills the slot of the first given step
-    spelling the inverse, so the outer sphere's outward slots stay
-    empty.  Past cap elements grow() raises the WindowError of
-    _cap_error()."""
+    abelian-key bucket otherwise; made with indexed=False, _index is
+    None and a subclass grows the ball (CayleyBall on the free backend).
+    Each edge is stored when its product is identified, in a slot per
+    (element, step) holding the neighbour id or -1; the reverse edge
+    fills the slot of the first given step spelling the inverse, so the
+    outer sphere's outward slots stay empty.  Past cap elements grow()
+    raises the WindowError of _cap_error()."""
 
-    def __init__(self, backend, steps, cap=None):
+    def __init__(self, backend, steps, cap=None, indexed=True):
         self._inverse = [steps.index(inverse_word(s)) for s in steps]
         self.steps = [free_reduce(s) for s in steps]
+        self.backend = backend
         self.cap = cap
         self.radius = 0
         self.words = [()]
         self.dist = [0]
         self.outer = [0]
-        self._index = ElementIndex(backend)
-        self._index.setdefault((), 0)
-        # a list, not an array: its entries are the index's own int
+        self._index = ElementIndex(backend) if indexed else None
+        if indexed:
+            self._index.setdefault((), 0)
+        # a list, not an array: its entries are the ids' own int
         # objects, which the window's adjacency lists then share
         self._edges = [-1] * len(steps)
         self._adjacency = None
@@ -118,11 +123,13 @@ class Ball:
 
     def normal_forms(self, start=0):
         """Normal forms of the elements from id start on, in id order: on
-        a canonical backend, the keys the index stored them under."""
-        backend = self._index.backend
-        if backend.canonical:
+        a canonical backend, the keys the index stored them under; with
+        no index, the words."""
+        if self._index is None:
+            return self.words[start:]
+        if self.backend.canonical:
             return self._index.keys()[start:]
-        return [backend.normalize(w) for w in self.words[start:]]
+        return [self.backend.normalize(w) for w in self.words[start:]]
 
     def adjacency(self):
         """Neighbour ids of every element, read off its filled slots in
@@ -141,13 +148,17 @@ class CayleyBall(Ball):
     spheres' outward products give every edge except those joining two
     outer-sphere vertices; when some relator has odd length such edges
     can exist, and a last identify-only pass over the outer sphere
-    records them."""
+    records them.  On the free backend the Cayley graph is a tree: the
+    ball keeps no index, a product is new exactly when its letter does
+    not cancel the word's last one, and vertex_id walks the reduced word
+    through the edge slots from 0."""
 
     def __init__(self, presentation, backend, radius, vertex_cap=2_000_000):
         n_gens = presentation.n_gens
         letters = sorted([i for i in range(1, n_gens + 1)]
                          + [-i for i in range(1, n_gens + 1)], key=letter_key)
-        super().__init__(backend, [(s,) for s in letters], cap=vertex_cap)
+        super().__init__(backend, [(s,) for s in letters], cap=vertex_cap,
+                         indexed=not isinstance(backend, FreeBackend))
         self.presentation = presentation
         self.letters = letters
         for _ in range(radius):
@@ -164,6 +175,45 @@ class CayleyBall(Ball):
                         if u is not None:
                             edges[v * k + i] = u
                             edges[u * k + self._inverse[i]] = v
+
+    def grow(self):
+        """Ball.grow(), or with no index the tree's next sphere."""
+        if self._index is not None:
+            return super().grow()
+        self.radius = d = self.radius + 1
+        self._adjacency = None
+        words, dist, edges, steps = (self.words, self.dist, self._edges,
+                                     self.steps)
+        k, n, blank = len(steps), len(words), [-1] * len(steps)
+        # (slot, letter, reverse slot) out of a word, by its last letter
+        out = {w: [(i, s, self._inverse[i]) for i, s in enumerate(steps)
+                   if s != inverse_word(w)] for w in steps + [()]}
+        nxt = []
+        for v in self.outer:
+            wv = words[v]
+            row = out[wv[-1:]]
+            if n + len(row) > self.cap:
+                raise self._cap_error()
+            for i, s, back in row:
+                words.append(wv + s)
+                dist.append(d)
+                edges.extend(blank)
+                edges[v * k + i] = n
+                edges[n * k + back] = v
+                nxt.append(n)
+                n += 1
+        self.outer = nxt
+
+    def vertex_id(self, word):
+        if self._index is not None:
+            return super().vertex_id(word)
+        k, v = len(self.steps), 0
+        for x in self.backend.normalize(word):
+            i = letter_key(x)  # the slot of x, if x is a letter
+            v = self._edges[v * k + i] if 0 <= i < k else -1
+            if v < 0:
+                return None
+        return v
 
     def _cap_error(self):
         return WindowError("vertex cap %d exceeded at radius %d"

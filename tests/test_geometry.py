@@ -5,12 +5,13 @@ from collections import deque
 import networkx as nx
 import pytest
 
+import jsjforge.geometry
 from jsjforge.algebra import _subgroup_ball
 from jsjforge.geometry import (Ball, CayleyBall, CuspedSpace, HoroVertex,
-                               PeripheralGraph, bfs_distances, distance,
-                               shortest_path, valence_stats)
-from jsjforge.words import (concat, default_backend, free_reduce,
-                            parse_presentation)
+                               PeripheralGraph, WindowError, bfs_distances,
+                               distance, shortest_path, valence_stats)
+from jsjforge.words import (ElementIndex, FreeBackend, concat,
+                            default_backend, free_reduce, parse_presentation)
 
 
 def test_cayley_ball_free_group_sphere_sizes(free2_space):
@@ -225,7 +226,7 @@ def test_ball_edges_are_products_and_inverse_slots_are_kept():
     assert ball.steps == [(1,), (-1,), (1,), (-1,)]
     assert ball._inverse == [1, 0, 3, 2]
     for ball in _balls():
-        backend, k = ball._index.backend, len(ball.steps)
+        backend, k = ball.backend, len(ball.steps)
         for v, wv in enumerate(ball.words):
             for i, s in enumerate(ball.steps):
                 u = ball._edges[v * k + i]
@@ -243,6 +244,113 @@ def test_free_ball_normal_forms_are_its_words():
         assert ball.normal_forms() == ball.words
         assert all(nf is w for nf, w in zip(ball.normal_forms(),
                                             ball.words))
+
+
+class _NoSkipBall(CayleyBall):
+    """Negative control: a tree grower that also makes the product of the
+    letter cancelling a word's last letter a new element."""
+
+    def grow(self):
+        self.radius = d = self.radius + 1
+        k, nxt = len(self.steps), []
+        for v in self.outer:
+            for i, s in enumerate(self.steps):
+                n = len(self.words)
+                self.words.append(self.words[v] + s)
+                self.dist.append(d)
+                self._edges.extend([-1] * k)
+                self._edges[v * k + i] = n
+                self._edges[n * k + self._inverse[i]] = v
+                nxt.append(n)
+        self.outer = nxt
+
+
+def _tree_mismatches(ball, radius):
+    """What differs between a free CayleyBall grown to radius and the
+    indexed reference: the generic Ball over the same letter steps."""
+    ref = Ball(ball.backend, [(s,) for s in ball.letters])
+    for _ in range(radius):
+        ref.grow()
+    bad = [name for name in ("words", "dist", "_edges", "outer")
+           if getattr(ball, name) != getattr(ref, name)]
+    if any(ball.vertex_id(w) != ref.vertex_id(w) for w in ref.words):
+        bad.append("vertex_id")
+    r = len(ball.letters)
+    if ball.sphere_sizes() != [1] + [r * (r - 1) ** (j - 1)
+                                     for j in range(1, radius + 1)]:
+        bad.append("sphere_sizes")
+    return bad
+
+
+@pytest.mark.parametrize("n_gens,radius", [(1, 64), (2, 6), (3, 4)])
+def test_free_cayley_ball_grows_as_the_indexed_reference(n_gens, radius):
+    # a reduced word is the only geodesic in the free group's Cayley tree:
+    # sphere k holds 2n(2n-1)^(k-1) elements
+    p = parse_presentation("gen %s\n" % " ".join("abc"[:n_gens]))
+    free = default_backend(p)
+    ball = CayleyBall(p, free, radius)
+    assert ball._index is None
+    assert _tree_mismatches(ball, radius) == []
+    # the control doubles its spheres' growth: keep it small
+    control = min(radius, 4)
+    assert _tree_mismatches(_NoSkipBall(p, free, control), control) != []
+
+
+def test_free_cayley_ball_vertex_id_answers_as_the_index():
+    free = default_backend(parse_presentation("gen a b\n"))
+    ball = CayleyBall(free.presentation, free, 3)
+    ref = _subgroup_ball(free, [(1,), (2,)])
+    for _ in range(3):
+        ref.grow()
+    for w in ball.words:
+        # an unreduced spelling finds w's element, also on the outer sphere
+        for x in ball.letters:
+            assert ball.vertex_id(w + (x, -x)) == ball.vertex_id(w)
+            assert ball.vertex_id((x, -x) + w) == ball.vertex_id(w)
+    assert ball.vertex_id((1, 2, -2)) == ball.vertex_id((1,)) == 1
+    # a word longer than R, and a letter outside the alphabet
+    for w in ((1, 1, 1, 1), (1, 2, 1, 2), (3,), (1, 3), (0,)):
+        assert ball.vertex_id(w) is None
+        assert ref.vertex_id(w) is None
+
+
+def test_free_cayley_ball_vertex_cap_error_is_unchanged():
+    free = default_backend(parse_presentation("gen a b\n"))
+    assert CayleyBall(free.presentation, free, 4, vertex_cap=161).n == 161
+    with pytest.raises(WindowError,
+                       match=r"^vertex cap 161 exceeded at radius 5$"):
+        CayleyBall(free.presentation, free, 5, vertex_cap=161)
+    with pytest.raises(WindowError,
+                       match=r"^vertex cap 100 exceeded at radius 4$"):
+        CayleyBall(free.presentation, free, 6, vertex_cap=100)
+
+
+def test_free_window_build_normalizes_nothing_and_keys_nothing(monkeypatch):
+    calls = {"normalize": 0, "index": 0}
+    real_normalize = FreeBackend.normalize
+
+    def normalize(self, word):
+        calls["normalize"] += 1
+        return real_normalize(self, word)
+
+    class CountedIndex(ElementIndex):
+        def __init__(self, backend):
+            calls["index"] += 1
+            super().__init__(backend)
+
+    monkeypatch.setattr(FreeBackend, "normalize", normalize)
+    monkeypatch.setattr(jsjforge.geometry, "ElementIndex", CountedIndex)
+    p = parse_presentation("gen a b\n")
+    space = CuspedSpace(p, default_backend(p), R_max=6, h_max=2)
+    space.adjacency()
+    assert space.ball.n == 1457
+    assert calls == {"normalize": 0, "index": 0}
+    # a subgroup ball on the free backend keeps its index
+    ball = _subgroup_ball(space.backend, [(1, 2), (2,)])
+    ball.grow()
+    assert calls["index"] == 1 and calls["normalize"] == 0
+    assert ball.vertex_id((1, 2, -2)) is None
+    assert calls["normalize"] == 1
 
 
 @pytest.mark.parametrize("text,R,h", [
