@@ -6,20 +6,21 @@ of those connected components of N_{r,R} that meet C_K; and the hot set
 of a thick vertex v the part of C_K within T of v.  Window distances are
 integers, so the shells compare them with integer bounds: ceil(r) <= d
 <= floor(R), and d = K only when K is integral (C_K is empty otherwise).
-This module alone builds the shells and the hot sets.  A BFS cut off at
-a radius gives exact distances up to it, so one cut-off BFS from the
-path serves every radius up to its cutoff: the stability check reads
-the annuli at R and at R2 from one map.  A BFS from a union of sources
-is the pointwise minimum of the BFSs from its parts.  The horseshoe
-variant hats gamma with vertical rays at both ends and removes the deep
-part of the tails' R-neighbourhood; its map is the minimum of one BFS
-from the tails, which also gives that neighbourhood, and one from the
-middle of gamma.  Only annulus_decompose scans N, C_K and gamma for
-the window boundary, the caveat that cut-point detection reads.
-Connectivity is graph connectivity of the window's
-1-skeleton using all edge kinds: each component is found by one graph
-search over space.adjacency(), from its least vertex, and keyed by that
-vertex id.
+This module alone builds the shells and the hot sets, and reads them
+off a Balls memo: B_t(gamma) is the union of the balls of gamma's
+vertices, and the memo runs one cut-off BFS per vertex, so a search
+that keeps one runs one per distinct path vertex.  A BFS cut off at a
+radius gives exact distances up to it: the stability check reads the
+annuli at R and at R2 from one map.  A BFS from a union of sources is
+the pointwise minimum of the BFSs from its parts.  The horseshoe variant
+hats gamma with vertical rays at both ends and removes the deep part of
+the tails' R-neighbourhood; its map is the minimum of one BFS from the
+tails, which also gives that neighbourhood, and one from the middle of
+gamma.  Only annulus_decompose scans N, C_K and gamma for the window
+boundary, the caveat that cut-point detection reads.  Connectivity is
+graph connectivity of the window's 1-skeleton using all edge kinds: each
+component is found by one graph search over space.adjacency(), from its
+least vertex, and keyed by that vertex id.
 """
 
 from dataclasses import dataclass, replace
@@ -77,33 +78,44 @@ def _reach(K, R):
     return int(max(Fraction(R), Fraction(K)))
 
 
-def _rings(dist, r, K, R):
-    """N_{r,R} and C_K read off a distance map from gamma that is exact
-    up to at least _reach(K, R)."""
-    lo, hi = ceil_frac(r), floor_frac(R)
-    K = Fraction(K)
-    k = K.numerator if K.denominator == 1 else None
-    N = {v for v, d in dist.items() if lo <= d <= hi}
-    CK = {v for v, d in dist.items() if d == k}
-    return N, CK
+class Balls(dict):
+    """B_t(v) for single vertices v as balls[v][t], for t up to radius,
+    the largest that shells at K, R and hot_set at T read: one BFS from
+    v, cut off at radius, run on first use and kept."""
+
+    def __init__(self, space, K, R, T=0):
+        super().__init__()
+        self.space = space
+        self.radius = max(_reach(K, R), floor_frac(T))
+
+    def __missing__(self, v):
+        dist = bfs_distances(self.space, [v], self.radius)
+        ball = self[v] = [{u for u, d in dist.items() if d <= t}
+                          for t in range(self.radius + 1)]
+        return ball
+
+    def within(self, sources, t):
+        """B_t(sources) for t <= radius, the union of their balls."""
+        return set().union(*([self[s][t] for s in sources] if t >= 0 else []))
 
 
-def shells(space, path, a, b, r, K, R):
-    """X = N_{r,R}(gamma) /\\ N_R(gamma[a,b]) and C_K(gamma), as sets of
-    vertex ids, for a vertex id path gamma.  Over the whole path the
-    second bound adds nothing, so it costs no second BFS there."""
-    dist = bfs_distances(space, sorted(set(path)), cutoff=_reach(K, R))
-    X, CK = _rings(dist, r, K, R)
-    if not (a == 0 and b == len(path) - 1):
-        near = bfs_distances(space, sorted(set(path[a:b + 1])),
-                             cutoff=floor_frac(R))
-        X = {v for v in X if v in near}
-    return X, CK
+def shells(space, path, a, b, r, K, R, balls=None):
+    """X = N_{r,R}(gamma) /\\ N_R(gamma[a,b]) and C_K(gamma) for a vertex
+    id path gamma: B_R(gamma[a,b]) - B_{r-1}(gamma) and B_K(gamma) -
+    B_{K-1}(gamma), off balls made for K, R or more (fresh when None)."""
+    if balls is None:
+        balls = Balls(space, K, R)
+    lo, hi, K = ceil_frac(r), floor_frac(R), Fraction(K)
+    X = balls.within(path[a:b + 1], hi) - balls.within(path, min(lo - 1, hi))
+    k = K.numerator if K.denominator == 1 else -1  # else C_K is empty
+    return X, balls.within(path, k) - balls.within(path, k - 1)
 
 
-def hot_set(space, CK, v, T):
-    """C_K /\\ B_T(v): the vertices of the shell C_K within T of v."""
-    return CK.intersection(bfs_distances(space, [v], cutoff=floor_frac(T)))
+def hot_set(space, CK, v, T, balls=None):
+    """C_K /\\ B_T(v), off balls made for T or more (fresh when None)."""
+    if balls is None:
+        balls = Balls(space, 0, 0, T)
+    return CK & balls.within([v], floor_frac(T))
 
 
 @dataclass(frozen=True)
@@ -127,7 +139,10 @@ def _decompose(space, dist, r, K, R):
     """The annulus decomposition around a path, read off dist, a distance
     map from the path exact up to at least _reach(K, R).  It leaves the
     caveat unscanned."""
-    N, CK = _rings(dist, r, K, R)
+    lo, hi, K = ceil_frac(r), floor_frac(R), Fraction(K)
+    k = K.numerator if K.denominator == 1 else None
+    N = {v for v, d in dist.items() if lo <= d <= hi}
+    CK = {v for v, d in dist.items() if d == k}
     comps = _components(space, N)
     a_roots = tuple(sorted(
         root for root, comp in comps.items() if comp & CK))

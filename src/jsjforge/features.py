@@ -10,12 +10,12 @@ or connected, respectively).  Each search feeds its candidates to one
 loop that spends the budget, replays every built feature through its
 verifier and returns the first one accepted as found, or else names why
 it stopped: none-in-budget, window-insufficient or none-at-full-bound.
-The geodesic paths from the base are walked over one BFS cut off at the
-largest length a search needs.  The non-cut search walks the paths of
-each span total once, when the first triple of span lengths with that
-total comes up, and judges every triple of that total on each path: the
-first streams as the walk goes, and each later one keeps only the
-features it built, by path ordinal, plus the path count, and replays
+The geodesic paths from the base are walked over the window's distance
+map from the base, space.distances(0).  The non-cut search walks the
+paths of each span total once, when the first triple of span lengths
+with that total comes up, and judges every triple of that total on each
+path: the first streams as the walk goes, and each later one keeps only
+the features it built, by path ordinal, plus the path count, and replays
 them in its turn.  The walk judges the first segments of a total at the
 depth of the longest: a prefix on which every one of them fails builds
 nothing below it, so its paths are counted by a sweep over the later
@@ -23,8 +23,8 @@ distance layers, not walked, and stream as one run of n rejected
 candidates, which the loop spends against the budget exactly; a walked
 path counts as one candidate.  A built triple is screened by condition
 (f) of its verifier, judged once per (middle segment, thick parameter)
-in a search: a triple that fails it streams as rejected, one that
-passes is replayed in full.
+in a search off one ball memo: a triple that fails it streams as
+rejected, one that passes is replayed in full.
 """
 
 import json
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
-from .annulus import UnionFind, _components, annulus_decompose, \
+from .annulus import Balls, UnionFind, _components, annulus_decompose, \
     horseshoe_decompose, hot_set, shells
 from .geometry import bfs_distances, distance
 from .hyperbolicity import ceil_frac, floor_frac
@@ -144,15 +144,16 @@ def verify_cut_pair_feature(space, f, table):
     ok_c = all(space.translate(f.g, f.path[a + t]) == f.path[b + t]
                for t in range(-f.eta, f.eta + 1))
     report.append(("c", ok_c, "g-overlap of the eta-margins"))
-    X, CK = shells(space, f.path, a, b, r, K, R)
-    ok_d, detail_d = _check_partition(space, f, table, X, CK)
+    balls = Balls(space, K, R, table["T"])
+    X, CK = shells(space, f.path, a, b, r, K, R, balls)
+    ok_d, detail_d = _check_partition(space, f, table, X, CK, balls)
     report.append(("d", ok_d, detail_d))
     ok_e, detail_e = _check_translate_compat(space, f, table, X)
     report.append(("e", ok_e, detail_e))
     return all(ok for _, ok, _ in report), report
 
 
-def _check_partition(space, f, table, X, CK):
+def _check_partition(space, f, table, X, CK, balls):
     if f.partition is None or f.c_index is None:
         return False, "partition or thick parameter missing"
     P1, P2 = f.partition
@@ -166,7 +167,7 @@ def _check_partition(space, f, table, X, CK):
     c = f.path[f.c_index]
     if space.height(c) != 0:
         return False, "thick parameter not at height 0"
-    hot = hot_set(space, CK, c, table["T"])
+    hot = hot_set(space, CK, c, table["T"], balls)
     if hot.isdisjoint(P1) or hot.isdisjoint(P2):
         return False, "a side misses C_K /\\ B_T(gamma(c))"
     return True, "valid two-sided partition"
@@ -284,10 +285,10 @@ def _geodesic_paths(space, length, depth_bound, dist_base, cut_depth=-1,
     inside the depth-bounded part, in deterministic order (extensions by
     sorted neighbor id, which follows the shortlex vertex layout), each
     as (path, 1).  dist_base is a distance map from 0 exact up to at
-    least length: one BFS cut off at the largest length serves every
-    walk.  A prefix of cut_depth edges that cut rules out is not walked:
-    it comes as (prefix, the number of its completions) in their place,
-    unless it has none."""
+    least length, such as the window's, space.distances(0).  A prefix
+    of cut_depth edges that cut rules out is not walked: it comes as
+    (prefix, the number of its completions) in their place, unless it
+    has none."""
     adj, heights = space.adjacency(), space.heights
     stack = [(0,)]
     while stack:
@@ -355,9 +356,10 @@ def _horseshoe_paths(space, starts, length_bound):
 
 def search_cut_pair(space, table, budget=2000):
     """Enumerate candidate periodic features (geodesic segments from the
-    base, by length then discovery order, all walked over one BFS from
-    the base), then horseshoe segments whose endpoints sit at height >=
-    max(1, k); return the first candidate the verifier accepts."""
+    base, by length then discovery order, all walked over the window's
+    distance map from the base), then horseshoe segments whose endpoints
+    sit at height >= max(1, k); return the first candidate the verifier
+    accepts."""
     r, K, R = _params(table)
     eta = ceil_frac(table["eta"])
     need = ceil_frac(table["N_min"]) + 2 * eta
@@ -368,7 +370,7 @@ def search_cut_pair(space, table, budget=2000):
     k = ceil_frac(table["k"])
     depth_bound = ceil_frac(Fraction(table["k"]) + Fraction(R))
     totals = range(need, min(n_hi, space.R_max) + 1)
-    dist_base = bfs_distances(space, [0], cutoff=max(totals, default=0))
+    dist_base = space.distances(0)
     periodic = (("periodic_candidates",
                  _periodic_candidate(space, path, eta, table, r, K, R), 1)
                 for total in totals
@@ -401,7 +403,8 @@ def _periodic_candidate(space, path, eta, table, r, K, R):
     g = _segment_translation(space, path, eta)
     if g is None:
         return None
-    X, CK = shells(space, path, a, b, r, K, R)
+    balls = Balls(space, K, R, table["T"])
+    X, CK = shells(space, path, a, b, r, K, R, balls)
     if not X:
         return None
     comps = _components(space, X)
@@ -431,7 +434,7 @@ def _periodic_candidate(space, path, eta, table, r, K, R):
     for c in range(a, b + 1):
         if space.height(path[c]) != 0:
             continue
-        hot = hot_set(space, CK, path[c], table["T"])
+        hot = hot_set(space, CK, path[c], table["T"], balls)
         hot_groups = sorted(gr for gr, vs in groups.items() if vs & hot)
         if len(hot_groups) < 2:
             continue
@@ -449,7 +452,7 @@ def verify_noncut_feature(space, f, table):
     if f.kind == "horseshoe":
         return _verify_noncut_horseshoe(space, f, table)
     report = []
-    r, K, R = _params(table)
+    _params(table)
     segs = f.segments
     etas = f.etas
     if len(segs) != 3 or len(etas) != 3:
@@ -487,25 +490,32 @@ def verify_noncut_feature(space, f, table):
     depth_bound = ceil_frac(Fraction(table["k"]))
     ok_dom = all(space.height(v) <= depth_bound for s in segs for v in s)
     report.append(("domain", ok_dom, "segments in the k-thick part"))
-    ok_f, detail = _noncut_condition_f(space, f, table, r, K, R)
+    ok_f, detail = _noncut_condition_f(space, f, table)
     report.append(("f", ok_f, detail))
     return all(okc for _, okc, _ in report), report
 
 
-def _noncut_condition_f(space, f, table, r, K, R):
+def _noncut_condition_f(space, f, table, balls=None):
+    """Condition (f): one search inside X from the least hot vertex of X
+    reaches all of them, off the caller's Balls (a fresh one when None)."""
+    r, K, R = _params(table)
+    balls = Balls(space, K, R, table["T"]) if balls is None else balls
     s2, e2 = f.segments[1], f.etas[1]
     a2, b2 = e2, len(s2) - 1 - e2
     if f.c_index is None or space.height(s2[f.c_index]) != 0:
         return False, "thick parameter missing or not at height 0"
-    X, CK = shells(space, s2, a2, b2, r, K, R)
-    hot = hot_set(space, CK, s2[f.c_index], table["T"])
-    if not hot:
-        return False, "C_K /\\ B_T(gamma2(c)) empty"
-    comps = _components(space, X)
-    roots = {root for root, comp in comps.items() if comp & hot}
-    if len(roots) == 1:
+    X, CK = shells(space, s2, a2, b2, r, K, R, balls)
+    left = hot_set(space, CK, s2[f.c_index], table["T"], balls) & X
+    if not left:
+        return False, "C_K /\\ B_T(gamma2(c)) /\\ X empty"
+    adj, seen, stack = space.adjacency(), {min(left)}, [min(left)]
+    while stack and not left <= seen:
+        new = X.intersection(adj[stack.pop()]) - seen
+        seen |= new
+        stack.extend(new)
+    if left <= seen:
         return True, "all hot C_K vertices in one component"
-    return False, "hot C_K vertices split across %d components" % len(roots)
+    return False, "hot C_K vertices split across components"
 
 
 def _verify_noncut_horseshoe(space, f, table):
@@ -544,8 +554,8 @@ def search_noncut_pair(space, table, budget=2000):
     a triple and screen the rest, which the exact translate check
     decides (see _segment_translation), each first segment is judged
     once per search and so is condition (f) of each middle segment and
-    thick parameter (see _condition_f_screen); every candidate still
-    counts once against the budget."""
+    thick parameter, off one ball memo (see _condition_f_screen); every
+    candidate still counts once against the budget."""
     _params(table)
     eta = ceil_frac(table["eta"])
     n1 = min(floor_frac(table["N1"]), space.R_max)
@@ -579,15 +589,16 @@ def _condition_f_screen(space, table):
     (middle segment, thick parameter): (f) reads nothing else of a
     triple, and many triples of one search share both.  A triple that
     fails it fails the verifier, so it need not be replayed; one that
-    passes is still replayed in full."""
-    r, K, R = _params(table)
+    passes is still replayed in full.  All judgements share one Balls."""
+    _, K, R = _params(table)
+    balls = Balls(space, K, R, table["T"])
     seen = {}
 
     def passes(f):
         key = (f.segments[1], f.c_index)
         ok = seen.get(key)
         if ok is None:
-            ok = seen[key] = _noncut_condition_f(space, f, table, r, K, R)[0]
+            ok = seen[key] = _noncut_condition_f(space, f, table, balls)[0]
         return ok
     return passes
 
@@ -597,18 +608,16 @@ def _triple_stream(space, totals, eta, depth_bound):
     total) in turn and each geodesic path of that total in walk order:
     n = 1 for a walked path, and n for a run of paths that built
     nothing, counted or replayed.
-    One BFS from the base, cut off at the largest total, serves every
-    walk, and the paths of a total are walked once, when its first
-    lengths comes up: each path is judged for every lengths of that
-    total.  The first lengths streams as the walk goes; each later one
-    keeps only the features it built, by path ordinal, plus the path
-    count, and replays from that record when its turn comes.  A prefix
-    whose first segments fail for every lengths of the total builds
-    nothing below it, so the walk counts its completions instead of
-    walking them."""
+    The window's distance map from the base serves every walk, and the
+    paths of a total are walked once, when its first lengths comes up:
+    each path is judged for every lengths of that total.  The first
+    lengths streams as the walk goes; each later one keeps only the
+    features it built, by path ordinal, plus the path count, and replays
+    from that record when its turn comes.  A prefix whose first segments
+    fail for every lengths of the total builds nothing below it, so the
+    walk counts its completions instead of walking them."""
     key = "triple_candidates"
-    dist_base = bfs_distances(
-        space, [0], cutoff=max((total for _, total in totals), default=0))
+    dist_base = space.distances(0)
     same_total = {}
     for lengths, total in totals:
         same_total.setdefault(total, []).append(lengths)

@@ -39,8 +39,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .geometry import (ParentBFS, bfs_distances, bfs_parents, path_to,
-                       shortest_path)
+from .geometry import ParentBFS, bfs_distances, bfs_parents, path_to
 
 ROUND_DEN = 2 ** 20
 # fraction bits log2_upper starts from; it doubles them on a tie
@@ -207,12 +206,14 @@ def certify_delta(space, radius, all_geodesics=False):
             dmaps[v] = bfs_distances(space, [v], cutoff=2 * radius)
         return dmaps[v]
 
+    # x's parent map holds shortest_path(space, x, y) for each later y
     geos = {}
-    for x, y in itertools.combinations(verts, 2):
-        if all_geodesics:
-            geos[(x, y)] = _all_geodesics(space, x, y, dmap(x))
-        else:
-            geos[(x, y)] = [shortest_path(space, x, y)]
+    for i, x in enumerate(verts[:-1]):
+        parent = None if all_geodesics else \
+            bfs_parents(space.adjacency(), x, 2 * radius)
+        for y in verts[i + 1:]:
+            geos[(x, y)] = _all_geodesics(space, x, y, dmap(x)) \
+                if all_geodesics else [path_to(parent, y)]
     # distance maps from every vertex appearing on some geodesic
     for paths in geos.values():
         for p in paths:

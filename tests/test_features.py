@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jsjforge import features as F
-from jsjforge.annulus import shells
+from jsjforge.annulus import hot_set, shells
 from jsjforge.geometry import CuspedSpace, bfs_distances
 from jsjforge.hyperbolicity import ceil_frac, derive_constants, floor_frac
 from jsjforge.words import concat, default_backend, inverse_word, \
@@ -462,6 +462,123 @@ def test_inverted_condition_f_screen_loses_the_line_find(line_space,
     lost = F.search_noncut_pair(line_space, tab, budget=500000)
     assert lost.feature != out.feature
     assert lost.stats["triple_candidates"] > 1
+
+
+# a table whose hot set reaches past X: C_K at K = R, and T > R, so a hot
+# vertex near a margin of the middle segment lies more than R from its
+# sub-segment
+HOT_PAST_X_OV = dict(F2_OV, K=2, T=3)
+
+
+def _condition_f_reference(space, f, tab):
+    """(f) the long way: the shells and the hot set by BFSs from the
+    whole middle segment, its sub-segment and gamma2(c), then a label on
+    every component of X and a count of the labels the hot set meets.
+    Returns (answer, whether a hot vertex lies outside X)."""
+    s2, e2 = f.segments[1], f.etas[1]
+    if space.height(s2[f.c_index]) != 0:
+        return False, False
+    r, K, R = (Fraction(tab[x]) for x in ("r", "K", "R"))
+    lo, hi = ceil_frac(r), floor_frac(R)
+    to_path = bfs_distances(space, sorted(set(s2)), int(max(K, R)))
+    to_mid = bfs_distances(space, sorted(set(s2[e2:len(s2) - e2])), hi)
+    X = {v for v, d in to_path.items() if lo <= d <= hi and v in to_mid}
+    near_c = bfs_distances(space, [s2[f.c_index]], floor_frac(tab["T"]))
+    hot = {v for v, d in to_path.items() if d == K and v in near_c}
+    label = {}
+    for root in sorted(X):
+        if root in label:
+            continue
+        label[root] = root
+        stack = [root]
+        while stack:
+            for u in space.adjacency()[stack.pop()]:
+                if u in X and u not in label:
+                    label[u] = root
+                    stack.append(u)
+    return len({label[v] for v in hot if v in X}) == 1, not hot <= X
+
+
+def _condition_f_mismatches(judge, free2_space):
+    """Every built triple of the stream windows and of F2 at R=8, under
+    four tables, on which judge(space, table)(f) differs from the
+    reference, and a tally of the reference's answers."""
+    spaces = [free2_space]
+    for window in sorted(STREAM_WINDOWS):
+        text, R, h, _ = STREAM_WINDOWS[window]
+        p = parse_presentation(text)
+        spaces.append(CuspedSpace(p, default_backend(p), R, h))
+    wrong = []
+    seen = {"pass": 0, "fail": 0, "pass_with_hot_past_x": 0}
+    for space in spaces:
+        for ov in (F2_OV, LINE_OV, NONCUT_GUARD_OV, HOT_PAST_X_OV):
+            tab = _table(**ov)
+            judged = judge(space, tab)
+            for f in _built_triples(space, tab):
+                want, past = _condition_f_reference(space, f, tab)
+                seen["pass" if want else "fail"] += 1
+                seen["pass_with_hot_past_x"] += want and past
+                if judged(f) != want:
+                    wrong.append((space.R_max, ov, f))
+    return wrong, seen
+
+
+def test_condition_f_matches_component_reference(free2_space):
+    """(f) by one search inside X, off a fresh ball memo and off the
+    screen's search-long memo, answers as the reference on every built
+    triple: F2's fail, the line's pass, and under HOT_PAST_X_OV the line's
+    pass with a hot vertex outside X."""
+    def judge(space, tab):
+        screen = F._condition_f_screen(space, tab)
+
+        def judged(f):
+            fresh = F._noncut_condition_f(space, f, tab)[0]
+            assert screen(f) == fresh
+            return fresh
+        return judged
+
+    wrong, seen = _condition_f_mismatches(judge, free2_space)
+    assert not wrong
+    assert seen["fail"] >= 192 and seen["pass_with_hot_past_x"], seen
+
+
+def _condition_f_mutant(hot_in_x, search_in_x):
+    """(f) by one search from the least hot vertex, with the hot set cut
+    down to X or not, and the search kept inside X or let through the
+    middle segment as well."""
+    def judge(space, tab):
+        def judged(f):
+            r, K, R = (tab[x] for x in ("r", "K", "R"))
+            s2, e2 = f.segments[1], f.etas[1]
+            if space.height(s2[f.c_index]) != 0:
+                return False
+            X, CK = shells(space, s2, e2, len(s2) - 1 - e2, r, K, R)
+            left = hot_set(space, CK, s2[f.c_index], tab["T"])
+            left = left & X if hot_in_x else left
+            inside = X if search_in_x else X | set(s2)
+            if not left:
+                return False
+            seen, stack = {min(left)}, [min(left)]
+            while stack:
+                for u in space.adjacency()[stack.pop()]:
+                    if u in inside and u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            return left <= seen
+        return judged
+    return judge
+
+
+@pytest.mark.parametrize("hot_in_x,search_in_x,caught", [
+    (True, True, False), (False, True, True), (True, False, True)])
+def test_condition_f_reference_catches_mutants(free2_space, hot_in_x,
+                                               search_in_x, caught):
+    """Negative control: the comparison above fails a (f) that keeps hot
+    vertices outside X, and one whose search leaves X; the same search
+    with both kept inside X passes it."""
+    wrong, _ = _condition_f_mismatches(
+        _condition_f_mutant(hot_in_x, search_in_x), free2_space)
+    assert bool(wrong) == caught
 
 
 def test_runs_spend_the_budget_exactly(free2_space):

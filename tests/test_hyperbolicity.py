@@ -627,6 +627,40 @@ def test_certify_delta_matches_unclipped_distances(window, radius,
     assert (cert.delta, cert.triangles, cert.worst) == (delta, count, worst)
 
 
+@pytest.mark.parametrize("window,radius", [
+    (("gen a b\n", 5, 0), 2),
+    ((LINE, 16, 6), 4),
+    ((G2, 3, 0), 2),
+])
+def test_certify_delta_paths_are_shortest_paths(monkeypatch, window,
+                                                radius):
+    """The geodesic certify_delta reads off each source's parent map is
+    shortest_path's, for every pair of vertices within the radius, and
+    every vertex but the last is the source of one map."""
+    import jsjforge.hyperbolicity as H
+    space = _window(*window)
+    paths, maps = [], []
+    real_parents, real_path_to = H.bfs_parents, H.path_to
+
+    def parents(adj, x, depth, *args, **kwargs):
+        maps.append(x)
+        return real_parents(adj, x, depth, *args, **kwargs)
+
+    def path_to(parent, y):
+        paths.append(real_path_to(parent, y))
+        return paths[-1]
+
+    monkeypatch.setattr(H, "bfs_parents", parents)
+    monkeypatch.setattr(H, "path_to", path_to)
+    certify_delta(space, radius)
+    verts = sorted(u for u, d in space.distances(0).items() if d <= radius)
+    assert [(p[0], p[-1]) for p in paths] == \
+        list(itertools.combinations(verts, 2))
+    assert maps == verts[:-1]
+    for p in paths:
+        assert p == shortest_path(space, p[0], p[-1])
+
+
 @pytest.mark.parametrize("all_geodesics", [False, True])
 def test_certify_delta_one_bfs_per_vertex(monkeypatch, all_geodesics):
     """One clipped distance map per vertex of the radius-2 ball (17 on
