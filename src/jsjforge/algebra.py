@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import Ball, CayleyBall
-from .words import BackendError, Presentation, concat, conjugate, \
-    free_reduce, inverse_word, parse_word, substitute, words_shortlex
+from .words import BackendError, FreeBackend, Presentation, concat, \
+    conjugate, cyclic_reduce, free_reduce, inverse_word, parse_word, \
+    substitute, words_shortlex
 
 # vertex cap of the Cayley balls of radius 4*delta + 2 that bound torsion
 # orders here
@@ -290,9 +291,9 @@ def _finite_normal_in(backend, S, candidates, order_bound):
     return sorted(stable | {()}, key=len)
 
 
-def _max_overgroup(p, backend, u, E, order_bound, budget):
-    """Bounded root extraction: shortest w with w^m = u (m >= 2), plus an
-    inverting generator when one exists, plus the finite part."""
+def _shortlex_root(p, backend, u, order_bound):
+    """The shortest word of up to |u| - 1 letters with a power m >= 2
+    equal to u, else u."""
     root = tuple(u)
     for w in words_shortlex(len(p.generators), max(1, len(u) - 1)):
         nf = backend.normalize(w)
@@ -307,6 +308,24 @@ def _max_overgroup(p, backend, u, E, order_bound, budget):
                 break
             if len(acc) > len(u) + 4:
                 break
+    return root
+
+
+def _max_overgroup(p, backend, u, E, order_bound, budget):
+    """Root extraction: shortest w with w^m = u (m >= 2), plus an
+    inverting generator when one exists, plus the finite part.  On the
+    free backend the root is exact: u = t c t^-1 with c cyclically
+    reduced, and the root is t r t^-1 with r the primitive period of c
+    (Lyndon-Schupp, Ch. I).  Other backends list every word of up to
+    |u| - 1 letters."""
+    if isinstance(backend, FreeBackend):
+        c = cyclic_reduce(u)
+        h = (len(u) - len(c)) // 2
+        d = next(d for d in range(1, len(c) + 1)
+                 if c[:d] * (len(c) // d) == c)
+        root = u[:h] + c[:d] + u[len(u) - h:]
+    else:
+        root = _shortlex_root(p, backend, u, order_bound)
     gens = [root]
     uinv = backend.normalize(inverse_word(u))
     for w in words_shortlex(len(p.generators), budget):

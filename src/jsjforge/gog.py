@@ -353,18 +353,19 @@ def collapse_edges(g, edge_ids):
 
 
 def _conjugate_powers(backend, u, w):
-    """Bounded commensurability test: c u^p c^-1 = w^(+-q)."""
+    """Bounded commensurability test: c u^p c^-1 = w^(+-q) for some p, q
+    up to ALGEBRA_BOUND and a conjugator c of at most ALGEBRA_BOUND
+    letters.  One pass: the targets w^(+-q) are normalized once into a
+    set, each u^p once, and each c u^p c^-1 once, then looked up."""
     n = len(backend.presentation.generators)
+    ks = range(1, ALGEBRA_BOUND + 1)
+    targets = {backend.normalize(x * q)
+               for x in (tuple(w), inverse_word(w)) for q in ks}
     conjs = list(words_shortlex(n, ALGEBRA_BOUND))
-    for p_ in range(1, ALGEBRA_BOUND + 1):
-        up = backend.normalize(tuple(u) * p_)
-        for q in range(1, ALGEBRA_BOUND + 1):
-            for sgn in (1, -1):
-                wq = backend.normalize(
-                    (tuple(w) if sgn > 0 else inverse_word(w)) * q)
-                for c in conjs:
-                    if backend.normalize(conjugate(c, up)) == wq:
-                        return True
+    for up in [backend.normalize(tuple(u) * p_) for p_ in ks]:
+        if any(backend.normalize(conjugate(c, up)) in targets
+               for c in conjs):
+            return True
     return False
 
 
@@ -413,7 +414,9 @@ def tree_of_cylinders(g, delta=0):
     representative, and each end maps into it by its own root power m.
     Raises ValueError on a non-cyclic edge group or a trivial image,
     BackendError on an end with no backend, and BudgetError when root
-    extraction does not certify an overgroup within ALGEBRA_BOUND."""
+    extraction does not certify an overgroup within ALGEBRA_BOUND or an
+    end's image is no power of its root up to 4 * ALGEBRA_BOUND: no
+    exponent is guessed."""
     backends = {}
     roots = {}
     images = {}
@@ -455,7 +458,9 @@ def tree_of_cylinders(g, delta=0):
             e = g.edges[eid]
             for (endpoint, inj), (_, _, k) in zip(_ends(e), roots[eid]):
                 if k is None:
-                    k = 1  # class membership recorded, exponent unknown
+                    raise BudgetError("edge %d at vertex %d: no root power "
+                                      "up to %d" % (eid, endpoint,
+                                                    4 * ALGEBRA_BOUND))
                 cyl_word = tuple([1] * k if k >= 0 else [-1] * (-k))
                 out.add_edge(endpoint, cid, e.presentation,
                              (tuple(inj[0]),), (cyl_word,))

@@ -1,11 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from jsjforge import algebra as A
 from jsjforge.words import (Presentation, RewritingBackend, concat,
-                            conjugate, default_backend, inverse_word,
-                            parse_presentation, words_shortlex)
+                            conjugate, cyclic_reduce, default_backend,
+                            inverse_word, parse_presentation, words_shortlex)
 
 
 def _z2xz():
@@ -155,6 +156,74 @@ def test_vc_analyze_conjugation_invariance(free2):
     r2 = A.vc_analyze(p, be, 0, S_conj)
     assert r1.verdict == r2.verdict == "vc"
     assert r1.vc_type == r2.vc_type
+
+
+def _shortlex_root_reference(n, u):
+    """The root loop of the other backends, over free reduction: the
+    shortest word of up to |u| - 1 letters with a power m >= 2 equal to
+    u, else u."""
+    root = u
+    for w in words_shortlex(n, max(1, len(u) - 1)):
+        if not w or len(w) >= len(root):
+            continue
+        acc = w
+        for _ in range(2, len(u) + 2):
+            acc = concat(acc, w)
+            if acc == u:
+                root = w
+                break
+            if len(acc) > len(u) + 4:
+                break
+    return root
+
+
+def _seeded_free_words(rng, n, max_len, count):
+    """Distinct reduced words t r^m t^-1 of 1..max_len letters, with
+    random t, r and m: proper powers, conjugated or not, among them."""
+    out = set()
+    while len(out) < count:
+        t, r = (tuple(rng.choice([-1, 1]) * rng.randint(1, n)
+                      for _ in range(rng.randint(lo, hi)))
+                for lo, hi in ((0, 2), (1, 3)))
+        u = conjugate(t, r * rng.randint(1, 4))
+        if 1 <= len(u) <= max_len:
+            out.add(u)
+    return sorted(out)
+
+
+def _period_of_u_root(u):
+    """Negative control: the primitive period of u itself, with the
+    conjugating prefix t left in."""
+    d = next(d for d in range(1, len(u) + 1)
+             if u[:d] * (len(u) // d) == u)
+    return u[:d]
+
+
+def _free_root_mismatches(root_of):
+    rng = random.Random(7)
+    wrong = []
+    for n, max_len, count in ((2, 8, 80), (3, 6, 50)):
+        p = Presentation(tuple("abc"[:n]), (), ())
+        be = default_backend(p)
+        for u in _seeded_free_words(rng, n, max_len, count):
+            if root_of(p, be, u) != _shortlex_root_reference(n, u):
+                wrong.append((n, u))
+    return wrong
+
+
+def test_free_root_matches_shortlex_loop():
+    """The free backend's exact root, t r t^-1 for u = t r^m t^-1, is the
+    root the shortlex loop finds, on seeded F2 and F3 words."""
+    assert not _free_root_mismatches(
+        lambda p, be, u: A._max_overgroup(p, be, u, [], 0, 0)[0])
+
+
+def test_free_root_reference_catches_a_period_without_prefix():
+    # negative control: the period of u, not of its cyclic reduction,
+    # is wrong on conjugated proper powers such as b a^2 b^-1, and only
+    # on words that are not cyclically reduced
+    wrong = _free_root_mismatches(lambda p, be, u: _period_of_u_root(u))
+    assert wrong and all(cyclic_reduce(u) != u for _, u in wrong)
 
 
 def test_orbifold_model_catalogue_items():

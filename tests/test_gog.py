@@ -244,6 +244,117 @@ def test_tree_of_cylinders_bipartite():
         assert (e.source in cyl) != (e.target in cyl)
 
 
+def _f2_joined_to_y(k):
+    # <a, b> joined to <y> along a^k = y
+    g = G.GraphOfGroups()
+    u = g.add_vertex(parse_presentation("gen a b\n"))
+    v = g.add_vertex(parse_presentation("gen y\n"))
+    g.add_edge(u, v, Presentation(("e",), (), ()), ((1,) * k,), ((1,),))
+    return g
+
+
+def test_tree_of_cylinders_guesses_no_exponent():
+    # the free root of a^16 is a, and a^16 maps to g^16 in the cylinder;
+    # a^17 is no power of a up to 16, and raises rather than map to g
+    t = G.tree_of_cylinders(_f2_joined_to_y(16))
+    assert {e.source: e.inj_target for e in t.edges.values()} == {
+        0: ((1,) * 16,), 1: ((1,),)}
+    with pytest.raises(G.BudgetError, match="edge 0 at vertex 0"):
+        G.tree_of_cylinders(_f2_joined_to_y(17))
+
+
+def _conjugate_powers_loop(backend, u, w, qs=None, signs=(1, -1),
+                           conj_len=None):
+    """The triple loop _conjugate_powers replaced: one normal form of
+    c u^p c^-1 per (p, q, sign, c).  qs, signs and conj_len narrow it."""
+    bound = G.ALGEBRA_BOUND
+    n = len(backend.presentation.generators)
+    conjs = list(words.words_shortlex(
+        n, bound if conj_len is None else conj_len))
+    for p_ in range(1, bound + 1):
+        up = backend.normalize(tuple(u) * p_)
+        for q in qs or range(1, bound + 1):
+            for sgn in signs:
+                wq = backend.normalize(
+                    (tuple(w) if sgn > 0 else words.inverse_word(w)) * q)
+                for c in conjs:
+                    if backend.normalize(words.conjugate(c, up)) == wq:
+                        return True
+    return False
+
+
+def _no_inverse_targets(backend, u, w):
+    """Negative control: the one pass with the w^-q targets dropped."""
+    n = len(backend.presentation.generators)
+    targets = {backend.normalize(tuple(w) * q)
+               for q in range(1, G.ALGEBRA_BOUND + 1)}
+    return any(backend.normalize(words.conjugate(c, backend.normalize(
+        tuple(u) * p_))) in targets
+        for p_ in range(1, G.ALGEBRA_BOUND + 1)
+        for c in words.words_shortlex(n, G.ALGEBRA_BOUND))
+
+
+# (u, w) in F2 that match only at q > 1, only through w^-1, and only by
+# a non-trivial conjugator: the narrowed loop answers no to each
+NARROW_PAIRS = [(((1, 1), (1,)), {"qs": (1,)}),
+                (((1,), (-1,)), {"signs": (1,)}),
+                (((1,), (2, 1, -2)), {"conj_len": 0})]
+
+
+def _commensurability_pairs():
+    """Seeded (backend, u, w) over F2, F3 and the genus-2 Dehn backend:
+    random pairs, and pairs w = c r^j c^-1 (or its inverse) with u = r^i,
+    which match when some p, q up to the bound have i p = j q."""
+    rng = random.Random(11)
+    out = [(default_backend(parse_presentation("gen a b\n")), u, w)
+           for (u, w), _ in NARROW_PAIRS]
+    for text, count in (("gen a b\n", 24), ("gen a b c\n", 12),
+                        ("gen a b c d\nrel abABcdCD\n", 4)):
+        be = default_backend(parse_presentation(text))
+        n = len(be.presentation.generators)
+
+        def word(lo, hi):
+            return tuple(rng.choice([-1, 1]) * rng.randint(1, n)
+                         for _ in range(rng.randint(lo, hi)))
+        for i in range(count):
+            r, c = word(1, 2), word(0, 2)
+            if i % 2:
+                u, w = be.normalize(word(1, 3)), be.normalize(word(1, 3))
+            else:
+                u = be.normalize(r * rng.randint(1, 3))
+                w = be.normalize(words.conjugate(c, r * rng.randint(1, 3)))
+                w = w if rng.random() < 0.5 else words.inverse_word(w)
+            if u and w:
+                out.append((be, u, w))
+    return out
+
+
+@pytest.fixture(scope="module")
+def commensurability_cases():
+    pairs = _commensurability_pairs()
+    return pairs, [_conjugate_powers_loop(be, u, w) for be, u, w in pairs]
+
+
+def test_conjugate_powers_matches_triple_loop(commensurability_cases):
+    pairs, ref = commensurability_cases
+    got = [G._conjugate_powers(be, u, w) for be, u, w in pairs]
+    assert got == ref
+    # yes and no answers on the free and the Dehn backends
+    assert {(be.kind, x) for (be, _, _), x in zip(pairs, got)} == {
+        ("free", True), ("free", False), ("dehn", True), ("dehn", False)}
+    f2 = pairs[0][0]
+    for (u, w), narrow in NARROW_PAIRS:
+        assert G._conjugate_powers(f2, u, w)
+        assert not _conjugate_powers_loop(f2, u, w, **narrow)
+
+
+def test_conjugate_powers_reference_catches_dropped_inverses(
+        commensurability_cases):
+    # negative control: without the w^-q targets the answer differs
+    pairs, ref = commensurability_cases
+    assert [_no_inverse_targets(be, u, w) for be, u, w in pairs] != ref
+
+
 @pytest.mark.parametrize("k,m", [(16, 16), (17, None)])
 def test_edge_root_tries_powers_to_four_times_the_bound(k, m):
     # a fixed bound, not a candidate budget: x^k = r^m is certified for
@@ -473,6 +584,27 @@ def test_decide_split_relative_rejected_seed():
     d = G.decide_split_relative(G2, seeds=seeds, budget=2)
     assert "seed:witness-rejected" in d.trace
     assert d.answer != "splits" or d.reason != "seeded witness"
+
+
+@pytest.mark.parametrize("rounds,answer,step", [
+    (None, "no-splits", "SmallOrbifold?yes"),
+    (2, "exhausted", "SmallOrbifold?no")])
+def test_small_orbifold_step_needs_three_rounds(monkeypatch, rounds, answer,
+                                                step):
+    # the pants with boundary words a, a^2 b and (a^3 b)^-1 match item 5
+    # by b -> aab, a map that the third round is the first to list: the
+    # fixed ORBIFOLD_ROUNDS = 3 finds it, and 2 rounds do not
+    from jsjforge.algebra import verify_hom_pair
+    if rounds is not None:
+        monkeypatch.setattr(G, "ORBIFOLD_ROUNDS", rounds)
+    p = parse_presentation("gen a b\nper P = a\nper Q = aab\nper R = BAAA\n")
+    be = default_backend(p)
+    d = G._small_orbifold_step(p, p.peripherals, be, 0, ["Start"])
+    assert (d.answer, d.trace) == (answer, ("Start", step))
+    if rounds is None:
+        w = d.witness
+        assert verify_hom_pair(w.model, default_backend(w.model.presentation),
+                               p, be, w.phi, w.psi, list(p.peripherals))
 
 
 def test_maximal_splitting_genus_two():
