@@ -13,7 +13,8 @@ time over a list of step words: the Cayley ball steps by the letters,
 each peripheral graph by its generating words and their inverses, and
 subgroup enumeration (algebra.subgroup_elements) by each generator and
 its inverse.  Only the Cayley ball of the free backend, a tree, keeps
-no element index: there each letter that does not cancel is new.
+no element index and no word tuples: there each letter that does not
+cancel is new, and a vertex is stored as its parent and its letter.
 
 All queries are BFS-based and deterministic; distance answers carry a
 caveat flag when the window cannot certify them.  The window answers
@@ -26,7 +27,11 @@ rebuilding them.  Every BFS here, bfs_distances included, expands one
 level list at a time.
 """
 
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from .words import (
     ElementIndex,
@@ -52,7 +57,8 @@ class Ball:
     """Ball in the word metric of a list of step words that holds each
     step's inverse word, grown one sphere per grow() call.  Elements are
     integers, 0 the identity; words[v] is the first product of steps
-    found for v, dist[v] its number of steps, and outer the last sphere.
+    found for v (a list, or on a tree CayleyBall a TreeWords), dist[v]
+    its number of steps, and outer the last sphere.
     Steps are freely reduced once, when the ball is made, so every word
     is freely reduced: () or the join of a word and a step, which cancels
     only across the junction.  Words are identified through an
@@ -115,7 +121,7 @@ class Ball:
 
     @property
     def n(self):
-        return len(self.words)
+        return len(self.dist)
 
     def vertex_id(self, word):
         """Id of the element equal to word, or None if not in the ball."""
@@ -151,7 +157,9 @@ class CayleyBall(Ball):
     records them.  On the free backend the Cayley graph is a tree: the
     ball keeps no index, a product is new exactly when its letter does
     not cancel the word's last one, and vertex_id walks the reduced word
-    through the edge slots from 0."""
+    through the edge slots from 0.  Nor does it keep word tuples: the
+    int arrays parent and letter hold each vertex's parent id and last
+    letter, and words is a TreeWords that rebuilds them."""
 
     def __init__(self, presentation, backend, radius, vertex_cap=2_000_000):
         n_gens = presentation.n_gens
@@ -161,6 +169,18 @@ class CayleyBall(Ball):
                          indexed=not isinstance(backend, FreeBackend))
         self.presentation = presentation
         self.letters = letters
+        if self._index is None:
+            # the root's parent and letter are 0, its word ()
+            self.parent, self.letter = array("i", [0]), array("i", [0])
+            self.words = TreeWords(self)
+            # by a vertex's last letter: the slots out to its children,
+            # each with the child's slot back, and the children's letters
+            self._out = {x: [(i, self._inverse[i]) for i, s in
+                             enumerate(letters) if s != -x]
+                         for x in letters + [0]}
+            self._kid_letters = {x: array("i", [s for s in letters
+                                                if s != -x]).tobytes()
+                                 for x in letters + [0]}
         for _ in range(radius):
             self.grow()
         # length parity survives free reduction: with every relator even
@@ -177,31 +197,39 @@ class CayleyBall(Ball):
                             edges[u * k + self._inverse[i]] = v
 
     def grow(self):
-        """Ball.grow(), or with no index the tree's next sphere."""
+        """Ball.grow(), or with no index the tree's next sphere: each
+        outer vertex v gets a child per letter that does not cancel its
+        last one, in slot order, with parent v and that letter."""
         if self._index is not None:
             return super().grow()
         self.radius = d = self.radius + 1
         self._adjacency = None
-        words, dist, edges, steps = (self.words, self.dist, self._edges,
-                                     self.steps)
-        k, n, blank = len(steps), len(words), [-1] * len(steps)
-        # (slot, letter, reverse slot) out of a word, by its last letter
-        out = {w: [(i, s, self._inverse[i]) for i, s in enumerate(steps)
-                   if s != inverse_word(w)] for w in steps + [()]}
-        nxt = []
-        for v in self.outer:
-            wv = words[v]
-            row = out[wv[-1:]]
-            if n + len(row) > self.cap:
-                raise self._cap_error()
-            for i, s, back in row:
-                words.append(wv + s)
-                dist.append(d)
-                edges.extend(blank)
-                edges[v * k + i] = n
-                edges[n * k + back] = v
-                nxt.append(n)
-                n += 1
+        parent, letter, edges = self.parent, self.letter, self._edges
+        k, outer, n = len(self.steps), self.outer, len(self.dist)
+        # the root has a child per letter, every other vertex one per
+        # letter but the inverse of its last
+        m = k - (d > 1)
+        size = m * len(outer)
+        if n + size > self.cap:
+            raise self._cap_error()
+        lasts = letter[n - len(outer):]
+        # the parents: each outer vertex m times over
+        column, src = array("i", [0]) * size, array("i", outer)
+        for j in range(m):
+            column[j::m] = src
+        parent.extend(column)
+        letter.frombytes(b"".join(map(self._kid_letters.__getitem__, lasts)))
+        # the new ids' int objects, shared by the slots and by outer
+        nxt = list(range(n, n + size))
+        edges.extend(repeat(-1, size * k))
+        kids = iter(nxt)
+        for v, row in zip(outer, map(self._out.__getitem__, lasts)):
+            vk = v * k
+            # zip takes the row's slot first: kids stops with the row
+            for (i, back), u in zip(row, kids):
+                edges[vk + i] = u
+                edges[u * k + back] = v
+        self.dist.extend(repeat(d, size))
         self.outer = nxt
 
     def vertex_id(self, word):
@@ -238,6 +266,65 @@ class CayleyBall(Ball):
         for d in self.dist:
             sizes[d] += 1
         return sizes
+
+
+class TreeWords(Sequence):
+    """The words of a tree CayleyBall, read-only, rebuilt from its parent
+    and letter columns in id order one sphere at a time: each word is its
+    parent's, one sphere nearer the root, plus its letter.  words[v]
+    walks from v up to the root; a run of ids (a slice, or iteration)
+    holds at most two spheres of words besides those it returns."""
+
+    def __init__(self, ball):
+        self._ball = ball
+
+    def __len__(self):
+        return len(self._ball.dist)
+
+    def __getitem__(self, v):
+        if isinstance(v, slice):
+            ids = range(len(self))[v]
+            if ids.step == 1:
+                return list(self._run(ids.start, ids.stop))
+            return [self[u] for u in ids]
+        if not 0 <= v < len(self):
+            v = range(len(self))[v]  # a negative index, or IndexError
+        parent, letter, word = self._ball.parent, self._ball.letter, []
+        while v:
+            word.append(letter[v])
+            v = parent[v]
+        word.reverse()
+        return tuple(word)
+
+    def __iter__(self):
+        return self._run(0, len(self))
+
+    def _run(self, start, stop):
+        if start >= stop:
+            return
+        parent, letter, dist = (self._ball.parent, self._ball.letter,
+                                self._ball.dist)
+        # the ids to build in start's sphere (all of it when the run goes
+        # on past it), then in each sphere before the parents of those
+        # built one sphere out, as parents run in id order
+        d = dist[start]
+        end = bisect_right(dist, d)
+        spans = [(start, stop) if stop <= end else (bisect_left(dist, d), end)]
+        for _ in range(d):
+            lo, hi = spans[-1]
+            spans.append((parent[lo], parent[hi - 1] + 1))
+        spans.reverse()
+        for j in range(d + 1, dist[stop - 1] + 1):
+            lo, end = end, bisect_right(dist, j)
+            spans.append((lo, min(end, stop)))
+        words = [()]
+        for j, (lo, hi) in enumerate(spans):
+            if j:
+                words = [words[p - base] + (s,) for p, s in
+                         zip(parent[lo:hi], letter[lo:hi])]
+            base = lo
+            if j >= d:
+                yield from words[start - lo:] if start > lo else words
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +436,7 @@ class CuspedSpace:
         key = abelian_key(self.presentation.n_gens,
                           self.presentation.relators + tuple(pg.gens))
         buckets = {}
-        for v in range(self.ball.n):
-            wv = self.ball.words[v]
+        for v, wv in enumerate(self.ball.words):
             bucket = buckets.setdefault(key(wv), [])
             for ci in bucket:
                 coset = cosets[ci]

@@ -234,16 +234,20 @@ def test_ball_edges_are_products_and_inverse_slots_are_kept():
                     assert backend.equal(concat(wv, s), ball.words[u])
 
 
-def test_free_ball_normal_forms_are_its_words():
-    # on the free backend a reduced word is its own key: one tuple per
-    # element
+def test_free_ball_normal_forms_are_its_words(monkeypatch):
+    # on the free backend a reduced word is its own key: the normal forms
+    # are the words, read with no normalize call; an indexed ball holds
+    # one tuple per element, which both lists share
     free = default_backend(parse_presentation("gen a b\n"))
-    for ball in (CayleyBall(free.presentation, free, 3),
-                 _subgroup_ball(free, [(1, 2), (2, -1, -1)])):
+    tree = CayleyBall(free.presentation, free, 3)
+    sub = _subgroup_ball(free, [(1, 2), (2, -1, -1)])
+    for ball in (tree, sub):
         ball.grow()
-        assert ball.normal_forms() == ball.words
-        assert all(nf is w for nf, w in zip(ball.normal_forms(),
-                                            ball.words))
+        assert ball.normal_forms() == list(ball.words)
+    assert all(nf is w for nf, w in zip(sub.normal_forms(), sub.words))
+    monkeypatch.setattr(FreeBackend, "normalize",
+                        lambda self, w: pytest.fail("normalize called"))
+    assert tree.normal_forms(5) == list(tree.words)[5:]
 
 
 class _NoSkipBall(CayleyBall):
@@ -254,9 +258,10 @@ class _NoSkipBall(CayleyBall):
         self.radius = d = self.radius + 1
         k, nxt = len(self.steps), []
         for v in self.outer:
-            for i, s in enumerate(self.steps):
-                n = len(self.words)
-                self.words.append(self.words[v] + s)
+            for i, (s,) in enumerate(self.steps):
+                n = self.n
+                self.parent.append(v)
+                self.letter.append(s)
                 self.dist.append(d)
                 self._edges.extend([-1] * k)
                 self._edges[v * k + i] = n
@@ -272,7 +277,7 @@ def _tree_mismatches(ball, radius):
     for _ in range(radius):
         ref.grow()
     bad = [name for name in ("words", "dist", "_edges", "outer")
-           if getattr(ball, name) != getattr(ref, name)]
+           if list(getattr(ball, name)) != getattr(ref, name)]
     if any(ball.vertex_id(w) != ref.vertex_id(w) for w in ref.words):
         bad.append("vertex_id")
     r = len(ball.letters)
@@ -294,6 +299,78 @@ def test_free_cayley_ball_grows_as_the_indexed_reference(n_gens, radius):
     # the control doubles its spheres' growth: keep it small
     control = min(radius, 4)
     assert _tree_mismatches(_NoSkipBall(p, free, control), control) != []
+
+
+def _tuple_tree_words(ball, radius):
+    """The words of the free Cayley tree as a grower that keeps one tuple
+    per vertex builds them: sphere by sphere, words[v] + (s,) for each
+    letter s in slot order that does not cancel the last letter of v."""
+    words, outer = [()], [0]
+    for _ in range(radius):
+        nxt = []
+        for v in outer:
+            wv = words[v]
+            for s in ball.letters:
+                if not wv or s != -wv[-1]:
+                    nxt.append(len(words))
+                    words.append(wv + (s,))
+        outer = nxt
+    return words
+
+
+def _tree_word_mismatches(ball, radius, seed):
+    """What differs between the words a free CayleyBall reads off its
+    parent and letter columns and those of the tuple grower: single ids,
+    the whole sequence, slices and normal_forms(start)."""
+    ref = _tuple_tree_words(ball, radius)
+    words, n, bad = ball.words, len(ref), []
+    if len(words) != n or list(words) != ref:
+        bad.append("list")
+    if any(words[v] != w for v, w in enumerate(ref)):
+        bad.append("words[v]")
+    if any(words[v - n] != ref[v] for v in range(0, n, 97)):
+        bad.append("negative index")
+    if any(len(w) != ball.dist[v] or free_reduce(w) != w
+           or ball.vertex_id(w) != v for v, w in enumerate(words)):
+        bad.append("reduced geodesic")
+    # runs that start and stop at, next to and between sphere boundaries
+    bounds = [0] + [sum(ball.sphere_sizes()[:j]) for j in range(1, radius + 2)]
+    ends = sorted({max(0, min(n, b + e)) for b in bounds for e in (-1, 0, 1)})
+    rng = random.Random(seed)
+    ends += [rng.randrange(n + 1) for _ in range(40)]
+    pairs = [(i, j) for i in ends for j in ends if i <= j][::7]
+    if any(words[i:j] != ref[i:j] for i, j in pairs):
+        bad.append("slice")
+    if words[n:] != [] or words[::5] != ref[::5] or words[-3:] != ref[-3:]:
+        bad.append("slice ends and steps")
+    if any(ball.normal_forms(i) != ref[i:] for i in ends[::3]):
+        bad.append("normal_forms")
+    return bad
+
+
+@pytest.mark.parametrize("n_gens,radius", [(2, 8), (3, 5)])
+def test_free_cayley_ball_words_match_the_tuple_grower(n_gens, radius):
+    p = parse_presentation("gen %s\n" % " ".join("abc"[:n_gens]))
+    free = default_backend(p)
+    assert _tree_word_mismatches(CayleyBall(p, free, radius), radius,
+                                 seed=n_gens) == []
+    # negative control: the letter column shifted by one vertex
+    shifted = CayleyBall(p, free, radius)
+    shifted.letter[1:] = shifted.letter[:-1]
+    assert _tree_word_mismatches(shifted, radius, seed=n_gens) != []
+
+
+def test_free_cayley_ball_r10_spheres_and_outer_words():
+    # sphere k of F2 holds 4*3^(k-1) elements, and every outer word finds
+    # its own vertex
+    free = default_backend(parse_presentation("gen a b\n"))
+    ball = CayleyBall(free.presentation, free, 10)
+    assert ball.sphere_sizes() == [1] + [4 * 3 ** (k - 1)
+                                         for k in range(1, 11)]
+    first = ball.outer[0]
+    assert ball.outer == list(range(first, ball.n))
+    assert all(ball.vertex_id(w) == v for v, w in
+               enumerate(ball.words[first:], first))
 
 
 def test_free_cayley_ball_vertex_id_answers_as_the_index():
