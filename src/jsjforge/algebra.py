@@ -1,5 +1,5 @@
-"""Subgroup algebra: virtually cyclic analysis, finite normal subgroups,
-effective-kernel quotients and small-orbifold recognition.
+"""Subgroup algebra: virtually cyclic analysis, the maximal finite normal
+subgroup, effective-kernel quotients and small-orbifold recognition.
 
 Everything here is a bounded, certificate-producing search.  A "vc"
 verdict comes with the infinite-order core element, its coset system,
@@ -81,14 +81,16 @@ def cyclic_subgroup_contains(backend, u, x):
 
 
 # ---------------------------------------------------------------------------
-# finite normal subgroups
+# the maximal finite normal subgroup
 
 
-def finite_normal_subgroups(p, backend, delta):
-    """All (finite) normal subgroups of the group whose elements lie in
-    the ball of radius 4*delta + 2, plus the unique maximal one.
-    Returns (subgroups, maximal), each subgroup a sorted list of normal
-    forms."""
+def maximal_finite_normal_subgroup(p, backend, delta):
+    """The maximal finite normal subgroup of the group, as far as its
+    elements and their conjugates lie in the ball of radius 4*delta + 2:
+    the closure of every finite-order element whose conjugacy class stays
+    in the ball and is all of finite order, as a sorted list of normal
+    forms; [()] when that closure leaves the ball or has an element of
+    infinite order."""
     radius = 4 * delta + 2
     elems = CayleyBall(p, backend, radius, vertex_cap=MAX_BALL).normal_forms()
     elem_set = set(elems)
@@ -121,50 +123,36 @@ def finite_normal_subgroups(p, backend, delta):
                 order_of(backend, y, order_bound) is not None for y in cls):
             core |= cls
 
-    def closure(seed):
-        sub = {()} | set(seed)
-        changed = True
-        while changed:
-            changed = False
-            for x, y in itertools.product(sorted(sub), repeat=2):
-                z = backend.normalize(concat(x, y))
+    # the subgroup the core generates
+    sub = {()} | core
+    changed = True
+    while changed:
+        changed = False
+        for x, y in itertools.product(sorted(sub), repeat=2):
+            z = backend.normalize(concat(x, y))
+            if z not in elem_set:
+                return [()]
+            if z not in sub:
+                sub.add(z)
+                changed = True
+        for x in sorted(sub):
+            z = backend.normalize(inverse_word(x))
+            if z not in sub:
                 if z not in elem_set:
-                    return None
-                if z not in sub:
-                    sub.add(z)
-                    changed = True
-            for x in sorted(sub):
-                z = backend.normalize(inverse_word(x))
-                if z not in sub:
-                    if z not in elem_set:
-                        return None
-                    sub.add(z)
-                    changed = True
-        return sub
-
-    maximal = closure(core) or {()}
-    if not all(order_of(backend, x, order_bound) for x in maximal):
-        maximal = {()}
-    subs = set()
-    members = sorted(maximal)
-    for k in range(len(members) + 1):
-        for seed in itertools.combinations(members, k):
-            sub = closure(seed)
-            if sub is None or not sub <= maximal:
-                continue
-            if all(conj_class(x) is not None and conj_class(x) <= sub
-                   for x in sub):
-                subs.add(frozenset(sub))
-    out = [sorted(s) for s in sorted(subs, key=lambda s: (len(s), sorted(s)))]
-    return out, sorted(maximal)
+                    return [()]
+                sub.add(z)
+                changed = True
+    if not all(order_of(backend, x, order_bound) for x in sub):
+        return [()]
+    return sorted(sub)
 
 
 def effective_kernel_quotient(p, peripherals, backend, delta):
     """Quotient by the maximal finite normal subgroup: its elements are
     added as relators; peripheral words carry over verbatim."""
-    _, maximal = finite_normal_subgroups(p, backend, delta)
-    extra = tuple(w for w in maximal if w)
-    new_rels = p.relators + tuple(w for w in extra if w not in p.relators)
+    maximal = maximal_finite_normal_subgroup(p, backend, delta)
+    new_rels = p.relators + tuple(w for w in maximal
+                                  if w and w not in p.relators)
     p2 = Presentation(p.generators, new_rels, tuple(peripherals))
     return p2, list(p2.peripherals)
 

@@ -19,8 +19,9 @@ Exit codes:
   the pipelines take (`--budget` too), print argparse's usage line.
 - 3 exhausted: the budget ran out, or no word-problem backend for
   `split`, `maximal` and `jsj` without a window; `gog cylinders` whose
-  root question stays unanswered within the fixed bound prints
-  `jsj-forge: exhausted: FILE: message`.
+  root question stays unanswered within the fixed bound, or whose
+  overgroup at an edge end is not cyclic, prints `jsj-forge: exhausted:
+  FILE: message`.
 - 4 window insufficient: the window provably cannot certify an answer.
 - 5 invalid: `gog trace` found a diagnostic in the document.
 """

@@ -28,7 +28,6 @@ level list at a time.
 """
 
 from array import array
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -132,7 +131,7 @@ class Ball:
         a canonical backend, the keys the index stored them under; with
         no index, the words."""
         if self._index is None:
-            return self.words[start:]
+            return list(self.words)[start:]
         if self.backend.canonical:
             return self._index.keys()[start:]
         return [self.backend.normalize(w) for w in self.words[start:]]
@@ -270,10 +269,10 @@ class CayleyBall(Ball):
 
 class TreeWords(Sequence):
     """The words of a tree CayleyBall, read-only, rebuilt from its parent
-    and letter columns in id order one sphere at a time: each word is its
-    parent's, one sphere nearer the root, plus its letter.  words[v]
-    walks from v up to the root; a run of ids (a slice, or iteration)
-    holds at most two spheres of words besides those it returns."""
+    and letter columns: words[v] walks from v up to the root.  Iteration
+    builds them one sphere at a time from the root, each child's word its
+    parent's plus each letter that does not cancel the last one, in
+    letter order, which is how grow() numbers them."""
 
     def __init__(self, ball):
         self._ball = ball
@@ -282,11 +281,6 @@ class TreeWords(Sequence):
         return len(self._ball.dist)
 
     def __getitem__(self, v):
-        if isinstance(v, slice):
-            ids = range(len(self))[v]
-            if ids.step == 1:
-                return list(self._run(ids.start, ids.stop))
-            return [self[u] for u in ids]
         if not 0 <= v < len(self):
             v = range(len(self))[v]  # a negative index, or IndexError
         parent, letter, word = self._ball.parent, self._ball.letter, []
@@ -297,34 +291,12 @@ class TreeWords(Sequence):
         return tuple(word)
 
     def __iter__(self):
-        return self._run(0, len(self))
-
-    def _run(self, start, stop):
-        if start >= stop:
-            return
-        parent, letter, dist = (self._ball.parent, self._ball.letter,
-                                self._ball.dist)
-        # the ids to build in start's sphere (all of it when the run goes
-        # on past it), then in each sphere before the parents of those
-        # built one sphere out, as parents run in id order
-        d = dist[start]
-        end = bisect_right(dist, d)
-        spans = [(start, stop) if stop <= end else (bisect_left(dist, d), end)]
-        for _ in range(d):
-            lo, hi = spans[-1]
-            spans.append((parent[lo], parent[hi - 1] + 1))
-        spans.reverse()
-        for j in range(d + 1, dist[stop - 1] + 1):
-            lo, end = end, bisect_right(dist, j)
-            spans.append((lo, min(end, stop)))
-        words = [()]
-        for j, (lo, hi) in enumerate(spans):
-            if j:
-                words = [words[p - base] + (s,) for p, s in
-                         zip(parent[lo:hi], letter[lo:hi])]
-            base = lo
-            if j >= d:
-                yield from words[start - lo:] if start > lo else words
+        letters, sphere = self._ball.letters, [()]
+        for _ in range(self._ball.radius):
+            yield from sphere
+            sphere = [w + (s,) for w in sphere for s in letters
+                      if not w or s != -w[-1]]
+        yield from sphere
 
 
 # ---------------------------------------------------------------------------

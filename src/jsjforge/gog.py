@@ -177,8 +177,9 @@ class GraphOfGroups:
 
 def validate_gog(g):
     """Itemized diagnostics: marking sanity, edge-map arity and range,
-    relator images checked in the endpoint backends, and generators sent
-    to the identity judged in the edge group's backend."""
+    relator images checked in the endpoint backends, and each generator
+    sent to the identity flagged when the edge group's backend finds it
+    nontrivial."""
     diags = []
     backends = {}
 
@@ -227,7 +228,7 @@ def validate_gog(g):
                     continue
                 # judged in the edge group, when it has a backend
                 eb = be("edge", eid, e.presentation)
-                if eb is not None and order_of(eb, (i + 1,), 4) is None:
+                if eb is not None and eb.normalize((i + 1,)):
                     diags.append("edge %d (%s): generator %d maps to the "
                                  "identity" % (eid, end, i))
     return diags
@@ -410,13 +411,15 @@ def _power_of(backend, base, target, bound):
 def tree_of_cylinders(g, delta=0):
     """Bipartite quotient: original vertices on one side, one cylinder
     vertex per commensurability class of cyclic edge groups on the
-    other; the cylinder group is the maximal VC overgroup of the class
+    other; the cylinder group is <g>, g the root of the class
     representative, and each end maps into it by its own root power m.
     Raises ValueError on a non-cyclic edge group or a trivial image,
     BackendError on an end with no backend, and BudgetError when root
-    extraction does not certify an overgroup within ALGEBRA_BOUND or an
-    end's image is no power of its root up to 4 * ALGEBRA_BOUND: no
-    exponent is guessed."""
+    extraction does not certify an overgroup within ALGEBRA_BOUND, an
+    end's image is no power of its root up to 4 * ALGEBRA_BOUND, or an
+    end's overgroup has more than one generator (an inverting element
+    or torsion): no exponent is guessed, and no cylinder other than a
+    cyclic one is written."""
     backends = {}
     roots = {}
     images = {}
@@ -447,20 +450,19 @@ def tree_of_cylinders(g, delta=0):
         (_, rep, _), _ = roots[root]  # read at the representative's source
         if rep.verdict != "vc":
             raise BudgetError("edge %d: overgroup not certified vc" % root)
-        cyl_names = tuple("cyl%d.g%d" % (ci, i)
-                          for i in range(len(rep.overgroup)))
-        cyl_rels = ()
-        if rep.vc_type == "Dinf" and len(rep.overgroup) >= 2:
-            cyl_rels = ((2, 2),)  # the inverting generator has order 2
-        cyl_pres = Presentation(cyl_names, cyl_rels, ())
-        cid = out.add_vertex(cyl_pres, "vc", namespace=False)
+        cid = out.add_vertex(Presentation(("cyl%d.g0" % ci,), (), ()), "vc",
+                             namespace=False)
         for eid in classes[root]:
             e = g.edges[eid]
-            for (endpoint, inj), (_, _, k) in zip(_ends(e), roots[eid]):
+            for (endpoint, inj), (_, report, k) in zip(_ends(e), roots[eid]):
                 if k is None:
                     raise BudgetError("edge %d at vertex %d: no root power "
                                       "up to %d" % (eid, endpoint,
                                                     4 * ALGEBRA_BOUND))
+                if len(report.overgroup) > 1:
+                    raise BudgetError("edge %d at vertex %d: overgroup of %d "
+                                      "generators, not cyclic"
+                                      % (eid, endpoint, len(report.overgroup)))
                 cyl_word = tuple([1] * k if k >= 0 else [-1] * (-k))
                 out.add_edge(endpoint, cid, e.presentation,
                              (tuple(inj[0]),), (cyl_word,))

@@ -313,8 +313,8 @@ class ConstantTable:
     values: name -> int or Fraction; provenance: name -> 'formula' |
     'override' | 'input'; warnings: constraint violations caused by
     overrides (reported, not fatal).  The N bounds named in pending are
-    evaluated on first read, from one bulk per table; values,
-    fingerprint() and as_text() evaluate them all.
+    evaluated on first read, from one bulk per table; values and
+    fingerprint() evaluate them all.
     """
 
     def __init__(self, values, provenance, warnings, pending=()):
@@ -346,25 +346,6 @@ class ConstantTable:
 
     def Rd(self, n):
         return 4 * (n + self["M"]) + 3 * self["kd"] + 50 * self["delta"] + 3
-
-    def as_text(self):
-        lines = ["%-10s %-9s %s" % ("name", "source", "value")]
-        for name in sorted(self.values):
-            v = self.values[name]
-            if isinstance(v, (int, Fraction)) and \
-                    Fraction(v).numerator.bit_length() > 4000:
-                f = Fraction(v)
-                mag = (f.numerator.bit_length() - f.denominator.bit_length())
-                s = "~10^%d (exact value stored)" % ((mag * 301) // 1000)
-            else:
-                s = str(v)
-                if len(s) > 72:
-                    s = "%s... (%d digits)" % (s[:48], len(s))
-            lines.append("%-10s %-9s %s" % (name, self.provenance[name], s))
-        if self.warnings:
-            lines.append("warnings:")
-            lines.extend("  " + w for w in self.warnings)
-        return "\n".join(lines)
 
     def fingerprint(self):
         import hashlib

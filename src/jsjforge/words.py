@@ -136,24 +136,6 @@ def substitute(word, images):
     return tuple(out)
 
 
-def word_to_str(word, generators=None):
-    if not word:
-        return "1"
-    parts = []
-    for x in word:
-        i = abs(x) - 1
-        if generators is not None:
-            name = generators[i]
-        else:
-            name = ALPHABET[i] if i < 26 else "g%d" % (i + 1)
-        if len(name) == 1 and name.isalpha():
-            parts.append(name.upper() if x < 0 else name)
-        else:
-            parts.append(name + ("^-1" if x < 0 else ""))
-    sep = "" if all(len(p) == 1 for p in parts) else " "
-    return sep.join(parts)
-
-
 # ---------------------------------------------------------------------------
 # presentations
 
@@ -190,23 +172,6 @@ class Presentation:
     @property
     def n_gens(self):
         return len(self.generators)
-
-    def word(self, text):
-        """Parse a word written over this presentation's generators."""
-        return parse_word(text, self.generators)
-
-    def word_str(self, word):
-        return word_to_str(word, self.generators)
-
-    def to_grp(self):
-        lines = ["gen " + " ".join(self.generators)]
-        for r in self.relators:
-            lines.append("rel " + self.word_str(r))
-        for name, gens in self.peripherals:
-            lines.append(
-                "per %s = %s" % (name, " ".join(self.word_str(w) for w in gens))
-            )
-        return "\n".join(lines) + "\n"
 
 
 def parse_word(text, generators, line=None):

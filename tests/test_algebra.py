@@ -106,9 +106,12 @@ def test_cyclic_subgroup_contains(free2):
 
 def test_finite_normal_subgroups_z2xz():
     p, be = _z2xz()
-    subs, maximal = A.finite_normal_subgroups(p, be, 0)
-    assert set(maximal) == {(), be.normalize((1,))}
-    assert any(len(s) == 1 for s in subs)       # trivial subgroup listed
+    # Z/2 x Z: the Z/2 factor, as a sorted list of normal forms
+    assert A.maximal_finite_normal_subgroup(p, be, 0) == [(), (1,)]
+    # a torsion-free group has none but the trivial one
+    f2 = parse_presentation("gen a b\n")
+    assert A.maximal_finite_normal_subgroup(f2, default_backend(f2), 0) == [
+        ()]
 
 
 def test_effective_kernel_quotient_idempotent():

@@ -11,7 +11,7 @@ from jsjforge import gog as G
 from jsjforge.cli import EXIT_INVALID, _geometry, main
 from jsjforge.words import Presentation, parse_presentation
 
-from test_gog import _g2_seeds, _star
+from test_gog import _dinf_joined_to_x, _g2_seeds, _star
 
 
 @pytest.fixture()
@@ -420,6 +420,28 @@ def test_gog_trace_edge_group_without_backend(tmp_path, capsys):
                              "validates for this presentation; tried dehn")
 
 
+@pytest.mark.parametrize("relator,diagnosed", [("ee", True), ("e", False)])
+def test_gog_trace_identity_image_of_an_edge_generator(tmp_path, capsys,
+                                                        relator, diagnosed):
+    # e has order 2 in <e | e^2>, so an edge map that sends it to the
+    # identity is not injective; in <e | e> it is trivial, and may
+    g = G.GraphOfGroups()
+    u = g.add_vertex(parse_presentation("gen a b\n"))
+    v = g.add_vertex(parse_presentation("gen y\n"))
+    g.add_edge(u, v, parse_presentation("gen e\nrel %s\n" % relator),
+               ((),), ((),))
+    path = tmp_path / "torsion-edge.gog"
+    path.write_text(g.to_json())
+    rc = main(["gog", "trace", str(path)])
+    out = capsys.readouterr().out.splitlines()
+    if diagnosed:
+        assert rc == EXIT_INVALID
+        assert out == ["edge 0 (%s): generator 0 maps to the identity" % end
+                       for end in ("from", "to")]
+    else:
+        assert (rc, out) == (0, ["ok"])
+
+
 def test_gog_cylinders_no_backend_one_line_diagnostic(tmp_path, source_cli):
     # a vertex <a, b | abab>, which no backend accepts, joined to <y>
     g = G.GraphOfGroups()
@@ -489,6 +511,20 @@ def test_gog_cylinders_spent_budget_is_exhausted(tmp_path, source_cli):
     assert rc == 3
     assert line == ("jsj-forge: exhausted: %s: edge 0: overgroup not "
                     "certified vc" % path)
+
+
+@pytest.mark.parametrize("dinf_source", [True, False])
+def test_gog_cylinders_inverted_root_is_exhausted(tmp_path, source_cli,
+                                                  dinf_source):
+    # a inverts ab in <a, b | a^2, b^2>, so the overgroup of ab there is
+    # <ab, a>, not cyclic: no cylinder is written, whichever end is the
+    # edge's source
+    path = tmp_path / "dinf.gog"
+    path.write_text(_dinf_joined_to_x(dinf_source).to_json())
+    rc, line = _run_gog_subprocess(source_cli, ["cylinders", str(path)])
+    assert rc == 3
+    assert line == ("jsj-forge: exhausted: %s: edge 0 at vertex 1: "
+                    "overgroup of 2 generators, not cyclic" % path)
 
 
 @pytest.mark.parametrize("action", ["cylinders", "fold"])

@@ -8,8 +8,9 @@ import pytest
 import jsjforge.geometry
 from jsjforge.algebra import _subgroup_ball
 from jsjforge.geometry import (Ball, CayleyBall, CuspedSpace, HoroVertex,
-                               PeripheralGraph, WindowError, bfs_distances,
-                               distance, shortest_path, valence_stats)
+                               PeripheralGraph, TreeWords, WindowError,
+                               bfs_distances, distance, shortest_path,
+                               valence_stats)
 from jsjforge.words import (ElementIndex, FreeBackend, concat,
                             default_backend, free_reduce, parse_presentation)
 
@@ -318,10 +319,10 @@ def _tuple_tree_words(ball, radius):
     return words
 
 
-def _tree_word_mismatches(ball, radius, seed):
+def _tree_word_mismatches(ball, radius):
     """What differs between the words a free CayleyBall reads off its
-    parent and letter columns and those of the tuple grower: single ids,
-    the whole sequence, slices and normal_forms(start)."""
+    parent and letter columns, or builds sphere by sphere, and those of
+    the tuple grower: single ids, the whole sequence, normal_forms(start)."""
     ref = _tuple_tree_words(ball, radius)
     words, n, bad = ball.words, len(ref), []
     if len(words) != n or list(words) != ref:
@@ -333,31 +334,42 @@ def _tree_word_mismatches(ball, radius, seed):
     if any(len(w) != ball.dist[v] or free_reduce(w) != w
            or ball.vertex_id(w) != v for v, w in enumerate(words)):
         bad.append("reduced geodesic")
-    # runs that start and stop at, next to and between sphere boundaries
-    bounds = [0] + [sum(ball.sphere_sizes()[:j]) for j in range(1, radius + 2)]
-    ends = sorted({max(0, min(n, b + e)) for b in bounds for e in (-1, 0, 1)})
-    rng = random.Random(seed)
-    ends += [rng.randrange(n + 1) for _ in range(40)]
-    pairs = [(i, j) for i in ends for j in ends if i <= j][::7]
-    if any(words[i:j] != ref[i:j] for i, j in pairs):
-        bad.append("slice")
-    if words[n:] != [] or words[::5] != ref[::5] or words[-3:] != ref[-3:]:
-        bad.append("slice ends and steps")
-    if any(ball.normal_forms(i) != ref[i:] for i in ends[::3]):
+    # starts at, next to and between sphere boundaries
+    bounds = [sum(ball.sphere_sizes()[:j]) for j in range(radius + 2)]
+    starts = sorted({max(0, min(n, b + e))
+                     for b in bounds for e in (-1, 0, 1)})
+    if any(ball.normal_forms(i) != ref[i:] for i in starts):
         bad.append("normal_forms")
     return bad
+
+
+class _ReversedKids(TreeWords):
+    """Negative control: iteration that builds each vertex's children in
+    reversed letter order."""
+
+    def __iter__(self):
+        letters, sphere = self._ball.letters[::-1], [()]
+        for _ in range(self._ball.radius):
+            yield from sphere
+            sphere = [w + (s,) for w in sphere for s in letters
+                      if not w or s != -w[-1]]
+        yield from sphere
 
 
 @pytest.mark.parametrize("n_gens,radius", [(2, 8), (3, 5)])
 def test_free_cayley_ball_words_match_the_tuple_grower(n_gens, radius):
     p = parse_presentation("gen %s\n" % " ".join("abc"[:n_gens]))
     free = default_backend(p)
-    assert _tree_word_mismatches(CayleyBall(p, free, radius), radius,
-                                 seed=n_gens) == []
-    # negative control: the letter column shifted by one vertex
+    assert _tree_word_mismatches(CayleyBall(p, free, radius), radius) == []
+    # negative controls: the letter column shifted by one vertex breaks
+    # indexing, and children in reversed letter order break iteration
     shifted = CayleyBall(p, free, radius)
     shifted.letter[1:] = shifted.letter[:-1]
-    assert _tree_word_mismatches(shifted, radius, seed=n_gens) != []
+    assert "words[v]" in _tree_word_mismatches(shifted, radius)
+    reversed_kids = CayleyBall(p, free, radius)
+    reversed_kids.words = _ReversedKids(reversed_kids)
+    assert {"list", "normal_forms"} <= set(
+        _tree_word_mismatches(reversed_kids, radius))
 
 
 def test_free_cayley_ball_r10_spheres_and_outer_words():
@@ -370,7 +382,7 @@ def test_free_cayley_ball_r10_spheres_and_outer_words():
     first = ball.outer[0]
     assert ball.outer == list(range(first, ball.n))
     assert all(ball.vertex_id(w) == v for v, w in
-               enumerate(ball.words[first:], first))
+               enumerate(list(ball.words)[first:], first))
 
 
 def test_free_cayley_ball_vertex_id_answers_as_the_index():

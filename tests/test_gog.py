@@ -263,6 +263,33 @@ def test_tree_of_cylinders_guesses_no_exponent():
         G.tree_of_cylinders(_f2_joined_to_y(17))
 
 
+def _dinf_joined_to_x(dinf_source):
+    # <x> joined to <a, b | a^2, b^2> along x = ab, the infinite dihedral
+    # vertex at the edge's source or at its target
+    g = G.GraphOfGroups()
+    x = g.add_vertex(parse_presentation("gen x\n"))
+    d = g.add_vertex(parse_presentation("gen a b\nrel aa\nrel bb\n"))
+    ends = [(d, ((1, 2),)), (x, ((1,),))]
+    if not dinf_source:
+        ends.reverse()
+    (s, inj_s), (t, inj_t) = ends
+    g.add_edge(s, t, Presentation(("e",), (), ()), inj_s, inj_t)
+    return g
+
+
+@pytest.mark.parametrize("dinf_source", [True, False])
+def test_tree_of_cylinders_writes_no_free_cylinder(monkeypatch, dinf_source):
+    # a inverts ab, so the overgroup of ab at the dihedral end is <ab, a>:
+    # no cyclic cylinder holds it, whichever end is the edge's source
+    g = _dinf_joined_to_x(dinf_source)
+    message = "edge 0 at vertex 1: overgroup of 2 generators, not cyclic"
+    with pytest.raises(G.BudgetError, match=message):
+        G.tree_of_cylinders(g)
+    monkeypatch.setattr(G, "maximal_splitting", lambda *a, **k: (g, {}))
+    _, art = G.assemble_jsj(Z, flavor="z")
+    assert art["warnings"] == ["tree of cylinders skipped: " + message]
+
+
 def _conjugate_powers_loop(backend, u, w, qs=None, signs=(1, -1),
                            conj_len=None):
     """The triple loop _conjugate_powers replaced: one normal form of

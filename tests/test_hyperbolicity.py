@@ -74,13 +74,6 @@ def test_parse_const_file():
         parse_const_file("delta 1\n")
 
 
-def test_as_text_handles_huge_values_quickly():
-    t = derive_constants(1, 0, B=3, V=5)
-    text = t.as_text()
-    assert "~10^" in text
-    assert "override" not in text
-
-
 # ---------------------------------------------------------------------------
 # log2 bounds against mpmath at 60 digits (mpmath is a test-only oracle)
 
@@ -227,7 +220,7 @@ def test_n_bounds_evaluated_on_first_read(monkeypatch):
     assert all(t.provenance[name] == "formula" for name in eager)
 
 
-@pytest.mark.parametrize("reader", ["values", "fingerprint", "as_text"])
+@pytest.mark.parametrize("reader", ["values", "fingerprint"])
 def test_whole_table_readers_evaluate_every_n_bound(monkeypatch, reader):
     calls = _spy_n_bounds(monkeypatch)
     t = derive_constants(0, 0, n=4, B=3, V=4)
