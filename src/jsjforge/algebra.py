@@ -10,13 +10,15 @@ infinite order); anything else is an honest "unknown".
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import Ball, CayleyBall
-from .words import BackendError, FreeBackend, Presentation, concat, \
-    conjugate, cyclic_reduce, free_reduce, inverse_word, parse_word, \
-    substitute, words_shortlex
+from .words import BackendError, FreeBackend, Presentation, \
+    RewritingBackend, concat, conjugate, cyclic_reduce, free_reduce, \
+    inverse_word, parse_word, substitute, torsion_rewriting_rules, \
+    words_shortlex
 
 # vertex cap of the Cayley balls of radius 4*delta + 2 that bound torsion
 # orders here
@@ -35,15 +37,46 @@ class BudgetError(Exception):
 
 
 def order_of(backend, w, bound):
-    """Order of the element, or None if no power up to the bound is the
-    identity (infinite order when the bound dominates the torsion
-    orders of the group)."""
+    """Order of the element, or None for infinite order.  Exact on the
+    free backend (a free group is torsion-free) and on a rewriting
+    backend built from torsion_rewriting_rules (a free product of
+    cyclic groups, where an element of finite order is conjugate into a
+    factor: Lyndon-Schupp IV.1.6), where it may exceed the bound.  Other
+    backends raise w to powers up to the bound: None there is infinite
+    order only when the bound dominates the torsion orders of the
+    group.  Callers read only "finite or not"."""
+    if isinstance(backend, FreeBackend):
+        return None if free_reduce(w) else 1
+    p = backend.presentation
+    if isinstance(backend, RewritingBackend) and \
+            backend.rules == torsion_rewriting_rules(p):
+        return _free_product_order(backend.normalize(w), {
+            abs(r[0]): len(r) for r in map(cyclic_reduce, p.relators)})
     acc = ()
     for m in range(1, bound + 1):
         acc = backend.normalize(concat(acc, w))
         if not acc:
             return m
     return None
+
+
+def _free_product_order(nf, orders):
+    """Order of a normal form in the free product of cyclic groups: cancel
+    or merge its first and last syllables until one syllable x^e is left
+    (order p / gcd(p, e) for x of order p), none (order 1), or a
+    cyclically reduced word of two or more syllables (infinite)."""
+    syl = [(g, sum(x // g for x in run))
+           for g, run in itertools.groupby(nf, key=abs)]
+    i, j = 0, len(syl) - 1
+    while i < j and syl[i][0] == syl[j][0]:
+        g, e = syl[i][0], syl[i][1] + syl[j][1]
+        if e % orders[g] if g in orders else e:
+            return None
+        i, j = i + 1, j - 1
+    if i == j and syl[i][0] in orders:
+        p = orders[syl[i][0]]
+        return p // math.gcd(p, syl[i][1])
+    return 1 if i > j else None
 
 
 def subgroup_elements(backend, gens, max_syllables):
@@ -188,8 +221,9 @@ def vc_analyze(p, backend, delta, S, budget=6):
     if not S:
         return VCReport("vc", vc_type="Z", overgroup=[], core=(),
                         budgets={"rounds": 0})
-    order_bound = CayleyBall(p, backend, 4 * delta + 2,
-                             vertex_cap=MAX_BALL).n
+    # the ball's size bounds torsion orders; the free backend needs none
+    order_bound = None if isinstance(backend, FreeBackend) else CayleyBall(
+        p, backend, 4 * delta + 2, vertex_cap=MAX_BALL).n
     # round r reads the elements of up to r syllables: one sphere more
     ball = _subgroup_ball(backend, S)
     candidates = []

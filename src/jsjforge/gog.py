@@ -948,11 +948,14 @@ def decide_split_relative(p, peripherals=(), budget=24, seeds=None,
     splitting search, and the geometric boundary leg when a cusped space
     and constant table are supplied as geometry=(space, table, n_cap).
     budget counts split-search and feature-search candidates only.
-    Every non-answer is an explicit exhaustion, including a presentation
-    that no word-problem backend accepts."""
+    The window's backend is reused when the window is of p itself;
+    otherwise p gets its own.  Every non-answer is an explicit
+    exhaustion, including a presentation that no word-problem backend
+    accepts."""
     trace = ["Start"]
     try:
-        backend = default_backend(p)
+        backend = geometry[0].backend if geometry is not None and \
+            geometry[0].presentation == p else default_backend(p)
     except BackendError as exc:
         return SplitDecision("exhausted", "no word-problem backend: %s" % exc,
                              None, "unknown", tuple(trace))

@@ -27,6 +27,104 @@ def test_order_of():
     assert A.order_of(bef, (1, 2), 20) is None
 
 
+def _order_loop(backend, w, bound):
+    """The power loop order_of runs on other backends: the first m <= bound
+    with w^m trivial, else None."""
+    acc = ()
+    for m in range(1, bound + 1):
+        acc = backend.normalize(concat(acc, w))
+        if not acc:
+            return m
+    return None
+
+
+def _seeded_words(rng, n_gens, count=60, max_len=9):
+    """Random words, the empty word, and conjugates x u x^-1 whose ends
+    cancel, over n_gens generators."""
+    letters = [x for i in range(1, n_gens + 1) for x in (i, -i)]
+    out = [()]
+    for _ in range(count):
+        u = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
+        x = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+        out += [u, x + u + inverse_word(x), x + inverse_word(x)]
+    return out
+
+
+@pytest.mark.parametrize("n_gens", [1, 2, 3])
+def test_order_of_free_matches_power_loop(n_gens):
+    # a free group is torsion-free: 1 for a trivial word, None otherwise,
+    # which is the loop's answer at every bound >= 1
+    be = default_backend(Presentation(tuple("abc"[:n_gens]), (), ()))
+    for w in _seeded_words(random.Random(n_gens), n_gens):
+        for bound in (1, 5, 17, 37):
+            assert A.order_of(be, w, bound) == _order_loop(be, w, bound), w
+
+
+FREE_PRODUCTS = ["gen a\nrel " + "a" * 20 + "\n",
+                 "gen a b\nrel aaa\nrel bbbbb\n",
+                 "gen a b c\nrel aa\nrel bbb\n"]
+
+
+def _free_product_disagreements(text, seed):
+    """Seeded words on which order_of at bound 5 differs from the loop
+    run to twice the largest relator power."""
+    p = parse_presentation(text)
+    be = default_backend(p)
+    assert isinstance(be, RewritingBackend)
+    bound = 2 * max(len(r) for r in p.relators)
+    return [w for w in _seeded_words(random.Random(seed), len(p.generators))
+            if A.order_of(be, w, 5) != _order_loop(be, w, bound)]
+
+
+@pytest.mark.parametrize("text", FREE_PRODUCTS)
+def test_order_of_free_product_matches_power_loop(text):
+    assert _free_product_disagreements(text, 7) == []
+
+
+def test_order_of_free_product_examples():
+    be20 = default_backend(parse_presentation(FREE_PRODUCTS[0]))
+    # exact beyond the bound: the loop at bound 5 would say None
+    assert A.order_of(be20, (1,), 5) == 20
+    assert A.order_of(be20, (1,) * 8, 5) == 5
+    be35 = default_backend(parse_presentation(FREE_PRODUCTS[1]))
+    assert A.order_of(be35, (2, 1, -2), 1) == 3
+    assert A.order_of(be35, (2, 2, -1, -2, -2), 1) == 3
+    assert A.order_of(be35, (1, 2), 40) is None
+    assert A.order_of(be35, (2, 1, 2, -1, -2, -2), 40) is None
+    be23 = default_backend(parse_presentation(FREE_PRODUCTS[2]))
+    # c has no relator: infinite, alone and conjugated
+    assert A.order_of(be23, (1, 3, -1), 40) is None
+    assert A.order_of(be23, (3, 2, -3), 1) == 3
+
+
+_EXACT = A._free_product_order
+
+
+@pytest.mark.parametrize("variant,text,word", [
+    # every element infinite: misses a's order 5
+    (lambda nf, orders: None, "gen a\nrel aaaaa\n", (1,)),
+    # no cyclic reduction: b a B read as two syllables, infinite
+    (lambda nf, orders: None if len({abs(x) for x in nf}) > 1
+     else _EXACT(nf, orders), "gen a b\nrel aaa\nrel bbbbb\n", (2, 1, -2)),
+], ids=["all-infinite", "no-cyclic-reduction"])
+def test_order_of_free_product_negative_controls(monkeypatch, variant, text,
+                                                 word):
+    be = default_backend(parse_presentation(text))
+    assert A.order_of(be, word, 1) == _order_loop(be, word, 10)
+    assert A.order_of(be, word, 1) is not None
+    monkeypatch.setattr(A, "_free_product_order", variant)
+    assert A.order_of(be, word, 1) is None
+    assert _free_product_disagreements(text, 7)
+
+
+def test_order_of_other_rewriting_rules_keep_the_loop():
+    # Z/2 x Z from hand-made rules: a has order 2, the loop at bound 1
+    # does not reach it
+    p, be = _z2xz()
+    assert A.order_of(be, (1,), 1) is None
+    assert A.order_of(be, (1,), 2) == 2
+
+
 def test_subgroup_elements_deterministic(free2):
     p, be = free2
     els = A.subgroup_elements(be, [(1, 1)], 3)

@@ -45,6 +45,20 @@ def test_split_cyclic_no_splits(tmp_path, capsys):
     assert "trace: Start -> VC?yes" in out
 
 
+@pytest.mark.parametrize("text", [
+    "gen a\nrel " + "a" * 20 + "\n",
+    "gen a\nrel aaaaaa\nper P = aa\n"])
+def test_split_finite_cyclic_is_not_virtually_cyclic(tmp_path, capsys, text):
+    # a finite cyclic group has no element of infinite order, so no
+    # core to certify it virtually cyclic with
+    path = tmp_path / "zn.grp"
+    path.write_text(text)
+    rc = main(["split", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "virtually cyclic" not in out
+
+
 def test_split_exhausted_exit_code(g2_file, capsys):
     # with any budget the split search finds genus 2's HNN splitting
     rc = main(["split", g2_file, "--budget", "0"])

@@ -613,6 +613,27 @@ def test_decide_split_relative_rejected_seed():
     assert d.answer != "splits" or d.reason != "seeded witness"
 
 
+@pytest.mark.parametrize("window,built", [
+    (G2, 0), (Presentation(("a", "b")), 1)], ids=["same", "other"])
+def test_decide_split_relative_reuses_the_window_backend(monkeypatch,
+                                                         window, built):
+    # the window of G2 holds G2's backend; a window of another group does
+    # not, and G2 gets one of its own
+    from jsjforge.geometry import CuspedSpace
+    space = CuspedSpace(window, default_backend(window), 1, 0)
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return default_backend(p)
+
+    monkeypatch.setattr(G, "default_backend", counting)
+    d = G.decide_split_relative(G2, seeds=_g2_seeds(),
+                                geometry=(space, None, None))
+    assert d.answer == "splits"
+    assert calls.count(G2) == built
+
+
 @pytest.mark.parametrize("rounds,answer,step", [
     (None, "no-splits", "SmallOrbifold?yes"),
     (2, "exhausted", "SmallOrbifold?no")])
